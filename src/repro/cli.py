@@ -50,32 +50,15 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro import __version__
 from repro.batch import BatchError, Simulation
-from repro.campaign import (
-    ArtifactStore,
-    CampaignError,
-    CampaignRunner,
-    CampaignStudyReport,
-    STUDY_METRICS,
-    StreamingAggregator,
-    campaign_run_settings,
-    executor_names,
-    load_campaign,
-    load_campaign_spec,
-    result_fingerprint,
-    worker_loop,
-)
-from repro.campaign import compare as campaign_compare
+from repro.monitoring import render_gantt
 from repro.platform import PlatformError, load_platform
 from repro.scheduler import SchedulerError
-from repro.tracing import InvariantViolation, TraceError
-from repro.workload import (
-    WorkloadError,
-    WorkloadSpec,
-    generate_workload,
-    load_workload,
-    workload_to_dict,
-)
+from repro.workload import WorkloadError, load_workload
+
+# Import rule (docs/INTERNALS.md): nothing heavier than ``import repro`` up
+# here; every handler imports its own subsystem when it runs.
 
 EXIT_OK = 0
 EXIT_REGRESSION = 1
@@ -85,6 +68,10 @@ EXIT_ALGORITHM = 4
 EXIT_RUNTIME = 5
 EXIT_INTERNAL = 70
 
+#: ``--executor`` values: the registry, ``repro.campaign.executor_names()``, is
+#: too heavy to import for a parser; ``tests/test_cli.py`` keeps the two equal.
+_EXECUTORS = ("in-process", "process-pool", "asyncio", "queue-worker")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -92,6 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="ElastiSim reproduction: batch-system simulator for "
         "malleable workloads",
     )
+    parser.add_argument("--version", action="version", version=f"elastisim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a simulation")
@@ -216,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     crun.add_argument(
         "--executor",
         default=None,
-        choices=list(executor_names()),
+        choices=_EXECUTORS,
         help="execution backend (default: spec's 'executor' key, else "
         "process-pool when parallel)",
     )
@@ -572,6 +560,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # A bad output path must cost milliseconds, not a finished simulation
+    # whose printed summary was never saved.
+    out = None
+    if args.output_dir is not None:
+        out = Path(args.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+    if args.trace is not None:
+        Path(args.trace).parent.mkdir(parents=True, exist_ok=True)
     platform = load_platform(args.platform)
     jobs = load_workload(args.workload)
     failures = None
@@ -620,22 +616,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if energy["corridor_watts"] is not None:
             print(f"{'corridor_watts':24s} {float(energy['corridor_watts']):16.3f}")
 
-    if args.output_dir is not None:
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         monitor.write_job_csv(out / "jobs.csv")
         monitor.write_summary_json(out / "summary.json")
         (out / "utilization.json").write_text(
             json.dumps(monitor.utilization_timeline())
         )
-        from repro.monitoring import render_gantt
-
         (out / "gantt.txt").write_text(render_gantt(monitor))
         print(f"results written to {out}/")
     return EXIT_OK
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.workload import WorkloadSpec, generate_workload, workload_to_dict
+
     spec = WorkloadSpec(
         num_jobs=args.num_jobs,
         mean_interarrival=args.mean_interarrival,
@@ -675,15 +669,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    scenarios = load_campaign(args.spec)
-    settings = campaign_run_settings(load_campaign_spec(args.spec))
+    import repro.campaign as campaign
+
+    scenarios = campaign.load_campaign(args.spec)
+    settings = campaign.campaign_run_settings(campaign.load_campaign_spec(args.spec))
     name = args.name or Path(args.spec).stem
     # ArtifactStore without a shared root behaves exactly like the plain
     # local cache; --store-dir / $ELASTISIM_STORE_DIR arm the shared layer.
     cache = (
         None
         if args.no_cache
-        else ArtifactStore(args.cache_dir, shared_root=args.store_dir)
+        else campaign.ArtifactStore(args.cache_dir, shared_root=args.store_dir)
     )
     executor = args.executor or settings.get("executor")
     executor_options: dict = {}
@@ -698,7 +694,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             executor_options["workers"] = max(0, args.queue_workers)
         if args.lease is not None:
             executor_options["lease_s"] = args.lease
-    runner = CampaignRunner(
+    runner = campaign.CampaignRunner(
         scenarios,
         name=name,
         workers=args.workers,
@@ -731,7 +727,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     files = report.write(output_dir)
     if args.fingerprints is not None:
         fingerprints = {
-            record["name"]: result_fingerprint(record) for record in report.records
+            record["name"]: campaign.result_fingerprint(record)
+            for record in report.records
         }
         path = Path(args.fingerprints)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -759,6 +756,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
+    from repro.campaign import worker_loop
+
     executed = worker_loop(
         args.queue_dir,
         worker_id=args.worker_id,
@@ -788,6 +787,8 @@ def _aggregate_shards(paths: List[str]) -> List[Path]:
 
 
 def _cmd_campaign_aggregate(args: argparse.Namespace) -> int:
+    from repro.campaign import StreamingAggregator
+
     shards = _aggregate_shards(args.paths)
     if not shards:
         print("nothing to aggregate: no JSONL shards found", file=sys.stderr)
@@ -819,6 +820,8 @@ def _cmd_campaign_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
+    from repro.campaign import STUDY_METRICS, CampaignStudyReport
+
     shards = _aggregate_shards(args.paths)
     if not shards:
         print("nothing to report: no JSONL records found", file=sys.stderr)
@@ -841,6 +844,24 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
         paths = report.write(args.output_dir, title=args.title)
         print(f"report written to {paths['json']} and {paths['markdown']}")
     return EXIT_OK
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.campaign import CampaignError, compare
+
+    try:
+        if args.campaign_command == "compare":
+            return compare.main(args.compare_args)
+        if args.campaign_command == "worker":
+            return _cmd_campaign_worker(args)
+        if args.campaign_command == "aggregate":
+            return _cmd_campaign_aggregate(args)
+        if args.campaign_command == "report":
+            return _cmd_campaign_report(args)
+        return _cmd_campaign_run(args)
+    except CampaignError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -962,9 +983,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         print(f"cold run ({result.reason})")
     print(f"record: {record_path}")
     if args.verify:
-        from repro.batch import Simulation as _Sim
-
-        sim = _Sim.from_spec(edited)
+        sim = Simulation.from_spec(edited)
         reference = sim.run(until=edited.get("sim", {}).get("until")).run_record()
         reference["invocations"] = sim.batch.invocations
         identical = json.dumps(reference, sort_keys=True) == json.dumps(
@@ -982,6 +1001,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     from repro.fuzz import (
         ORACLES,
+        FuzzFailure,
         fuzz_run,
         replay_scenario,
         shrink_failure,
@@ -1014,8 +1034,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print("scenario passes all oracles; nothing to shrink",
                   file=sys.stderr)
             return EXIT_USAGE
-        from repro.fuzz import FuzzFailure
-
         case = FuzzFailure(
             seed=scenario.get("seed", 0),
             algorithm=scenario.get("algorithm", "easy"),
@@ -1100,7 +1118,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_REGRESSION
 
 
-def _cmd_algorithms() -> int:
+def _cmd_algorithms(args: argparse.Namespace) -> int:
     from repro.scheduler.algorithms import _REGISTRY
 
     for name, cls in sorted(_REGISTRY.items()):
@@ -1109,44 +1127,24 @@ def _cmd_algorithms() -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "generate": _cmd_generate,
+    "validate": _cmd_validate,
+    "campaign": _cmd_campaign,
+    "trace": _cmd_trace,
+    "profile": _cmd_profile,
+    "whatif": _cmd_whatif,
+    "fuzz": _cmd_fuzz,
+    "algorithms": _cmd_algorithms,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "campaign":
-            if args.campaign_command == "compare":
-                return campaign_compare.main(args.compare_args)
-            if args.campaign_command == "worker":
-                return _cmd_campaign_worker(args)
-            if args.campaign_command == "aggregate":
-                return _cmd_campaign_aggregate(args)
-            if args.campaign_command == "report":
-                return _cmd_campaign_report(args)
-            return _cmd_campaign_run(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "whatif":
-            return _cmd_whatif(args)
-        if args.command == "fuzz":
-            return _cmd_fuzz(args)
-        if args.command == "algorithms":
-            return _cmd_algorithms()
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        for violation in exc.violations:
-            print(f"  {violation}", file=sys.stderr)
-        return EXIT_REGRESSION
-    except (PlatformError, WorkloadError, CampaignError, TraceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        return _COMMANDS[args.command](args)
+    except (PlatformError, WorkloadError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SchedulerError as exc:
@@ -1156,9 +1154,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - last-resort traceback shield
+        # The tracing error classes are resolved here, on the error path,
+        # so a clean run never imports the flight recorder for them.
+        from repro.tracing import InvariantViolation, TraceError
+
+        if isinstance(exc, InvariantViolation):
+            print(f"invariant violation: {exc}", file=sys.stderr)
+            for violation in exc.violations:
+                print(f"  {violation}", file=sys.stderr)
+            return EXIT_REGRESSION
+        if isinstance(exc, TraceError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_USAGE  # pragma: no cover - unreachable
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - numpy loads when a generator first runs
+    import numpy as np
 
 
 class FailureError(Exception):
@@ -65,6 +66,8 @@ def generate_failures(
         raise FailureError("mtbf and mean_repair must be > 0")
 
     if rng is None:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
     failures: List[Failure] = []
     for node in range(num_nodes):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import inf
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.sharing import SharedResource
 
@@ -90,6 +90,12 @@ class Node:
         Optional node-local :class:`BurstBuffer`.
     """
 
+    __slots__ = (
+        "index", "name", "flops", "cores", "cpu", "gpus", "gpu_flops", "gpu",
+        "up", "down", "bb", "idle_watts", "peak_watts", "state",
+        "assigned_job", "failed", "_pool",
+    )  # fmt: skip
+
     def __init__(
         self,
         index: int,
@@ -103,6 +109,36 @@ class Node:
         idle_watts: float = 0.0,
         peak_watts: float = 0.0,
     ) -> None:
+        self._check(index, flops, cores, gpus, gpu_flops, idle_watts, peak_watts)
+        self._setup(index, name, flops, cores, gpus, gpu_flops, bb, idle_watts, peak_watts)
+
+    @classmethod
+    def fleet(
+        cls,
+        count: int,
+        flops: float,
+        *,
+        cores: int = 1,
+        gpus: int = 0,
+        gpu_flops: float = 0.0,
+        burst_buffer: Optional[Tuple[float, float, float]] = None,
+        idle_watts: float = 0.0,
+        peak_watts: float = 0.0,
+    ) -> List["Node"]:
+        """``count`` identical nodes indexed from 0, their parameters checked once.
+
+        ``burst_buffer`` is the ``(read_bw, write_bw, capacity)`` of the
+        :class:`BurstBuffer` each node gets.
+        """
+        cls._check(0, flops, cores, gpus, gpu_flops, idle_watts, peak_watts)
+        nodes = [cls.__new__(cls) for _ in range(count)]
+        for index, node in enumerate(nodes):
+            bb = BurstBuffer(f"node{index:04d}.bb", *burst_buffer) if burst_buffer else None
+            node._setup(index, None, flops, cores, gpus, gpu_flops, bb, idle_watts, peak_watts)
+        return nodes
+
+    @staticmethod
+    def _check(index, flops, cores, gpus, gpu_flops, idle_watts, peak_watts) -> None:
         if flops <= 0:
             raise PlatformError(f"Node {index}: flops must be > 0, got {flops}")
         if cores < 1:
@@ -122,6 +158,8 @@ class Node:
                 f"Node {index}: peak_watts must be >= idle_watts, "
                 f"got {peak_watts} < {idle_watts}"
             )
+
+    def _setup(self, index, name, flops, cores, gpus, gpu_flops, bb, idle_watts, peak_watts):
         self.index = index
         self.name = name or f"node{index:04d}"
         self.flops = float(flops)

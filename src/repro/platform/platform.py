@@ -2,16 +2,40 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import List, Optional, Sequence, Set
+from bisect import bisect_left
+from collections.abc import Sequence
+from typing import List, Optional, Set
 
 from repro.platform.components import Node, NodeState, Pfs, PlatformError
 from repro.platform.topology import PFS, Route, Topology
 
-try:  # numpy backs the node-state masks; everything degrades to sets
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+
+class FreeNodes(Sequence):
+    """Read-only snapshot of the free nodes, in index order.
+
+    Wraps a private copy of the platform's sorted free-id list and resolves
+    ids to :class:`Node` objects only for the entries a caller touches, so
+    ``free[:need]`` costs O(need) however large the machine.  Slices are
+    plain lists (contract: docs/INTERNALS.md, "The free-node view").
+    """
+
+    __slots__ = ("_ids", "_nodes")
+
+    def __init__(self, ids: List[int], nodes: List[Node]) -> None:
+        self._ids = ids
+        self._nodes = nodes
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            nodes = self._nodes
+            return [nodes[i] for i in self._ids[item]]
+        return self._nodes[self._ids[item]]
+
+    def __iter__(self):
+        return map(self._nodes.__getitem__, self._ids)
 
 
 class Platform:
@@ -78,27 +102,14 @@ class Platform:
         # *query*.  A node can belong to one platform at a time.
         self._free_ids: List[int] = []
         self._allocated_ids: Set[int] = set()
-        self._failed_ids: Set[int] = set()
-        #: Materialised free_nodes() result, rebuilt only after a change.
-        self._free_cache: Optional[List[Node]] = None
-        #: Node-state struct-of-arrays: boolean masks indexed by node id.
-        #: Maintained alongside the index structures so bulk queries
-        #: (counts, histograms, vectorized scheduling policies) read one
-        #: array instead of walking Node objects.  ``None`` without numpy.
-        self._free_mask = _np.zeros(len(self.nodes), dtype=bool) if _np is not None else None
-        self._failed_mask = _np.zeros(len(self.nodes), dtype=bool) if _np is not None else None
+        #: The free_nodes() snapshot, retaken only after a change.
+        self._free_cache: Optional[FreeNodes] = None
         for node in self.nodes:
             node._pool = self
             if node.free:
                 self._free_ids.append(node.index)
-                if self._free_mask is not None:
-                    self._free_mask[node.index] = True
             if node.assigned_job is not None:
                 self._allocated_ids.add(node.index)
-            if node.failed:
-                self._failed_ids.add(node.index)
-                if self._failed_mask is not None:
-                    self._failed_mask[node.index] = True
 
     # -- sizing -----------------------------------------------------------
 
@@ -117,42 +128,31 @@ class Platform:
         index = node.index
         free_ids = self._free_ids
         self._free_cache = None
-        is_free = node.state is NodeState.FREE and not node.failed
-        if is_free:
-            pos = bisect_left(free_ids, index)
-            if pos == len(free_ids) or free_ids[pos] != index:
-                insort(free_ids, index)
-        else:
-            pos = bisect_left(free_ids, index)
-            if pos < len(free_ids) and free_ids[pos] == index:
-                del free_ids[pos]
+        pos = bisect_left(free_ids, index)
+        listed = pos < len(free_ids) and free_ids[pos] == index
+        if node.state is NodeState.FREE and not node.failed:
+            if not listed:
+                free_ids.insert(pos, index)
+        elif listed:
+            del free_ids[pos]
         if node.assigned_job is not None:
             self._allocated_ids.add(index)
         else:
             self._allocated_ids.discard(index)
-        if node.failed:
-            self._failed_ids.add(index)
-        else:
-            self._failed_ids.discard(index)
-        if self._free_mask is not None:
-            self._free_mask[index] = is_free
-            self._failed_mask[index] = node.failed
         if self._power_listener is not None:
             self._power_listener.node_changed(node)
 
-    def free_nodes(self) -> List[Node]:
+    def free_nodes(self) -> FreeNodes:
         """Nodes currently not held by any job, in index order.
 
-        Returns a cached list that is replaced — never mutated — on node
-        state changes.  Callers must treat it as read-only (every in-tree
-        consumer only slices/samples it); holding it across state changes
-        yields the same stale-snapshot semantics the previous fresh-list
-        implementation had.
+        Returns a cached read-only view that is replaced — never mutated —
+        on node state changes, so one held across state changes keeps the
+        contents it had when taken (the stale-snapshot semantics of the
+        fresh-list implementations before it).
         """
         cache = self._free_cache
         if cache is None:
-            nodes = self.nodes
-            cache = self._free_cache = [nodes[i] for i in self._free_ids]
+            cache = self._free_cache = FreeNodes(self._free_ids.copy(), self.nodes)
         return cache
 
     def num_free_nodes(self) -> int:
@@ -161,21 +161,6 @@ class Platform:
     def num_allocated_nodes(self) -> int:
         """Nodes currently held by jobs (excludes failed-but-idle nodes)."""
         return len(self._allocated_ids)
-
-    def num_failed_nodes(self) -> int:
-        return len(self._failed_ids)
-
-    def free_mask(self):
-        """Boolean numpy mask of free nodes (``None`` without numpy).
-
-        Indexed by node id; a read-only struct-of-arrays view for bulk
-        queries and vectorized policies.  Callers must not write to it.
-        """
-        return self._free_mask
-
-    def failed_mask(self):
-        """Boolean numpy mask of failed nodes (``None`` without numpy)."""
-        return self._failed_mask
 
     def utilization(self) -> float:
         """Fraction of nodes currently allocated."""

@@ -21,13 +21,13 @@ Two families are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from typing import Dict, Hashable, List, Tuple, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, List, Tuple, Union
 
 from repro.platform.components import PlatformError
 from repro.sharing import SharedResource
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads with the first graph topology
+    import networkx as nx
 
 Endpoint = Union[int, str]
 
@@ -119,12 +119,9 @@ class StarTopology(Topology):
             raise PlatformError("StarTopology needs at least one node")
         self.num_nodes = num_nodes
         self.latency = latency
-        self._up = [
-            SharedResource(f"node{i:04d}.up", bandwidth) for i in range(num_nodes)
-        ]
-        self._down = [
-            SharedResource(f"node{i:04d}.down", bandwidth) for i in range(num_nodes)
-        ]
+        names = [f"node{i:04d}" for i in range(num_nodes)]
+        self._up = [SharedResource(name + ".up", bandwidth) for name in names]
+        self._down = [SharedResource(name + ".down", bandwidth) for name in names]
         pfs_bw = pfs_bandwidth if pfs_bandwidth is not None else bandwidth
         self._pfs_in = SharedResource("pfs.link.in", pfs_bw)
         self._pfs_out = SharedResource("pfs.link.out", pfs_bw)
@@ -185,9 +182,6 @@ class GraphTopology(Topology):
         self.graph = graph
         self.num_nodes = num_nodes
         self._cache: Dict[Tuple[Hashable, Hashable], Route] = {}
-        # Per-node NIC resources modelled by the node's incident edge(s);
-        # for attach_nodes we synthesize infinite NICs (links constrain).
-        self._nic: List[SharedResource] = []
 
     def attach_nodes(self, nodes) -> None:
         if len(nodes) != self.num_nodes:
@@ -202,11 +196,7 @@ class GraphTopology(Topology):
     def shared_resources(self) -> List[SharedResource]:
         # networkx preserves edge insertion order, and the builders add
         # edges in a deterministic order derived from their parameters.
-        resources = [
-            data["link"].resource for _, _, data in self.graph.edges(data=True)
-        ]
-        resources.extend(self._nic)
-        return resources
+        return [data["link"].resource for _, _, data in self.graph.edges(data=True)]
 
     def _vertex(self, endpoint: Endpoint) -> Hashable:
         if endpoint == PFS:
@@ -226,6 +216,8 @@ class GraphTopology(Topology):
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        import networkx as nx
+
         u, v = self._vertex(src), self._vertex(dst)
         try:
             path = nx.shortest_path(self.graph, u, v)
@@ -265,6 +257,8 @@ def build_fat_tree(
     if arity < 1:
         raise PlatformError("arity must be >= 1")
     spine_bw = spine_bandwidth if spine_bandwidth is not None else arity * leaf_bandwidth
+    import networkx as nx
+
     graph = nx.Graph()
     num_leaves = (num_nodes + arity - 1) // arity
     for leaf in range(num_leaves):
@@ -315,6 +309,8 @@ def build_torus(
             i = i * d + x
         return i
 
+    import networkx as nx
+
     graph = nx.Graph()
     for i in range(num_nodes):
         graph.add_node(("node", i))
@@ -355,6 +351,8 @@ def build_dragonfly(
         raise PlatformError("dragonfly parameters must be >= 1")
     local_bw = local_bandwidth if local_bandwidth is not None else node_bandwidth * 2
     global_bw = global_bandwidth if global_bandwidth is not None else node_bandwidth * 4
+    import networkx as nx
+
     graph = nx.Graph()
     num_nodes = groups * routers_per_group * nodes_per_router
     # Node ↔ router links.

@@ -76,8 +76,8 @@ class SchedulerContext:
         """Running jobs in start order."""
         return list(self._batch.running)
 
-    def free_nodes(self) -> List[Node]:
-        """Currently unallocated nodes in index order."""
+    def free_nodes(self) -> Sequence[Node]:
+        """Currently unallocated nodes in index order (read-only; slices are lists)."""
         return self._batch.platform.free_nodes()
 
     def num_free_nodes(self) -> int:

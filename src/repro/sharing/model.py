@@ -35,11 +35,6 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.des.environment import Environment
 from repro.des.events import Event, PooledEvent, URGENT
 
-try:  # numpy backs the vectorized solver; scalar path needs nothing
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 
 #: Relative slack used when deciding that remaining work hit zero.
 _FINISH_TOL = 1e-9
@@ -47,11 +42,6 @@ _FINISH_TOL = 1e-9
 #: Component size from which the auto dispatch (``vectorize=None``) picks
 #: the numpy kernel; below it, array setup costs more than the dict scans.
 VECTOR_CROSSOVER = 32
-
-#: Dirty-slot batch size from which the array engine's slot solve switches
-#: to the numpy kernel; below it the scalar loop is cheaper (same floats
-#: either way, so the crossover only affects speed).
-SLOT_VECTOR_CROSSOVER = 32
 
 #: Process-wide default for ``solve_max_min``'s auto dispatch: ``True``
 #: forces the vectorized kernel, ``False`` forces the scalar loop, ``None``
@@ -265,9 +255,7 @@ def solve_max_min(
         return "fast"
     acts.sort(key=lambda a: a._seq)
     mode = vectorize if vectorize is not None else DEFAULT_VECTORIZE
-    if _np is not None and (
-        mode is True or (mode is None and len(acts) >= VECTOR_CROSSOVER)
-    ):
+    if mode is True or (mode is None and len(acts) >= VECTOR_CROSSOVER):
         _solve_vector(acts)
         return "vector"
     _solve_scalar(acts)
@@ -435,7 +423,8 @@ def _solve_vector(acts: List[Activity]) -> None:
     demand *accumulation* (first-encounter order) and per-freeze demand
     decrements stay plain Python floats so rounding matches exactly.
     """
-    np = _np
+    import numpy as np  # first vector solve pays the import, rigid runs never
+
     n = len(acts)
     rates = np.zeros(n)
     weights = np.empty(n)
@@ -588,13 +577,10 @@ class _SlotTable:
     solves are singletons), and each one pays for a ``Component`` object, a
     per-component dict walk, and attribute chasing per solve.  The slot
     table strips that to parallel Python lists indexed by an integer slot:
-    one row per live simple activity, scalar reads/writes on hot paths, and
-    bulk numpy gathers when enough slots are dirty at one instant
-    (:data:`SLOT_VECTOR_CROSSOVER`).
-
-    Plain lists beat numpy arrays for the per-slot scalar traffic (indexed
-    numpy scalar writes cost ~3x a list store); numpy enters only at batch
-    solve points where whole columns are gathered at once.
+    one row per live simple activity, scalar reads/writes on every path.
+    Plain lists beat numpy arrays for this per-slot scalar traffic (indexed
+    numpy scalar writes cost ~3x a list store, and gathering columns for a
+    batched sweep costs more than the sweep saves at every batch size).
 
     The table is an engine-internal mirror: ``Activity.rate`` and
     ``Activity.remaining`` are written back at exactly the observation
@@ -1372,10 +1358,7 @@ class FairShareModel:
         re-solve reduces to the batched completion-horizon recomputation:
         per slot, one finished check and one ``remaining / rate`` division,
         then a horizon-heap push — the same float operations (hence bits)
-        as the object engine's per-component ``_flush`` loop.  Above
-        :data:`SLOT_VECTOR_CROSSOVER` the divisions run as one numpy sweep
-        (float64 elementwise ops are IEEE-identical, so only speed
-        changes).
+        as the object engine's per-component ``_flush`` loop.
         """
         table = self._array
         assert table is not None
@@ -1385,56 +1368,28 @@ class FairShareModel:
         acts = table.act
         rate0 = table.rate0
         version = table.version
+        remaining = table.remaining
+        thresh = table.thresh
         count_solved = 0
-        if (
-            _np is not None
-            and self._vectorize is not False
-            and len(slots) >= SLOT_VECTOR_CROSSOVER
-        ):
-            np = _np
-            idx = [s for s in slots if acts[s] is not None]
-            if idx:
-                rates = np.array([rate0[s] for s in idx])
-                rem = np.array([table.remaining[s] for s in idx])
-                thresh = np.array([table.thresh[s] for s in idx])
-                finished = (rates == inf) | (rem <= thresh)
-                horizons = np.full(len(idx), inf)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(rem, rates, out=horizons, where=rates > 0)
-                horizons[finished] = 0.0
-                if np.isinf(horizons).any():
-                    raise RuntimeError(
-                        "FairShareModel deadlock: no activity can progress"
-                    )
-                abs_h = now + horizons
-                for k, s in enumerate(idx):
-                    acts[s].rate = rate0[s]  # type: ignore[union-attr]
-                    v = version[s] + 1
-                    version[s] = v
-                    heappush(heap, (float(abs_h[k]), next(entry_ids), s, v))
-                count_solved = len(idx)
-        else:
-            remaining = table.remaining
-            thresh = table.thresh
-            for s in slots:
-                act = acts[s]
-                if act is None:
-                    continue
-                rate = rate0[s]
-                act.rate = rate
-                rem = remaining[s]
-                if rate == inf or rem <= thresh[s]:
-                    horizon = 0.0
-                elif rate > 0:
-                    horizon = rem / rate
-                else:
-                    raise RuntimeError(
-                        "FairShareModel deadlock: no activity can progress"
-                    )
-                v = version[s] + 1
-                version[s] = v
-                heappush(heap, (now + horizon, next(entry_ids), s, v))
-                count_solved += 1
+        for s in slots:
+            act = acts[s]
+            if act is None:
+                continue
+            rate = rate0[s]
+            act.rate = rate
+            rem = remaining[s]
+            if rate == inf or rem <= thresh[s]:
+                horizon = 0.0
+            elif rate > 0:
+                horizon = rem / rate
+            else:
+                raise RuntimeError(
+                    "FairShareModel deadlock: no activity can progress"
+                )
+            v = version[s] + 1
+            version[s] = v
+            heappush(heap, (now + horizon, next(entry_ids), s, v))
+            count_solved += 1
         self.solver_time += perf_counter() - started
         self.resolves += count_solved
         self.fast_solves += count_solved

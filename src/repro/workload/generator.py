@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.application import ApplicationModel, Phase
 from repro.application.tasks import (
@@ -26,6 +24,9 @@ from repro.application.tasks import (
 )
 from repro.job import Job, JobClass, JobType
 from repro.workload.apportion import largest_remainder
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads when a generator first runs
+    import numpy as np
 
 
 def iterative_application(
@@ -183,6 +184,8 @@ def generate_workload(
     harness) or a fresh ``np.random.default_rng(seed)`` — there is no
     module-global randomness, so (spec, seed) is fully reproducible.
     """
+    import numpy as np
+
     spec.validate()
     if rng is None:
         rng = np.random.default_rng(seed)

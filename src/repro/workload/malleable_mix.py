@@ -23,14 +23,15 @@ import hashlib
 from dataclasses import dataclass
 from math import inf
 from pathlib import Path
-from typing import Any, List, Mapping, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence, Union
 
 from repro.job import Job, JobType
 from repro.workload.apportion import largest_remainder
 from repro.workload.generator import iterative_application
 from repro.workload.swf import SwfError, SwfRecord, parse_swf
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads when a generator first runs
+    import numpy as np
 
 #: The paper's ``parallel_percentage`` grid: each job is assigned one of
 #: these parallel fractions (Amdahl serial fraction = 1 - value).
@@ -150,6 +151,8 @@ def convert_trace(
     for fraction in parallel_fractions:
         if not 0 < float(fraction) <= 1:
             raise SwfError(f"parallel fractions must be in (0, 1]: {fraction!r}")
+    import numpy as np
+
     mix = TypeMix.parse(mix)
     if rng is None:
         rng = np.random.default_rng(seed)

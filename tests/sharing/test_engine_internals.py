@@ -14,6 +14,10 @@ Both engine backends (object components and struct-of-arrays slots)
 implement the same contract and are exercised here side by side.
 """
 
+import hashlib
+import math
+import random
+
 import pytest
 
 from repro.des import Environment
@@ -173,3 +177,42 @@ class TestStaleWakeRaces:
         assert isinstance(a.done.value, ActivityCancelled)
         assert b.finished_at == pytest.approx(30.0)
         assert env.now == pytest.approx(30.0)
+
+
+def test_large_dirty_slot_batch_matches_the_retired_numpy_sweep():
+    """4096 slots admitted at one instant solve to the heap entries the
+    numpy sweep produced for batches of 32 and more before it was deleted
+    (it was slower than the scalar loop at every size).  The digest was
+    pinned by running this construction on commit 984027c, the last one
+    with the sweep: horizons compare as float hex, so one differing bit
+    in one entry fails the test.
+    """
+    n, start = 4096, 2.5
+    rng = random.Random(13)
+    env = Environment()
+    model = FairShareModel(env, array_engine=True)
+    acts = []
+    for i in range(n):
+        kind = rng.random()  # 5 % run at infinite rate and finish at once
+        capacity = math.inf if kind < 0.05 else rng.uniform(1e-3, 1e12)
+        unbounded = kind < 0.05 or rng.random() < 0.7
+        bound = math.inf if unbounded else rng.uniform(1e-3, 1e9)
+        work = rng.choice([1e-12, 1.0, rng.uniform(1e-6, 1e15)])
+        usage = {SharedResource(f"r{i}", capacity): rng.uniform(0.1, 4.0)}
+        acts.append(Activity(work, usage, weight=rng.uniform(0.5, 2.0), bound=bound))
+
+    def admit():
+        yield env.timeout(start)
+        model.execute_many(acts)
+
+    env.process(admit())
+    while model.slot_solves < n:
+        env.step()
+
+    heap = sorted(model._horizon_heap)
+    assert len(heap) == n and env.now == start
+    assert sum(1 for entry in heap if entry[0] == start) == 1481  # due at once
+    text = "\n".join(f"{h.hex()} {e} {s} {v}" for h, e, s, v in heap)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "996d378a2ae96d136a75e9ade90934af16fe9bbeef316ad6081eed20bf020158"
+    )

@@ -18,13 +18,10 @@ from repro.sharing import Activity, SharedResource, solve_max_min
 from repro.sharing.model import (
     DEFAULT_VECTORIZE,
     VECTOR_CROSSOVER,
-    _np,
     _solve_scalar,
     _solve_single,
     _solve_vector,
 )
-
-needs_numpy = pytest.mark.skipif(_np is None, reason="numpy not installed")
 
 _capacities = st.one_of(
     st.floats(min_value=1e-3, max_value=1e9, allow_nan=False, allow_infinity=False),
@@ -82,7 +79,6 @@ def _assert_identical(a, b):
         assert repr(x) == repr(y)
 
 
-@needs_numpy
 @settings(max_examples=200, deadline=None)
 @given(acts=_components())
 def test_vector_kernel_bit_identical_to_scalar(acts):
@@ -99,7 +95,6 @@ def test_single_fast_path_bit_identical_to_scalar(acts):
     _assert_identical(scalar, fast)
 
 
-@needs_numpy
 @settings(max_examples=100, deadline=None)
 @given(acts=_components())
 def test_public_api_dispatch_is_equivalent(acts):
@@ -119,14 +114,12 @@ def test_dispatch_paths_and_default():
     assert solve_max_min(few) == "scalar"  # below the crossover
 
     many = [Activity(1.0, {r: 1.0}) for _ in range(VECTOR_CROSSOVER)]
-    expected = "vector" if _np is not None else "scalar"
-    assert solve_max_min(many) == expected
+    assert solve_max_min(many) == "vector"
     # All activities identical: everyone gets capacity / n either way.
     for act in many:
         assert act.rate == pytest.approx(100.0 / VECTOR_CROSSOVER)
 
 
-@needs_numpy
 def test_explicit_vectorize_overrides_crossover():
     r = SharedResource("r", 10.0)
     pair = [Activity(1.0, {r: 1.0}) for _ in range(2)]
@@ -136,7 +129,6 @@ def test_explicit_vectorize_overrides_crossover():
     _assert_identical(rates, [act.rate for act in pair])
 
 
-@needs_numpy
 def test_infinite_capacity_and_unbounded_rates_agree():
     # capacity=inf makes the saturation tolerance infinite — a historical
     # scalar-loop quirk the vector kernel must replicate, not fix.

@@ -52,6 +52,15 @@ def workload_file(tmp_path):
     return path
 
 
+def test_version_flag_prints_the_package_version(capsys):
+    import repro
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--version"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.strip() == f"elastisim {repro.__version__}"
+
+
 class TestGenerate:
     def test_generate_writes_valid_workload(self, workload_file):
         spec = json.loads(workload_file.read_text())
@@ -164,6 +173,55 @@ class TestRun:
         )
         assert code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, leaf", [("--output-dir", ""), ("--trace", "/t.json")])
+    def test_run_bad_output_path_fails_before_simulating(
+        self, platform_file, workload_file, tmp_path, capsys, monkeypatch, flag, leaf
+    ):
+        # The path is checked before the platform is even loaded: a run
+        # that printed its summary and then failed to save it is the bug.
+        import repro.cli as cli
+
+        def never(_path):
+            raise AssertionError("platform loaded before the output path was checked")
+
+        monkeypatch.setattr(cli, "load_platform", never)
+        occupied = tmp_path / "occupied"
+        occupied.write_text("a file, not a directory")
+        code = main(
+            [
+                "run",
+                "--platform",
+                str(platform_file),
+                "--workload",
+                str(workload_file),
+                flag,
+                str(occupied) + leaf,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert "error:" in captured.err and "occupied" in captured.err
+        assert "makespan" not in captured.out
+        assert occupied.read_text() == "a file, not a directory"
+
+    def test_run_creates_missing_trace_parent(
+        self, platform_file, workload_file, tmp_path
+    ):
+        trace = tmp_path / "new" / "dir" / "trace.jsonl"
+        code = main(
+            [
+                "run",
+                "--platform",
+                str(platform_file),
+                "--workload",
+                str(workload_file),
+                "--trace",
+                str(trace),
+            ]
+        )
+        assert code == 0
+        assert trace.exists()
 
     def test_run_stalled_workload_is_runtime_error(
         self, platform_file, tmp_path, capsys
@@ -427,6 +485,14 @@ class TestCampaignExecutors:
         assert "(in-process)" in capsys.readouterr().out
         names = set(json.loads(serial))
         assert names == {"fcfs/seed=0", "easy/seed=0"}
+
+    def test_parser_executor_choices_mirror_the_registry(self):
+        # The parser keeps its own tuple so that building it does not
+        # import the campaign fabric; the registry stays the authority.
+        import repro.cli as cli
+        from repro.campaign import executor_names
+
+        assert cli._EXECUTORS == executor_names()
 
     def test_spec_executor_is_validated_early(self, tmp_path, capsys):
         spec = dict(CAMPAIGN, executor="carrier-pigeon")

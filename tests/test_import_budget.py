@@ -1,0 +1,191 @@
+"""Import budget of the ``run`` journey — counts, never seconds.
+
+``elastisim run`` on a rigid star workload is the journey every user
+takes first, and it needs neither numpy (vector solver kernel, workload
+generators, failure model) nor networkx (graph topologies) nor the
+campaign / fuzz / replay subsystems.  The rule (docs/INTERNALS.md) is
+that heavy dependencies are imported where they are first *used*; these
+tests pin it from fresh interpreters, where ``sys.modules`` tells the
+truth, and check that everything deferred still resolves when wanted.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Nothing the bare imports or a rigid star run may load.
+HEAVY = (
+    "numpy", "networkx", "asyncio",
+    "repro.campaign", "repro.fuzz", "repro.replay", "repro.tracing", "repro.profiling",
+)  # fmt: skip
+
+#: ``import repro.cli`` loaded 675 modules before the diet and 159 after.
+MODULE_BUDGET = 250
+
+
+def _fresh(code: str, *args: str, cwd=None) -> dict:
+    """Run ``code`` in a fresh interpreter; return the JSON it prints last."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+_REPORT = (
+    "import json, sys; "
+    "print(json.dumps({'exit': code, 'count': len(sys.modules), 'loaded': "
+    f"[m for m in {HEAVY!r} if m in sys.modules]}}))"
+)
+
+
+def _job(jid: int, num_nodes: int, tasks: list) -> dict:
+    return {
+        "id": jid,
+        "type": "rigid",
+        "submit_time": float(jid),
+        "num_nodes": num_nodes,
+        "walltime": 1e6,
+        "application": {"phases": [{"tasks": tasks, "iterations": 2}]},
+    }
+
+
+def _write_inputs(tmp_path, *, topology: dict, tasks: list, sizes=(64, 96, 8)):
+    nodes = 128
+    platform = {
+        "nodes": {"count": nodes, "flops": 1e12},
+        "network": {"bandwidth": 1e10, "latency": 1e-6, **topology},
+        "pfs": {"read_bw": 1e11, "write_bw": 8e10},
+    }
+    workload = {"jobs": [_job(i + 1, n, tasks) for i, n in enumerate(sizes)]}
+    platform_file = tmp_path / "platform.json"
+    workload_file = tmp_path / "workload.json"
+    platform_file.write_text(json.dumps(platform))
+    workload_file.write_text(json.dumps(workload))
+    return str(platform_file), str(workload_file)
+
+
+_RUN = (
+    "import sys; from repro.cli import main; "
+    "code = main(['run', '--platform', sys.argv[1], '--workload', sys.argv[2]]); "
+)
+
+_CPU_AND_RING = [
+    {"type": "cpu", "flops": 1e13},
+    {"type": "comm", "bytes": 1e7, "pattern": "ring"},
+]
+
+
+@pytest.mark.parametrize("statement", ["import repro.cli", "import repro"])
+def test_bare_import_stays_inside_the_budget(statement):
+    report = _fresh(f"{statement}; code = 0; " + _REPORT)
+    assert report["loaded"] == []
+    assert report["count"] <= MODULE_BUDGET
+
+
+def test_public_names_import_without_heavy_dependencies():
+    report = _fresh(
+        "from repro import Simulation, load_platform, load_workload; code = 0; " + _REPORT
+    )
+    assert report["loaded"] == []
+
+
+def test_rigid_star_run_needs_neither_numpy_nor_networkx(tmp_path):
+    # 64- and 96-node jobs: dirty-slot batches well past the size at which
+    # the retired numpy slot sweep used to pull numpy into rigid runs.
+    files = _write_inputs(tmp_path, topology={"topology": "star"}, tasks=_CPU_AND_RING)
+    report = _fresh(_RUN + _REPORT, *files)
+    assert report["exit"] == 0
+    assert report["loaded"] == []
+    assert report["count"] <= MODULE_BUDGET
+
+
+def test_fat_tree_platform_imports_networkx_on_demand(tmp_path):
+    files = _write_inputs(
+        tmp_path, topology={"topology": "fat_tree", "arity": 8}, tasks=_CPU_AND_RING
+    )
+    report = _fresh(_RUN + _REPORT, *files)
+    assert report["exit"] == 0
+    assert "networkx" in report["loaded"]  # which itself may bring numpy
+
+
+def test_wide_shared_pfs_component_imports_numpy_on_demand(tmp_path):
+    # 64 concurrent reads of one file system form a single 64-activity
+    # component, past VECTOR_CROSSOVER: the numpy kernel solves it.
+    files = _write_inputs(
+        tmp_path,
+        topology={"topology": "star"},
+        tasks=[{"type": "pfs_read", "bytes": 1e9}, {"type": "cpu", "flops": 1e12}],
+    )
+    report = _fresh(_RUN + _REPORT, *files)
+    assert report["exit"] == 0
+    assert report["loaded"] == ["numpy"]
+
+
+SCENARIO = {
+    "name": "lazy-smoke",
+    "platform": {
+        "nodes": {"count": 8, "flops": 1e12},
+        "network": {"topology": "star", "bandwidth": 1e10},
+        "pfs": {"read_bw": 1e11, "write_bw": 1e11},
+    },
+    "workload": {"generate": {"num_jobs": 6, "max_request": 4, "seed": 2}},
+    "algorithm": "easy",
+}
+
+
+def _subcommand_cases(tmp_path):
+    files = _write_inputs(
+        tmp_path, topology={"topology": "star"}, tasks=_CPU_AND_RING, sizes=(4, 8)
+    )
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO))
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(
+        json.dumps(
+            {
+                "platform": SCENARIO["platform"],
+                "workload": SCENARIO["workload"],
+                "algorithms": ["fcfs", "easy"],
+                "seeds": [0],
+            }
+        )
+    )
+    out = str(tmp_path / "out")
+    trace = str(tmp_path / "trace.jsonl")
+    return {
+        "campaign run": ["campaign", "run", "--spec", str(campaign), "--workers", "1",
+                         "--no-cache", "--quiet", "--output-dir", out],
+        "whatif": ["whatif", "--base", str(scenario), "--resume-at", "0.5",
+                   "--snapshot-every", "20", "--output-dir", out],
+        "fuzz": ["fuzz", "run", "--count", "1", "--algorithms", "easy",
+                 "--max-nodes", "4", "--max-jobs", "3"],
+        "trace": ["trace", "record", "--platform", files[0], "--workload", files[1],
+                  "--output", trace, "--check"],
+        "profile": ["profile", "--jobs", "5", "--nodes", "8"],
+        "generate": ["generate", "--output", str(tmp_path / "w.json"), "--num-jobs", "3"],
+        "algorithms": ["algorithms"],
+    }  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["campaign run", "whatif", "fuzz", "trace", "profile", "generate", "algorithms"],
+)
+def test_every_subcommand_still_resolves_its_lazy_imports(command, tmp_path):
+    argv = _subcommand_cases(tmp_path)[command]
+    report = _fresh(
+        "import json, sys; from repro.cli import main; "
+        "code = main(json.loads(sys.argv[1])); " + _REPORT,
+        json.dumps(argv),
+        cwd=tmp_path,
+    )
+    assert report["exit"] == 0
