@@ -10,10 +10,14 @@ import time
 
 import pytest
 
+import repro.sharing.model as sharing_model
+from repro import Simulation
 from repro.des import Environment
+from repro.job import Job
 from repro.sharing import Activity, FairShareModel, SharedResource, solve_max_min
 
-from benchmarks.common import print_table, write_bench_json
+from benchmarks.bench_e10_topology import NUM_NODES, TOPOLOGIES, _comm_app, _platform
+from benchmarks.common import print_table, reference_platform_dict, write_bench_json
 
 
 @pytest.mark.benchmark(group="micro-des")
@@ -216,3 +220,147 @@ def test_micro_component_churn_speedup(benchmark):
     # Acceptance: >= 3x end-to-end on the 512-node disjoint-jobs scenario
     # (typically ~30-40x; 3x leaves headroom for noisy CI machines).
     assert speedup >= 3.0
+
+
+# -- scalar loop vs numpy kernel, and the cost of leaving a wide component ----
+#
+# Evidence behind two decisions in ``repro.sharing.model`` (docs/PERFORMANCE.md
+# quotes these tables): the scalar loop is the only kernel a simulation
+# selects, and a removal costs O(the leaver's resources), not O(component).
+
+KERNEL_SIZES = [8, 32, 128, 512, 4096]
+
+
+def _kernel_component(shape: str, n: int):
+    """One connected component of ``n`` activities, as a list."""
+    if shape == "chain":
+        # Synthetic worst case for the scalar loop, which rescans every
+        # resource each round: capacities rise along the chain, so every
+        # link saturates in a round of its own (n rounds, one freeze each).
+        links = [SharedResource(f"l{i}", 1e9 * (1 + i)) for i in range(n + 1)]
+        return [Activity(1.0, {links[i]: 1.0, links[i + 1]: 1.0}) for i in range(n)]
+    # Every flow crosses its own NIC and the one file system (a star's
+    # shared-PFS wave); "bounded-hub" adds a per-flow rate cap.  The engine
+    # itself never sets ``bound``; the row is there for library users.
+    hub = SharedResource("pfs", 1e11)
+    bound = 2e7 if shape == "bounded-hub" else float("inf")
+    return [
+        Activity(1.0, {SharedResource(f"nic{i}", 1e10): 1.0, hub: 1.0}, bound=bound)
+        for i in range(n)
+    ]
+
+
+def _best_us(acts, vectorize: bool) -> float:
+    """Best-of-k microseconds of one solve (k shrinks as solves get long)."""
+    best = float("inf")
+    spent = 0.0
+    while spent < 0.2:
+        start = time.perf_counter()
+        solve_max_min(acts, vectorize=vectorize)
+        elapsed = time.perf_counter() - start
+        spent += elapsed
+        best = min(best, elapsed)
+    return best * 1e6
+
+
+def _e10_solver_ms(kind: str, vectorize: bool) -> tuple:
+    """(solver milliseconds, largest component) of E10's all-to-all job."""
+    old = sharing_model.DEFAULT_VECTORIZE
+    sharing_model.DEFAULT_VECTORIZE = vectorize
+    try:
+        job = Job(1, _comm_app(), num_nodes=NUM_NODES)
+        monitor = Simulation(_platform(kind), [job], algorithm="fcfs").run()
+    finally:
+        sharing_model.DEFAULT_VECTORIZE = old
+    stats = monitor.solver
+    assert (stats.vector_solves > 0) == vectorize
+    return stats.solver_time * 1e3, stats.max_solve_scope
+
+
+@pytest.mark.benchmark(group="micro-solver")
+def test_micro_kernel_sweep(benchmark):
+    """Scalar loop vs numpy kernel by component shape and size."""
+
+    def sweep():
+        rows = []
+        for shape in ("hub", "bounded-hub", "chain"):
+            for n in KERNEL_SIZES:
+                acts = _kernel_component(shape, n)
+                scalar, vector = _best_us(acts, False), _best_us(acts, True)
+                rows.append([shape, n, scalar, vector, vector / scalar])
+        return rows
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    header = ["component", "activities", "scalar_us", "numpy_us", "numpy/scalar"]
+    print_table("micro: one solve, scalar loop vs numpy kernel", header, rows)
+
+    run_rows = []
+    for kind in TOPOLOGIES:
+        scalar, scope = _e10_solver_ms(kind, False)
+        vector, _ = _e10_solver_ms(kind, True)
+        run_rows.append([kind, scope, scalar, vector, vector / scalar])
+    run_header = ["topology", "max_scope", "scalar_solver_ms", "numpy_solver_ms", "numpy/scalar"]
+    print_table("micro: E10 all-to-all job, solver time by kernel", run_header, run_rows)
+    write_bench_json(
+        "MICRO_KERNELS",
+        title="scalar loop vs numpy kernel",
+        header=header,
+        rows=rows,
+        extra={"e10": [dict(zip(run_header, row)) for row in run_rows]},
+    )
+    assert len(rows) == 3 * len(KERNEL_SIZES) and len(run_rows) == len(TOPOLOGIES)
+
+
+def _wide_pfs_job(num_nodes: int):
+    """One rigid job reading and writing the shared PFS from every node."""
+    tasks = [
+        {"type": "pfs_read", "bytes": 1e9},
+        {"type": "cpu", "flops": 1e12},
+        {"type": "pfs_write", "bytes": 1e9},
+    ]
+    job = {
+        "id": 1,
+        "type": "rigid",
+        "submit_time": 0.0,
+        "num_nodes": num_nodes,
+        "walltime": 1e6,
+        "application": {"phases": [{"tasks": tasks, "iterations": 4}]},
+    }
+    sim = Simulation.from_spec(
+        {
+            "platform": reference_platform_dict(num_nodes),
+            "workload": {"inline": {"jobs": [job]}},
+            "algorithm": "fcfs",
+        }
+    )
+    start = time.perf_counter()
+    monitor = sim.run()
+    return time.perf_counter() - start, sim.env.processed_events, monitor.solver
+
+
+@pytest.mark.benchmark(group="micro-model")
+def test_micro_wide_component_removal_cost(benchmark):
+    """Host time of a job whose I/O waves are one component as wide as it."""
+
+    def sweep():
+        rows = []
+        for num_nodes in (256, 1024, 4096):
+            wall, events, stats = _wide_pfs_job(num_nodes)
+            rows.append(
+                [num_nodes, wall, events, wall / events * 1e6, stats.max_solve_scope, stats.splits]
+            )
+        return rows
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    header = ["nodes", "wall_s", "events", "us_per_event", "max_scope", "splits"]
+    print_table(
+        "micro: wide shared-PFS job, 4 x (pfs_read + cpu + pfs_write)",
+        header,
+        rows,
+        note="every finish leaves a component of `nodes` activities; "
+        "us_per_event stays flat while a removal is O(its resources)",
+    )
+    write_bench_json(
+        "MICRO_WIDE_PFS", title="wide shared-PFS job removal cost", header=header, rows=rows
+    )
+    assert [row[4] for row in rows] == [256, 1024, 4096]

@@ -61,7 +61,7 @@ _LITERAL_KEYS = frozenset({"name", "topology", "file", "type_mix"})
 _WORKLOAD_KINDS = ("generate", "file", "inline", "swf")
 
 #: Engine-backend pins a scenario may carry: ``compiled`` (expression
-#: pipeline), ``vectorize`` (max-min solver dispatch; ``None`` = auto),
+#: pipeline), ``vectorize`` (max-min kernel; ``None`` = the scalar loop),
 #: ``array_engine`` (struct-of-arrays slot engine).
 ENGINE_MODES = frozenset({"array_engine", "compiled", "vectorize"})
 
@@ -136,7 +136,7 @@ def _normalize_engine(engine: Mapping[str, Any]) -> Dict[str, Any]:
     """Validate an engine-pinning block and fold values to booleans.
 
     Recognised keys are :data:`ENGINE_MODES`; ``vectorize`` additionally
-    accepts ``None`` for the shipped auto-dispatch.  Grid expressions
+    accepts ``None`` for the shipped default (scalar).  Grid expressions
     resolve to numbers, so 0/1 are accepted and folded to booleans.
     """
     unknown = set(engine) - ENGINE_MODES

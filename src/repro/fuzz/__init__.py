@@ -3,8 +3,9 @@
 The paper's central claim is that the simulator handles rigid, moldable,
 evolving, and malleable jobs *correctly under arbitrary scheduler
 decisions* — and the engine carries several performance-motivated A/B
-pairs (compiled vs. interpreted expressions, scalar vs. vectorized
-max-min kernel) whose equivalence hand-written tests only spot-check.
+pairs (compiled vs. interpreted expressions, array vs. object engine, and
+the scalar max-min loop against its numpy oracle) whose equivalence
+hand-written tests only spot-check.
 This package turns those oracles into a generative harness:
 
 * :func:`generate_scenario` — a random-but-valid scenario (platform,

@@ -4,9 +4,9 @@ A fuzzer needs a verdict for workloads nobody hand-computed.  Three oracle
 families provide one:
 
 * **differential** — the engine's performance A/B pairs (compiled vs.
-  interpreted expressions x scalar vs. vectorized vs. auto max-min
-  kernel) are *specified* to be pure optimisations: ``run_record()`` must
-  serialise byte-identically across all mode combinations.
+  interpreted expressions x scalar vs. vectorized max-min kernel x array
+  vs. object engine) are *specified* to be pure optimisations:
+  ``run_record()`` must serialise byte-identically across all of them.
 * **invariant** — the streaming :class:`~repro.tracing.InvariantChecker`
   audits conservation laws (node accounting, queue accounting, monotone
   time) during a reference-mode run.
@@ -30,13 +30,13 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 #: Engine-mode matrix (compiled expressions?, DEFAULT_VECTORIZE, array
 #: engine?).  The first entry is the reference configuration (everything
-#: shipped/default); ``None`` is the vectorize auto-dispatch; the last
+#: shipped/default); ``None`` is the shipped default, the scalar loop (so a
+#: ``False`` row with the same other columns would repeat a run); the last
 #: column flips the struct-of-arrays slot engine
 #: (:func:`repro.sharing.set_array_engine_enabled`).
 MODES = [
     (True, None, True),
     (True, None, False),
-    (True, False, True),
     (True, True, False),
     (False, False, False),
 ]

@@ -46,10 +46,11 @@ class SolverStats:
     fast_solves / scalar_solves / vector_solves:
         How many component solves took the single-activity fast path, the
         scalar progressive-filling loop, and the vectorized numpy kernel
-        respectively (``fast + scalar + vector == resolves``).  These are
-        wall-clock-free and deterministic for a fixed ``vectorize`` setting,
-        but they *depend* on that setting, so they stay out of
-        ``Monitor.run_record()``.
+        respectively (``fast + scalar + vector == resolves``;
+        ``vector_solves`` is 0 unless ``vectorize=True`` selected the numpy
+        oracle).  These are wall-clock-free and deterministic for a fixed
+        ``vectorize`` setting, but they *depend* on that setting, so they
+        stay out of ``Monitor.run_record()``.
     slot_solves:
         How many of the ``fast_solves`` were served by the struct-of-arrays
         slot engine (see ``set_array_engine_enabled``).  Like the kernel

@@ -39,13 +39,9 @@ from repro.des.events import Event, PooledEvent, URGENT
 #: Relative slack used when deciding that remaining work hit zero.
 _FINISH_TOL = 1e-9
 
-#: Component size from which the auto dispatch (``vectorize=None``) picks
-#: the numpy kernel; below it, array setup costs more than the dict scans.
-VECTOR_CROSSOVER = 32
-
-#: Process-wide default for ``solve_max_min``'s auto dispatch: ``True``
-#: forces the vectorized kernel, ``False`` forces the scalar loop, ``None``
-#: selects by component size.  Tests flip this for whole-run A/B checks.
+#: Process-wide default for ``solve_max_min(vectorize=None)``: ``True``
+#: selects the numpy kernel (the test oracle), ``None``/``False`` the scalar
+#: loop (production).  Tests flip this for whole-run A/B checks.
 DEFAULT_VECTORIZE: Optional[bool] = None
 
 #: Process-wide default for the struct-of-arrays "slot" engine (see
@@ -234,11 +230,12 @@ def solve_max_min(
     only limited by their ``bound`` (infinite bound → infinite rate, which
     the model treats as instantaneous completion of their remaining work).
 
-    ``vectorize`` selects the kernel: ``False`` runs the reference scalar
-    loop, ``True`` the numpy kernel, ``None`` (default) defers to
-    :data:`DEFAULT_VECTORIZE` and otherwise auto-dispatches by component
-    size (:data:`VECTOR_CROSSOVER`).  Both kernels — and the
-    single-activity fast path — are *bit-identical*: same float operations
+    ``vectorize`` selects the kernel: ``True`` runs the numpy kernel, kept
+    as a second implementation for the differential tests (the scalar loop
+    is faster on every shipped topology, see docs/PERFORMANCE.md);
+    ``False`` the scalar loop; ``None`` (default) defers to
+    :data:`DEFAULT_VECTORIZE`, itself ``None`` = scalar.  Both kernels — and
+    the single-activity fast path — are *bit-identical*: same float ops
     in the same order, same freeze order, same tie-breaking (asserted by
     ``tests/sharing/test_vectorized_solver.py``), so campaign fingerprints
     do not depend on the dispatch.  Returns the path taken (``"fast"``,
@@ -254,8 +251,9 @@ def solve_max_min(
         _solve_single(acts[0])
         return "fast"
     acts.sort(key=lambda a: a._seq)
-    mode = vectorize if vectorize is not None else DEFAULT_VECTORIZE
-    if mode is True or (mode is None and len(acts) >= VECTOR_CROSSOVER):
+    if vectorize is None:
+        vectorize = DEFAULT_VECTORIZE
+    if vectorize:
         _solve_vector(acts)
         return "vector"
     _solve_scalar(acts)
@@ -423,7 +421,7 @@ def _solve_vector(acts: List[Activity]) -> None:
     demand *accumulation* (first-encounter order) and per-freeze demand
     decrements stay plain Python floats so rounding matches exactly.
     """
-    import numpy as np  # first vector solve pays the import, rigid runs never
+    import numpy as np  # only vectorize=True pays the import, simulations never
 
     n = len(acts)
     rates = np.zeros(n)
@@ -639,8 +637,8 @@ class FairShareModel:
     the activity↔resource graph, maintained incrementally: executing an
     activity merges the components of the resources it touches; removing
     one (finish/cancel) rebuilds — scoped to that component only — the
-    partition via adjacency flood-fill (skipped when the removed activity
-    used at most one resource, which cannot disconnect anything).
+    partition via adjacency flood-fill, and only when the removed activity's
+    still-used resources are not reachable from one another without it.
 
     Only components *touched* by a start/cancel/finish are marked dirty and
     re-solved; every other component keeps its rates, horizon, and
@@ -665,8 +663,8 @@ class FairShareModel:
         and old-vs-new benchmarks.
     vectorize:
         Per-model override for the solver kernel, passed through to
-        :func:`solve_max_min` (``None`` = auto by component size; both
-        kernels are bit-identical, so this only affects speed).
+        :func:`solve_max_min` (``None`` = the scalar loop; both kernels
+        are bit-identical, so this only affects speed).
     array_engine:
         Per-model override for the struct-of-arrays slot engine
         (:class:`_SlotTable`); ``None`` (default) defers to the process-wide
@@ -1071,16 +1069,44 @@ class FairShareModel:
             self._components.pop(comp, None)
             self._dirty.pop(comp, None)
             return
-        # An activity on <= 1 resource is a leaf of the bipartite graph:
-        # removing it cannot disconnect the remainder.
-        if self._partition and len(activity.usages) > 1:
+        if self._partition and not self._still_connected(activity):
             self._split(comp)
         else:
             self._mark_dirty(comp)
 
+    def _still_connected(self, removed: Activity) -> bool:
+        """Whether ``removed``'s (connected) component survived in one piece.
+
+        Every other member had a path to ``removed`` whose last hop is one
+        of its resources, so it still hangs off one that kept a user: the
+        remainder is connected iff those *live* resources reach each other.
+        The search stops at the last one found — one hop when they share a
+        user, as all traffic to one file system does.
+        """
+        res_users = self._res_users
+        live = [res for res in removed.usages if res in res_users]
+        if len(live) <= 1:
+            return True
+        start = min(live, key=lambda res: len(res_users[res]))
+        seen = {start}
+        missing = len(live) - 1
+        stack = [start]
+        while stack:
+            for act in res_users[stack.pop()]:
+                for res in act.usages:
+                    if res not in seen:
+                        seen.add(res)
+                        if res in live:
+                            missing -= 1
+                            if not missing:
+                                return True
+                        stack.append(res)
+        return False
+
     def _split(self, comp: Component) -> None:
         """Re-derive connected groups of ``comp`` after a removal."""
         unvisited = dict.fromkeys(comp.acts)
+        expanded: set[SharedResource] = set()
         groups: List[List[Activity]] = []
         for seed in comp.acts:
             if seed not in unvisited:
@@ -1091,6 +1117,9 @@ class FairShareModel:
             while stack:
                 act = stack.pop()
                 for res in act.usages:
+                    if res in expanded:
+                        continue  # all its users were discovered then
+                    expanded.add(res)
                     for other in self._res_users[res]:
                         if other in unvisited:
                             del unvisited[other]

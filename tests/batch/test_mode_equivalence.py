@@ -5,7 +5,7 @@ struct-of-arrays slot engine are pure performance features: a run's
 ``Monitor.run_record()`` — the payload campaign fingerprints and the CI
 regression gate key on — must serialise byte-identically whichever
 combination of (compiled | interpreted expressions) x (scalar |
-vectorized | auto solver) x (array | object engine) is active, across
+vectorized solver) x (array | object engine) is active, across
 rigid, malleable, and evolving jobs, with the invariant checker on.
 """
 
@@ -26,12 +26,11 @@ PLATFORM_SPEC = {
 }
 
 #: (compiled expressions?, DEFAULT_VECTORIZE, array engine?) — None is
-#: the shipped auto-dispatch; the first entry is the reference
-#: configuration (everything on/default).
+#: the shipped default (the scalar loop, same run as False); the first
+#: entry is the reference configuration (everything on/default).
 MODES = [
     (True, None, True),
     (True, None, False),
-    (True, False, True),
     (True, True, False),
     (False, False, False),
 ]
@@ -47,7 +46,7 @@ def _run_record(compiled: bool, vectorize, array: bool, algorithm: str) -> str:
             mean_runtime=60.0,
             malleable_fraction=0.4,
             evolving_fraction=0.2,
-            comm_bytes=1e6,  # multi-activity components: exercises the vector kernel
+            comm_bytes=1e6,  # multi-activity components: the kernels have work to agree on
             input_bytes_per_flop=1e-5,
             output_bytes_per_flop=1e-5,
             data_per_node=1e8,

@@ -143,6 +143,13 @@ class TestFingerprintIdentity:
         assert [result_fingerprint(r) for r in report.records] == reference
 
 
+# An injected ScenarioTimeout can land inside a GC callback (hypothesis
+# registers one), where the interpreter can only report it as unraisable;
+# the watchdog re-injects until the scenario frame unwinds — see
+# ``_scenario_deadline``'s docstring.  That stray report is the documented
+# cost of asynchronous delivery, not a leak, so strict-warning runs
+# (``-W error::pytest.PytestUnraisableExceptionWarning``) let it pass here.
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 class TestScenarioTimeout:
     def test_run_scenario_times_out_with_error_kind(self):
         record = run_scenario(slow_scenario().as_record(), None, False, 0.2)

@@ -69,6 +69,12 @@ class TestRunScenarioRecord:
             assert record["num_jobs"] == 2
             assert record["summary"]["completed_jobs"] == 2
 
+    def test_no_two_modes_are_the_same_run(self):
+        # vectorize=None is the scalar loop, exactly what False selects.
+        runs = {(compiled, bool(vectorize), array) for compiled, vectorize, array in MODES}
+        assert len(runs) == len(MODES) == 4
+        assert any(vectorize for _, vectorize, _ in MODES)  # the numpy oracle still runs
+
     def test_engine_toggles_are_restored(self):
         from repro.expressions import compiled_enabled
         from repro.sharing import array_engine_enabled

@@ -7,7 +7,9 @@ Pins the tentpole contract of the incremental fair-share model:
   path, same float ops), within tight tolerance against the whole-graph
   solve (whose progressive filling interleaves components' theta rounds and
   therefore rounds differently in the last bits);
-* the partition itself is maintained correctly under merge/split churn;
+* the partition itself is maintained correctly under merge/split churn,
+  and the removal shortcut (``_still_connected``) decides exactly what the
+  full flood-fill would have;
 * the model-level invariants (no resource oversubscription, max-min work
   conservation) hold under random start/cancel/finish schedules.
 """
@@ -263,6 +265,114 @@ def test_property_partitioned_matches_global_model(schedule):
         )
 
 
+class _AlwaysSplit(FairShareModel):
+    """The model without the removal shortcut: every removal flood-fills."""
+
+    def _still_connected(self, removed):
+        return False
+
+
+def _partition_state(model, index):
+    """(component id, member order) of every component, plus the counters."""
+    comps = [(c.id, [index[a] for a in c.acts]) for c in model._components]
+    table = model._array
+    comps.extend((table.cid[s], [index[a]]) for a, s in model._slot_of.items())
+    return sorted(comps), (model.splits, model.merges, model.peak_components)
+
+
+def _assert_resources_not_shared_between_components(model):
+    for res, users in model._res_users.items():
+        assert len({model._comp_of[act].id for act in users}) == 1, res
+
+
+@st.composite
+def _removal_scripts(draw):
+    """A random bipartite graph and a random start/cancel/advance script."""
+    n_res = draw(st.integers(min_value=2, max_value=7))
+    n_act = draw(st.integers(min_value=2, max_value=14))
+    acts = [
+        (
+            draw(st.floats(min_value=1.0, max_value=50.0)),
+            draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=n_res - 1),
+                    min_size=1,
+                    max_size=3,
+                    unique=True,
+                )
+            ),
+        )
+        for _ in range(n_act)
+    ]
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["start", "cancel", "advance"]),
+                st.integers(min_value=0, max_value=n_act - 1),
+                st.floats(min_value=0.05, max_value=4.0),
+            ),
+            max_size=30,
+        )
+    )
+    started_at_zero = draw(st.integers(min_value=0, max_value=n_act))
+    return n_res, acts, started_at_zero, ops
+
+
+@given(_removal_scripts())
+@settings(max_examples=200, deadline=None)
+def test_property_removal_shortcut_matches_full_flood_fill(script):
+    """Same ids, same member order, same counters as always calling _split."""
+    n_res, specs, started_at_zero, ops = script
+
+    def build(cls):
+        env = Environment()
+        model = cls(env)
+        resources = [SharedResource(f"r{i}", 10.0) for i in range(n_res)]
+        acts = [Activity(work, {resources[j]: 1.0 for j in on}) for work, on in specs]
+        return env, model, acts, {act: i for i, act in enumerate(acts)}
+
+    fast = build(FairShareModel)
+    full = build(_AlwaysSplit)
+
+    def apply(world, op, i, dt):
+        env, model, acts, _ = world
+        if op == "advance":
+            env.run(until=env.now + dt)
+        elif op == "cancel":
+            model.cancel(acts[i])  # no-op unless running
+        elif acts[i].done is None:
+            model.execute(acts[i])
+
+    steps = [("start", i, 0.0) for i in range(started_at_zero)] + ops
+    steps += [("start", i, 0.0) for i in range(len(specs))]  # the stragglers
+    steps.append(("advance", 0, 1e6))  # every survivor finishes
+    for step in steps:
+        for world in (fast, full):
+            apply(world, *step)
+        assert _partition_state(fast[1], fast[3]) == _partition_state(full[1], full[3])
+        _assert_resources_not_shared_between_components(fast[1])
+    assert fast[1].component_count == 0
+
+
+def _two_hubs(readers):
+    """Two file systems with ``readers`` readers each, joined by one copy."""
+    env = Environment()
+    model = FairShareModel(env)
+    hubs = [SharedResource(f"pfs{k}", 1e3) for k in range(2)]
+    sides = [
+        [
+            Activity(1e9, {SharedResource(f"nic{k}.{i}", 10.0): 1.0, hub: 1.0})
+            for i in range(readers)
+        ]
+        for k, hub in enumerate(hubs)
+    ]
+    bridge = Activity(1e9, {hubs[0]: 1.0, hubs[1]: 1.0})
+    for act in sides[0] + sides[1] + [bridge]:
+        model.execute(act)
+    env.run(until=0.0)
+    return env, model, sides, bridge
+
+
 class TestComponentMaintenance:
     """Direct unit tests of merge/split/dirty mechanics."""
 
@@ -306,6 +416,32 @@ class TestComponentMaintenance:
         env.run(until=1.0)
         assert model.component_count == 2
         assert model.splits >= 1
+
+    def test_bridge_between_two_wide_hubs_splits_once(self):
+        env, model, sides, bridge = _two_hubs(512)
+        assert model.component_sizes() == [1025]
+        # The copy is the only path between the hubs: the search exhausts
+        # one side without reaching the other and the flood-fill runs.
+        model.cancel(bridge)
+        env.run(until=1.0)
+        assert (model.splits, model.component_sizes()) == (1, [512, 512])
+        _assert_resources_not_shared_between_components(model)
+        # A reader's NIC dies with it and its hub stays: one live resource,
+        # nothing to search, no split.
+        model.cancel(sides[0][7])
+        env.run(until=2.0)
+        assert (model.splits, model.component_sizes()) == (1, [511, 512])
+        _assert_resources_not_shared_between_components(model)
+
+    def test_second_path_between_hubs_prevents_the_split(self):
+        env, model, sides, bridge = _two_hubs(8)
+        hubs = list(bridge.usages)
+        second = Activity(1e9, {hubs[1]: 1.0, hubs[0]: 1.0})
+        model.execute(second)
+        env.run(until=0.0)
+        model.cancel(bridge)
+        env.run(until=1.0)
+        assert (model.splits, model.component_sizes()) == (0, [17])
 
     def test_leaf_removal_does_not_split(self):
         env = Environment()

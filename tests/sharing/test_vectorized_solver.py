@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from repro.sharing import Activity, SharedResource, solve_max_min
 from repro.sharing.model import (
     DEFAULT_VECTORIZE,
-    VECTOR_CROSSOVER,
     _solve_scalar,
     _solve_single,
     _solve_vector,
@@ -104,23 +103,23 @@ def test_public_api_dispatch_is_equivalent(acts):
 
 
 def test_dispatch_paths_and_default():
-    assert DEFAULT_VECTORIZE is None  # auto mode is the shipped default
+    assert DEFAULT_VECTORIZE is None  # the scalar loop is the shipped default
     r = SharedResource("r", 100.0)
 
     assert solve_max_min([]) == "scalar"
     assert solve_max_min([Activity(1.0, {r: 1.0})]) == "fast"
 
-    few = [Activity(1.0, {r: 1.0}) for _ in range(2)]
-    assert solve_max_min(few) == "scalar"  # below the crossover
+    # No size rule: production never selects the numpy kernel on its own.
+    for size in (2, 31, 32, 33, 512):
+        acts = [Activity(1.0, {r: 1.0}) for _ in range(size)]
+        assert solve_max_min(acts) == "scalar"
+        assert solve_max_min(acts, vectorize=True) == "vector"
+        # All activities identical: everyone gets capacity / n either way.
+        for act in acts:
+            assert act.rate == pytest.approx(100.0 / size)
 
-    many = [Activity(1.0, {r: 1.0}) for _ in range(VECTOR_CROSSOVER)]
-    assert solve_max_min(many) == "vector"
-    # All activities identical: everyone gets capacity / n either way.
-    for act in many:
-        assert act.rate == pytest.approx(100.0 / VECTOR_CROSSOVER)
 
-
-def test_explicit_vectorize_overrides_crossover():
+def test_explicit_vectorize_overrides_default():
     r = SharedResource("r", 10.0)
     pair = [Activity(1.0, {r: 1.0}) for _ in range(2)]
     assert solve_max_min(pair, vectorize=True) == "vector"

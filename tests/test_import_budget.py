@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -47,25 +48,26 @@ _REPORT = (
 )
 
 
-def _job(jid: int, num_nodes: int, tasks: list) -> dict:
+def _job(jid: int, num_nodes: int, tasks: list, iterations: int) -> dict:
     return {
         "id": jid,
         "type": "rigid",
         "submit_time": float(jid),
         "num_nodes": num_nodes,
         "walltime": 1e6,
-        "application": {"phases": [{"tasks": tasks, "iterations": 2}]},
+        "application": {"phases": [{"tasks": tasks, "iterations": iterations}]},
     }
 
 
-def _write_inputs(tmp_path, *, topology: dict, tasks: list, sizes=(64, 96, 8)):
-    nodes = 128
+def _write_inputs(
+    tmp_path, *, topology: dict, tasks: list, sizes=(64, 96, 8), nodes=128, iterations=2
+):
     platform = {
         "nodes": {"count": nodes, "flops": 1e12},
         "network": {"bandwidth": 1e10, "latency": 1e-6, **topology},
         "pfs": {"read_bw": 1e11, "write_bw": 8e10},
     }
-    workload = {"jobs": [_job(i + 1, n, tasks) for i, n in enumerate(sizes)]}
+    workload = {"jobs": [_job(i + 1, n, tasks, iterations) for i, n in enumerate(sizes)]}
     platform_file = tmp_path / "platform.json"
     workload_file = tmp_path / "workload.json"
     platform_file.write_text(json.dumps(platform))
@@ -117,9 +119,10 @@ def test_fat_tree_platform_imports_networkx_on_demand(tmp_path):
     assert "networkx" in report["loaded"]  # which itself may bring numpy
 
 
-def test_wide_shared_pfs_component_imports_numpy_on_demand(tmp_path):
+def test_wide_shared_pfs_component_needs_no_numpy(tmp_path):
     # 64 concurrent reads of one file system form a single 64-activity
-    # component, past VECTOR_CROSSOVER: the numpy kernel solves it.
+    # component; the scalar loop solves it — the numpy kernel is a test
+    # oracle that no simulation selects on its own.
     files = _write_inputs(
         tmp_path,
         topology={"topology": "star"},
@@ -127,7 +130,32 @@ def test_wide_shared_pfs_component_imports_numpy_on_demand(tmp_path):
     )
     report = _fresh(_RUN + _REPORT, *files)
     assert report["exit"] == 0
-    assert report["loaded"] == ["numpy"]
+    assert report["loaded"] == []
+
+
+def test_wide_pfs_job_removal_cost_stays_linear(tmp_path):
+    # One 1 024-node job: every I/O wave is one 1 024-activity component
+    # that its members leave one by one.  When each departure flood-filled
+    # the whole component the reads alone took 92 s; the run takes ~0.2 s,
+    # so the bound only trips on a return to quadratic removals.
+    files = _write_inputs(
+        tmp_path,
+        topology={"topology": "star"},
+        tasks=[
+            {"type": "pfs_read", "bytes": 1e9},
+            {"type": "cpu", "flops": 1e12},
+            {"type": "pfs_write", "bytes": 1e9},
+        ],
+        sizes=(1024,),
+        nodes=1024,
+        iterations=4,
+    )
+    started = time.perf_counter()
+    report = _fresh(_RUN + _REPORT, *files)
+    elapsed = time.perf_counter() - started
+    assert report["exit"] == 0
+    assert report["loaded"] == []
+    assert elapsed < 5.0
 
 
 SCENARIO = {
