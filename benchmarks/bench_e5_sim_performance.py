@@ -11,6 +11,7 @@ re-solve counts, and the incremental solver's scope counters, so the perf
 trajectory is tracked across PRs.
 """
 
+import gc
 import time
 
 import pytest
@@ -18,12 +19,18 @@ import pytest
 from repro import Simulation
 from repro.profiling import peak_rss_mb
 
-from benchmarks.common import evaluation_workload, print_table, reference_platform, write_bench_json
+from benchmarks.common import (
+    evaluation_workload,
+    print_table,
+    profiled_calls,
+    reference_platform,
+    write_bench_json,
+)
 
 _rows = []
 
 
-def _simulate(num_jobs: int, num_nodes: int):
+def _simulation(num_jobs: int, num_nodes: int) -> Simulation:
     platform = reference_platform(num_nodes=num_nodes)
     jobs = evaluation_workload(
         num_jobs=num_jobs,
@@ -33,23 +40,38 @@ def _simulate(num_jobs: int, num_nodes: int):
         comm_bytes=0.0,  # keep event counts dominated by scheduling
         mean_interarrival=10.0,
     )
-    sim = Simulation(platform, jobs, algorithm="easy")
+    return Simulation(platform, jobs, algorithm="easy")
+
+
+def _simulate(num_jobs: int, num_nodes: int):
+    sim = _simulation(num_jobs, num_nodes)
     start = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - start
     model = sim.batch.model
-    return (
+    events = sim.env.processed_events
+    result = (
         wall,
-        sim.env.processed_events,
+        events,
         sim.batch.invocations,
         model.resolves,
         model.solved_activities,
         model.peak_components,
         model.solver_time,
     )
+    # The same run once more under cProfile: function calls per event, the
+    # cost figure that repeats exactly and is therefore gated in CI.  The
+    # first simulation (a cyclic object graph) is collected first so the
+    # peak RSS column stays one run's.
+    del sim, model
+    gc.collect()
+    profiled = _simulation(num_jobs, num_nodes)
+    calls = profiled_calls(profiled.run)
+    assert profiled.env.processed_events == events
+    return result + (calls / events,)
 
 
-def _record(label, wall, events, invocations, resolves, scope, peak, solver_time):
+def _record(label, wall, events, invocations, resolves, scope, peak, solver_time, pycalls):
     _rows.append(
         [
             label,
@@ -64,6 +86,7 @@ def _record(label, wall, events, invocations, resolves, scope, peak, solver_time
             # Process high-water mark at the time this row finished; rows
             # run smallest-first, so the last row's value bounds the run.
             peak_rss_mb(),
+            pycalls,
         ]
     )
 
@@ -120,6 +143,7 @@ _HEADER = [
     "peak_components",
     "solver_time_s",
     "peak_rss_mb",
+    "pycalls_per_event",
 ]
 
 

@@ -6,6 +6,7 @@ numbers decompose into.  Run with real repetition (these are fast), so the
 pytest-benchmark statistics are meaningful here.
 """
 
+import sys
 import time
 
 import pytest
@@ -17,7 +18,12 @@ from repro.job import Job
 from repro.sharing import Activity, FairShareModel, SharedResource, solve_max_min
 
 from benchmarks.bench_e10_topology import NUM_NODES, TOPOLOGIES, _comm_app, _platform
-from benchmarks.common import print_table, reference_platform_dict, write_bench_json
+from benchmarks.common import (
+    print_table,
+    profiled_calls,
+    reference_platform_dict,
+    write_bench_json,
+)
 
 
 @pytest.mark.benchmark(group="micro-des")
@@ -364,3 +370,73 @@ def test_micro_wide_component_removal_cost(benchmark):
         "MICRO_WIDE_PFS", title="wide shared-PFS job removal cost", header=header, rows=rows
     )
     assert [row[4] for row in rows] == [256, 1024, 4096]
+
+
+FANOUT_SIZES = (1, 2, 4, 8, 16, 64, 512)
+FANOUT_ROUNDS = 200
+
+#: Calls per member of ``_fanout_round_trips(1)`` at the parent of the
+#: cohort change (d66c426, CPython 3.11): n per-node ``Activity.unchecked``
+#: activities through ``execute_many``, one slot row, horizon entry and
+#: queue entry each.  A cohort of one must not cost more than that did.
+FANOUT_CALLS_N1_BEFORE_COHORTS = 103.18
+
+
+def _fanout_round_trips(n: int) -> int:
+    """Admit and complete one n-node CPU fan-out, ``FANOUT_ROUNDS`` times."""
+    env = Environment()
+    model = FairShareModel(env)
+    cpus = [SharedResource(f"cpu{i}", 1e12) for i in range(n)]
+
+    def job():
+        for _ in range(FANOUT_ROUNDS):
+            acts = model.execute_fanout(1e12, list(cpus), ("job", "task"))
+            yield env.all_of([act.done for act in acts])
+
+    env.process(job())
+    env.run()
+    assert env.now == FANOUT_ROUNDS and model.resolves == FANOUT_ROUNDS * n
+    return env.processed_events
+
+
+@pytest.mark.benchmark(group="micro-model")
+def test_micro_fanout_sweep(benchmark):
+    """Per-member cost of a task fan-out by width: the cohort's fixed cost
+    (one row, one horizon entry, one event run) against what it saves."""
+
+    def sweep():
+        rows = []
+        for n in FANOUT_SIZES:
+            best = float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                _fanout_round_trips(n)
+                best = min(best, time.perf_counter() - start)
+            members = FANOUT_ROUNDS * n
+            calls = profiled_calls(lambda: _fanout_round_trips(n))
+            rows.append([n, best / members * 1e6, calls / members])
+        return rows
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    header = ["nodes", "us_per_member", "calls_per_member"]
+    print_table(
+        "micro: admit + complete one CPU fan-out",
+        header,
+        rows,
+        note=f"{FANOUT_ROUNDS} rounds, best of 5; calls counted by cProfile; "
+        f"n=1 before cohorts: {FANOUT_CALLS_N1_BEFORE_COHORTS} calls",
+    )
+    write_bench_json(
+        "MICRO_FANOUT",
+        title="task fan-out cost per member",
+        header=header,
+        rows=rows,
+        extra={
+            "rounds": FANOUT_ROUNDS,
+            "python": sys.version.split()[0],
+            "calls_per_member_n1_before_cohorts": FANOUT_CALLS_N1_BEFORE_COHORTS,
+        },
+    )
+    calls = [row[2] for row in rows]
+    assert calls == sorted(calls, reverse=True), calls  # never dearer when wider
+    assert calls[0] <= FANOUT_CALLS_N1_BEFORE_COHORTS

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Union
 
 from repro import Simulation, platform_from_dict
 from repro.campaign import CampaignReport, CampaignRunner, ResultCache, ScenarioSpec
@@ -229,6 +229,22 @@ def write_bench_json(
     path = bench_results_dir() / f"BENCH_{bench_id}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=False, default=str))
     return path
+
+
+def profiled_calls(fn: Callable[[], Any]) -> int:
+    """Function calls (Python and C) one ``fn()`` makes, counted by cProfile.
+
+    A deterministic cost proxy: on one interpreter version the count
+    repeats exactly from run to run, so it can be gated where wall-clock
+    cannot (see ``tests/test_call_budget.py`` and E5's
+    ``pycalls_per_event`` column).
+    """
+    import cProfile
+    import pstats
+
+    profiler = cProfile.Profile()
+    profiler.runcall(fn)
+    return pstats.Stats(profiler).total_calls
 
 
 def _fmt(value: Any) -> str:

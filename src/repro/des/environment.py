@@ -11,6 +11,7 @@ from repro.des.events import (
     AllOf,
     AnyOf,
     Event,
+    EventRun,
     NORMAL,
     PooledEvent,
     Timeout,
@@ -159,6 +160,24 @@ class Environment:
             time = self._now
         heappush(self._queue, (time, priority, next(self._eid), event))
 
+    def schedule_run(self, events: list[Event]) -> None:
+        """Queue already-triggered ``events`` at the current instant as one entry.
+
+        Observably the same as ``for event in events: self.schedule(event)``
+        — same processing order against every other entry, one processed
+        event per member — but the queue holds a single
+        :class:`~repro.des.events.EventRun` instead of ``len(events)``
+        tuples.  The caller hands over the list.
+        """
+        if len(events) > 1:
+            eid0 = next(self._eid)
+            self._eid = count(eid0 + len(events))  # the members own these ids
+            run = EventRun(self, events, eid0)
+            heappush(self._queue, (self._now, NORMAL, eid0, run))
+        else:
+            for event in events:
+                heappush(self._queue, (self._now, NORMAL, next(self._eid), event))
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else inf
@@ -172,9 +191,16 @@ class Environment:
         queue = self._queue
         while True:
             try:
-                now, _, _, event = heappop(queue)
+                now, _, eid, event = heappop(queue)
             except IndexError:
                 raise EmptySchedule() from None
+            if type(event) is EventRun:
+                # One event per step: take the run's next member and put
+                # the rest back under the following member's id.
+                run, event = event, event.members[event.pos]
+                run.pos += 1
+                if run.pos < len(run.members):
+                    heappush(queue, (now, NORMAL, eid + 1, run))
             callbacks, event.callbacks = event.callbacks, None
             if callbacks is not None:
                 break
@@ -365,6 +391,13 @@ class Environment:
         """
         entries = []
         for time, priority, eid, event in sorted(self._queue):
+            if type(event) is EventRun:
+                # A run sits at ``now`` from the instant it is queued until
+                # its last member is processed, so a quiet boundary (head
+                # strictly in the future) never meets one.
+                raise SimulationError(
+                    f"Event run queued at t={time}: not at a quiet boundary"
+                )
             if event.callbacks is None:
                 continue  # cancelled; kernel would drop it silently
             if not event.callbacks:

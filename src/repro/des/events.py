@@ -180,6 +180,65 @@ class PooledEvent(Event):
     __slots__ = ()
 
 
+class EventRun(Event):
+    """Several already-triggered events queued as *one* entry.
+
+    Built by :meth:`Environment.schedule_run` for events triggered back to
+    back at one instant (the completions of a task fan-out): the members
+    own the consecutive insertion ids ``eid0 … eid0 + n - 1`` and the run
+    sits in the queue under the id of its next member, so every other
+    entry sorts exactly as if each member had its own.  Processing the run
+    processes the members in order — each counts as one processed event,
+    runs its callbacks and escalates an unhandled failure like any queue
+    entry.  Only an entry below ``NORMAL`` priority scheduled for the
+    current instant can sort before the next member (anything ``NORMAL``
+    scheduled meanwhile carries a larger id), so the walk checks the queue
+    head after each member and, on finding one — or when a callback raises
+    — re-queues the remainder and returns to the main loop.
+    """
+
+    __slots__ = ("members", "eid0", "pos")
+
+    def __init__(self, env: "Environment", members: list[Event], eid0: int) -> None:
+        super().__init__(env)
+        self.callbacks = [self._walk]
+        self._value = None  # triggered: the run itself carries nothing
+        self.members = members
+        self.eid0 = eid0
+        #: Index of the next member to process.
+        self.pos = 0
+
+    def _walk(self, _run: Event) -> None:
+        env = self.env
+        queue = env._queue
+        now = env._now
+        members = self.members
+        n = len(members)
+        i = self.pos
+        # The main loop counted this entry; the members count themselves.
+        env.processed_events -= 1
+        try:
+            while i < n:
+                event = members[i]
+                i += 1
+                callbacks = event.callbacks
+                if callbacks is None:
+                    continue  # cancelled: dropped like a cancelled entry
+                event.callbacks = None
+                env.processed_events += 1
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+                if queue and queue[0][1] < NORMAL and queue[0][0] == now:
+                    break
+        finally:
+            if i < n:
+                self.pos = i
+                self.callbacks = [self._walk]
+                heappush(queue, (now, NORMAL, self.eid0 + i, self))
+
+
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
@@ -216,8 +275,8 @@ class ConditionValue:
 
     __slots__ = ("events",)
 
-    def __init__(self) -> None:
-        self.events: list[Event] = []
+    def __init__(self, events: Optional[list[Event]] = None) -> None:
+        self.events: list[Event] = [] if events is None else events
 
     def __getitem__(self, key: Event) -> Any:
         if key not in self.events:
@@ -261,7 +320,14 @@ class Condition(Event):
     event immediately fail the condition.
     """
 
-    __slots__ = ("_evaluate", "_events", "_count", "_build_scheduled", "_target")
+    __slots__ = (
+        "_evaluate",
+        "_events",
+        "_count",
+        "_build_scheduled",
+        "_target",
+        "_flat",
+    )
 
     def __init__(
         self,
@@ -287,9 +353,14 @@ class Condition(Event):
         # Validate environments and register fire checks in one pass (the
         # engine builds one condition per task fan-out; this loop is hot).
         check = self._check
+        #: No member is itself a condition (decided here, in the pass that
+        #: exists anyway, so value builds need not look at member types).
+        self._flat = True
         for event in self._events:
             if event.env is not env:
                 raise ValueError("Cannot mix events from different environments")
+            if isinstance(event, Condition):
+                self._flat = False
             if event.callbacks is None:  # already processed
                 check(event)
             else:
@@ -307,6 +378,14 @@ class Condition(Event):
                 value.events.append(event)
 
     def _build_value(self, event: Event) -> None:
+        events = self._events
+        if self._flat and self._count >= len(events):
+            # Every member is a plain event and has been processed (each
+            # fired its check): none still holds a subscription to remove
+            # and the value is the member list itself — the whole tail of
+            # a task fan-out's all-of, without two walks over the members.
+            self.succeed(ConditionValue(events[:]))
+            return
         self._remove_check_callbacks()
         if event._ok:
             value = ConditionValue()

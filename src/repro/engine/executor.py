@@ -324,30 +324,28 @@ class JobExecutor:
             flops = task.flops_per_node(variables, n)
             if flops <= 0:
                 return
-            payload = (self.job.jid, task.name)
-            activities = [
-                Activity.unchecked(flops, {node.cpu: 1.0}, payload=payload)
-                for node in nodes
-            ]
-            yield from self._wait_all(activities)
+            yield from self._wait_started(
+                self.model.execute_fanout(
+                    flops, [node.cpu for node in nodes], (self.job.jid, task.name)
+                )
+            )
             return
 
         if isinstance(task, GpuTask):
             flops = task.flops_per_node(variables, n)
             if flops <= 0:
                 return
-            payload = (self.job.jid, task.name)
-            activities = []
             for node in nodes:
                 if node.gpu is None:
                     raise EngineError(
                         f"Job {self.job.name}: task {task.name!r} needs GPUs, "
                         f"but node {node.name} has none"
                     )
-                activities.append(
-                    Activity.unchecked(flops, {node.gpu: 1.0}, payload=payload)
+            yield from self._wait_started(
+                self.model.execute_fanout(
+                    flops, [node.gpu for node in nodes], (self.job.jid, task.name)
                 )
-            yield from self._wait_all(activities)
+            )
             return
 
         if isinstance(task, CommTask):
@@ -481,7 +479,8 @@ class JobExecutor:
                     payload=(self.job.jid, task.name, node.index),
                 )
             )
-        yield from self._wait_all(activities)
+        self.model.execute_many(activities)
+        yield from self._wait_started(activities)
         if not read and getattr(task, "charge", False):
             for node in nodes:
                 node.bb.charge(nbytes)
@@ -588,11 +587,6 @@ class JobExecutor:
             )
 
     # -- waiting helpers ----------------------------------------------------
-
-    def _wait_all(self, activities: List[Activity]) -> Generator[Event, Any, None]:
-        """Start ``activities`` and wait for all; cancellable via interrupt."""
-        self.model.execute_many(activities)
-        yield from self._wait_started(activities)
 
     def _wait_started(self, activities: List[Activity]) -> Generator[Event, Any, None]:
         """Wait for already-started activities; cancellable via interrupt."""

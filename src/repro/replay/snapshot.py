@@ -24,7 +24,7 @@ from typing import Any, Dict, Union
 
 
 #: Bump whenever the snapshot document layout changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ReplayError(Exception):

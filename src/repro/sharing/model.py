@@ -33,7 +33,8 @@ from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.des.environment import Environment
-from repro.des.events import Event, PooledEvent, URGENT
+from repro.des.events import PENDING, Event, PooledEvent, URGENT
+from repro.des.exceptions import SimulationError
 
 
 #: Relative slack used when deciding that remaining work hit zero.
@@ -176,39 +177,6 @@ class Activity:
         #: Creation-order id; fixes processing order for determinism.
         self._seq: int = next(Activity._counter)
 
-    @classmethod
-    def unchecked(
-        cls,
-        work: float,
-        usages: Dict[SharedResource, float],
-        *,
-        weight: float = 1.0,
-        bound: float = inf,
-        payload: Any = None,
-    ) -> "Activity":
-        """Construct without validation or a usage-dict copy (hot paths).
-
-        The engine's task fan-out creates one activity per node per task;
-        the constructor's validation loops and defensive dict copy are
-        measurable there.  Callers must guarantee what ``__init__`` checks
-        — ``work >= 0``, positive weight/bound/usage factors — and must
-        hand over exclusive ownership of ``usages``.
-        """
-        self = cls.__new__(cls)
-        self.work = work = float(work)
-        self.remaining = work
-        self.usages = usages
-        self.weight = weight
-        self.bound = bound
-        self.payload = payload
-        self.rate = 0.0
-        self.done = None
-        self.started_at = None
-        self.finished_at = None
-        self._model = None
-        self._seq = next(cls._counter)
-        return self
-
     def __repr__(self) -> str:
         return (
             f"<Activity work={self.work:g} remaining={self.remaining:g} "
@@ -261,17 +229,20 @@ def solve_max_min(
 
 
 def _solve_single(act: Activity) -> None:
-    """One-activity progressive filling, unrolled.
+    """One-activity progressive filling (the dominant case in practice:
+    activities on disjoint nodes form singleton components)."""
+    act.rate = _single_rate(act)
 
-    The dominant case in practice (activities on disjoint nodes form
-    singleton components).  Replays exactly the float operations the scalar
-    loop performs for one activity: one theta round, bound snap included.
+
+def _single_rate(act: Activity) -> float:
+    """The max-min rate of an activity alone in its component, unrolled.
+
+    Replays exactly the float operations the scalar loop performs for one
+    activity: one theta round, bound snap included.
     """
-    act.rate = 0.0
     usages = act.usages
     if not usages:
-        act.rate = act.bound
-        return
+        return act.bound
     w = act.weight
     theta = inf
     for res, factor in usages.items():
@@ -288,8 +259,7 @@ def _solve_single(act: Activity) -> None:
             theta = ratio
             limited_by_bound = True
     if theta == inf:
-        act.rate = inf
-        return
+        return inf
     rate = 0.0
     if theta > 0:
         rate = 0.0 + theta * w
@@ -297,7 +267,7 @@ def _solve_single(act: Activity) -> None:
         rate = bound
     if limited_by_bound:
         rate = bound
-    act.rate = rate
+    return rate
 
 
 def _solve_scalar(acts: List[Activity]) -> None:
@@ -567,67 +537,122 @@ class Component:
 
 
 class _SlotTable:
-    """Struct-of-arrays store for *simple* activities (the array engine).
+    """Struct-of-arrays store of *cohorts* of simple activities (array engine).
 
     A simple activity uses exactly one resource and is that resource's sole
-    user — a singleton component of the activity↔resource graph.  In the
-    reference workloads this is the dominant case by far (E5: 100% of
-    solves are singletons), and each one pays for a ``Component`` object, a
-    per-component dict walk, and attribute chasing per solve.  The slot
-    table strips that to parallel Python lists indexed by an integer slot:
-    one row per live simple activity, scalar reads/writes on every path.
-    Plain lists beat numpy arrays for this per-slot scalar traffic (indexed
-    numpy scalar writes cost ~3x a list store, and gathering columns for a
-    batched sweep costs more than the sweep saves at every batch size).
+    user — a singleton component of the activity↔resource graph, the
+    dominant case by far in the reference workloads (E5: 100% of solves).
+    A task fan-out starts ``n`` of them at one instant with identical work
+    and usage on ``n`` distinct resources of equal capacity: identical
+    rate, remaining work, finish threshold and completion horizon, by
+    construction.  One row of the table therefore serves a whole *cohort*
+    (a lone simple activity is a cohort of one): the member lists ``acts``
+    / ``ress`` plus scalar ``rate``, ``thresh``, ``remaining``, ``last``,
+    ``version`` and absolute ``horizon`` — one rate computation, one dirty
+    mark, one horizon-heap entry, one integration and one finished-check
+    for all members, the float operations a singleton component gets,
+    executed once.  Columns are plain Python lists indexed by an integer
+    slot (they beat numpy arrays for this per-row scalar traffic).
 
     The table is an engine-internal mirror: ``Activity.rate`` and
-    ``Activity.remaining`` are written back at exactly the observation
-    points the object engine writes them (solve, integrate), so external
-    behaviour — including ``run_record`` — is byte-identical.  A slot's
-    ``version`` is bumped on every solve *and* on free, so horizon-heap
+    ``Activity.remaining`` of every member are written at exactly the
+    observation points the object engine writes them (solve, integrate),
+    so external behaviour — including ``run_record`` — is byte-identical.
+    Member ``k`` owns component id ``cid + k``: a cohort consumes one id
+    per member from the model's counter, keeping id sequences (and thus
+    split/merge determinism) identical across engines.  A row's
+    ``version`` is bumped on every solve *and* on release, so horizon-heap
     entries referencing a recycled slot lazily invalidate, exactly like
-    ``Component.version``.  ``cid`` holds the component id the slot
-    consumed from the model's id counter, keeping id sequences (and thus
-    split/merge determinism) identical across engines; promotion to a real
-    ``Component`` reuses it.
+    ``Component.version``.
 
-    A slot's max-min rate depends only on quantities that are immutable
+    A row's max-min rate depends only on quantities that are immutable
     after ``execute`` (resource capacity, usage factor, weight, bound), so
-    it is solved once at admission — the same float operations as
-    :func:`_solve_single`, hence the same bits — and every re-solve
+    it is solved once at admission — by :func:`_single_rate`, what a
+    singleton component's solve computes — and every re-solve
     thereafter is just a horizon division against the integrated remaining
     work.  The finish threshold ``_FINISH_TOL * (1 + work)`` is likewise
     constant and precomputed.
+
+    Whatever singles a member out — its cancellation, a second user on its
+    resource — first *dissolves* the cohort into rows of one that keep its
+    scalars and are queued under the **same absolute horizon**: no
+    integration step happens, so no float drifts, and from there the
+    single-member code runs unchanged.
     """
 
     __slots__ = (
-        "act",
-        "res",
-        "rate0",
+        "acts",
+        "ress",
+        "rate",
         "thresh",
         "remaining",
         "last",
         "version",
         "cid",
+        "horizon",
         "free",
         "live",
     )
 
     def __init__(self) -> None:
-        self.act: List[Optional[Activity]] = []
-        self.res: List[Optional[SharedResource]] = []
-        #: Precomputed solved rate (bit-identical to ``_solve_single``).
-        self.rate0: List[float] = []
+        #: Members in creation (``_seq``) order, and the resource of each.
+        self.acts: List[Optional[List[Activity]]] = []
+        self.ress: List[Optional[List[SharedResource]]] = []
+        #: Precomputed solved rate (:func:`_single_rate`).
+        self.rate: List[float] = []
         #: Precomputed finish threshold ``_FINISH_TOL * (1 + work)``.
         self.thresh: List[float] = []
         self.remaining: List[float] = []
         self.last: List[float] = []
         self.version: List[int] = []
+        #: Component id of the first member.
         self.cid: List[int] = []
+        #: Absolute completion horizon of the row's live heap entry.
+        self.horizon: List[float] = []
         #: Recycled slot indices (stack).
         self.free: List[int] = []
-        #: Number of occupied slots.
+        #: Number of live member activities (each a singleton component).
         self.live: int = 0
+
+    def add(
+        self,
+        acts: List[Activity],
+        ress: List[SharedResource],
+        rate: float,
+        thresh: float,
+        remaining: float,
+        last: float,
+        cid: int,
+    ) -> int:
+        """Occupy a slot with one cohort row; returns the slot index."""
+        if self.free:
+            s = self.free.pop()
+            self.acts[s] = acts
+            self.ress[s] = ress
+            self.rate[s] = rate
+            self.thresh[s] = thresh
+            self.remaining[s] = remaining
+            self.last[s] = last
+            self.cid[s] = cid
+        else:
+            s = len(self.acts)
+            self.acts.append(acts)
+            self.ress.append(ress)
+            self.rate.append(rate)
+            self.thresh.append(thresh)
+            self.remaining.append(remaining)
+            self.last.append(last)
+            self.version.append(0)
+            self.cid.append(cid)
+            self.horizon.append(inf)
+        return s
+
+    def release(self, s: int) -> None:
+        """Vacate a slot; bump its version so heap entries lazily die."""
+        self.acts[s] = None
+        self.ress[s] = None
+        self.version[s] += 1
+        self.free.append(s)
 
 
 class FairShareModel:
@@ -666,7 +691,7 @@ class FairShareModel:
         :func:`solve_max_min` (``None`` = the scalar loop; both kernels
         are bit-identical, so this only affects speed).
     array_engine:
-        Per-model override for the struct-of-arrays slot engine
+        Per-model override for the struct-of-arrays cohort engine
         (:class:`_SlotTable`); ``None`` (default) defers to the process-wide
         :func:`set_array_engine_enabled` switch.  Only effective with
         ``partition=True`` (the global-component reference mode has no
@@ -688,14 +713,15 @@ class FairShareModel:
         self._partition = partition
         self._vectorize = vectorize
         use_array = _ARRAY_ENGINE if array_engine is None else array_engine
-        #: Slot table for simple (single-resource, sole-user) activities;
+        #: Cohort table for simple (single-resource, sole-user) activities;
         #: ``None`` runs everything through the object engine.
         self._array: Optional[_SlotTable] = (
             _SlotTable() if (use_array and partition) else None
         )
-        #: activity → slot index (array engine's running-activity registry).
+        #: activity → slot of its cohort row (array engine's running-activity
+        #: registry).
         self._slot_of: Dict[Activity, int] = {}
-        #: resource → slot index of its sole (simple) user.
+        #: resource → slot of the cohort row its sole (simple) user is in.
         self._res_slot: Dict[SharedResource, int] = {}
         #: slot indices awaiting a re-solve at the current instant.
         self._dirty_slots: Dict[int, None] = {}
@@ -710,7 +736,8 @@ class FairShareModel:
         #: lazily-invalidated min-heap of (horizon, entry id, comp, version).
         self._horizon_heap: List[tuple] = []
         self._entry_ids = count()
-        self._comp_ids = count()
+        #: Next component id; one per activity, a cohort takes a range.
+        self._next_cid: int = 0
         self._wake_version: int = 0
         self._resolve_scheduled: bool = False
         #: Queued completion wake-ups and the ``_wake_version`` each was
@@ -744,6 +771,11 @@ class FairShareModel:
         #: Solves served by the struct-of-arrays slot engine (a subset of
         #: ``fast_solves``: every slot solve is a singleton solve).
         self.slot_solves: int = 0
+        #: Cohort diagnostics (array engine; not part of ``SolverStats``):
+        #: rows admitted, their members in total, rows dissolved.
+        self.cohorts_admitted: int = 0
+        self.cohort_members: int = 0
+        self.cohorts_dissolved: int = 0
         #: Optional flight recorder (see :mod:`repro.tracing`); attached by
         #: ``Simulation.run(trace=...)``.  Guarded per flush, so the
         #: disabled path costs one ``is None`` check per solve event.
@@ -767,15 +799,17 @@ class FairShareModel:
     def component_sizes(self) -> List[int]:
         """Sizes of the live components, in component-creation order.
 
-        Slot rows count as singleton components under their reserved
-        component id, so both engines report the same list.
+        Cohort members count as the singleton components they are, each
+        under its own component id, so both engines report the same list.
         """
-        if not self._slot_of:
-            return [len(comp.acts) for comp in self._components]
-        table = self._array
-        assert table is not None
         entries = [(comp.id, len(comp.acts)) for comp in self._components]
-        entries.extend((table.cid[s], 1) for s in self._slot_of.values())
+        table = self._array
+        if table is not None:
+            for acts, cid in zip(table.acts, table.cid):
+                if acts is not None:
+                    entries.extend((cid + k, 1) for k in range(len(acts)))
+        # By id, not by position: a promoted member re-enters
+        # ``_components`` late, under the id it has had all along.
         entries.sort()
         return [size for _, size in entries]
 
@@ -808,11 +842,11 @@ class FairShareModel:
 
         usages = activity.usages
         if self._array is not None and len(usages) == 1:
-            ((res, factor),) = usages.items()
+            (res,) = usages
             if res not in self._res_users and res not in self._res_slot:
                 # Simple activity: sole user of its one resource — a
-                # singleton component served entirely by the slot table.
-                self._add_slot(activity, res, factor)
+                # singleton component, admitted as a cohort of one.
+                self._admit([activity], [res])
                 self._request_resolve()
                 return activity
 
@@ -826,143 +860,66 @@ class FairShareModel:
         return activity
 
     def execute_many(self, activities: Iterable[Activity]) -> None:
-        """Start several activities at the current instant.
+        """Start several activities at the current instant, in order."""
+        for activity in activities:
+            self.execute(activity)
 
-        Semantically a loop over :meth:`execute`.  With the array engine
-        on, slot-eligible activities take a fused bulk path: the guard
-        checks, admission bookkeeping and rate precompute run with every
-        table column and dict hoisted to locals, and the re-solve request
-        is coalesced to one call for the whole batch (the object engine's
-        per-activity requests collapse to the same single URGENT event, so
-        the event stream is unchanged).  Anything not slot-eligible falls
-        back to :meth:`execute` mid-batch with identical semantics.
+    def execute_fanout(
+        self, work: float, resources: List[SharedResource], payload: Any = None
+    ) -> List[Activity]:
+        """Start one unit-usage activity of ``work`` on each of ``resources``.
+
+        What a compute task does across its nodes, said once.  Observably
+        ``acts = [Activity(work, {res: 1.0}, payload=payload) for res in
+        resources]`` followed by ``execute_many(acts)`` — same ``_seq``
+        and component ids, same events, same results on either engine.
+        With the array engine, free and distinct resources of one capacity
+        make the activities a single cohort row (see :class:`_SlotTable`);
+        anything else takes the ordinary admission above.  The model keeps
+        ``resources`` (pass a list it may own); the activities are
+        returned in resource order.
         """
-        table = self._array
-        if table is None:
-            for activity in activities:
-                self.execute(activity)
-            return
+        n = len(resources)
+        cohort = self._array is not None and n > 0 and work > 0
+        if cohort:
+            res_users = self._res_users
+            res_slot = self._res_slot
+            capacity = resources[0].capacity
+            for res in resources:
+                if res in res_slot or res in res_users or res.capacity != capacity:
+                    cohort = False
+                    break
+            else:
+                # A resource listed twice would be its own second user.
+                cohort = n == 1 or len(set(resources)) == n
+        if not cohort:
+            acts = [Activity(work, {res: 1.0}, payload=payload) for res in resources]
+            self.execute_many(acts)
+            return acts
+
         env = self.env
         now = env.now
-        res_users = self._res_users
-        res_slot = self._res_slot
-        slot_of = self._slot_of
-        dirty_slots = self._dirty_slots
-        comp_ids = self._comp_ids
-        free_stack = table.free
-        t_act = table.act
-        t_res = table.res
-        t_rate0 = table.rate0
-        t_thresh = table.thresh
-        t_rem = table.remaining
-        t_last = table.last
-        t_version = table.version
-        t_cid = table.cid
-        added = False
-        # One-entry rate memo: a task fan-out admits N activities with
-        # identical (capacity, factor, weight, bound), so the precompute
-        # runs once per batch instead of once per activity.  Exact float
-        # equality on the inputs guarantees a bit-identical rate.
-        m_cap: Any = None
-        m_factor: Any = None
-        m_w: Any = None
-        m_bound: Any = None
-        m_rate = 0.0
-        for activity in activities:
-            usages = activity.usages
-            if (
-                activity._model is not None
-                or activity.done is not None
-                or len(usages) != 1
-            ):
-                self._batch_peak(table)
-                self.execute(activity)
-                continue
-            ((res, factor),) = usages.items()
-            if res in res_users or res in res_slot:
-                self._batch_peak(table)
-                self.execute(activity)
-                continue
-            activity.done = Event(env)
-            activity.started_at = now
-            if activity.remaining <= 0:
-                activity.finished_at = now
-                activity.done.succeed(activity)
-                continue
-            cap = res.capacity
-            if cap <= 0:  # defensive; constructor forbids it
-                raise ValueError(f"Cannot execute on zero-capacity {res!r}")
-            activity._model = self
-            # Inlined _add_slot: same float ops, columns hoisted.
-            w = activity.weight
-            bound = activity.bound
-            if cap == m_cap and factor == m_factor and w == m_w and bound == m_bound:
-                rate = m_rate
-            else:
-                theta = inf
-                d = factor * w
-                if d > 1e-15:
-                    theta = cap / d
-                limited = False
-                if bound < inf:
-                    ratio = (bound - 0.0) / w
-                    if ratio < theta:
-                        theta = ratio
-                        limited = True
-                if theta == inf:
-                    rate = inf
-                else:
-                    rate = 0.0
-                    if theta > 0:
-                        rate = 0.0 + theta * w
-                    if bound < inf and rate >= bound * (1 - 1e-12):
-                        rate = bound
-                    if limited:
-                        rate = bound
-                m_cap = cap
-                m_factor = factor
-                m_w = w
-                m_bound = bound
-                m_rate = rate
-            if free_stack:
-                s = free_stack.pop()
-                t_act[s] = activity
-                t_res[s] = res
-                t_rate0[s] = rate
-                t_thresh[s] = _FINISH_TOL * (1 + activity.work)
-                t_rem[s] = activity.remaining
-                t_last[s] = now
-                t_cid[s] = next(comp_ids)
-            else:
-                s = len(t_act)
-                t_act.append(activity)
-                t_res.append(res)
-                t_rate0.append(rate)
-                t_thresh.append(_FINISH_TOL * (1 + activity.work))
-                t_rem.append(activity.remaining)
-                t_last.append(now)
-                t_version.append(0)
-                t_cid.append(next(comp_ids))
-            table.live += 1
-            slot_of[activity] = s
-            res_slot[res] = s
-            dirty_slots[s] = None
-            added = True
-        self._batch_peak(table)
-        if added:
-            self._request_resolve()
-
-    def _batch_peak(self, table: "_SlotTable") -> None:
-        """Fold a run of slot admissions into the peak-components counter.
-
-        Within a run of consecutive slot adds the total only grows, so
-        checking at the end of the run observes its maximum; a fallback
-        :meth:`execute` mid-batch can merge components (shrinking the
-        total), so the check must also run right before each fallback.
-        """
-        total = len(self._components) + table.live
-        if total > self.peak_components:
-            self.peak_components = total
+        counter = Activity._counter
+        work = float(work)
+        acts: List[Activity] = [None] * n  # type: ignore[list-item]
+        for k, res in enumerate(resources):
+            act = Activity.__new__(Activity)
+            act.work = work
+            act.remaining = work
+            act.usages = {res: 1.0}
+            act.weight = 1.0
+            act.bound = inf
+            act.payload = payload
+            act.rate = 0.0
+            act.done = Event(env)
+            act.started_at = now
+            act.finished_at = None
+            act._model = self
+            act._seq = next(counter)
+            acts[k] = act
+        self._admit(acts, resources)
+        self._request_resolve()
+        return acts
 
     def cancel(self, activity: Activity) -> None:
         """Abort a running activity; fails its ``done`` with a defused error.
@@ -972,9 +929,9 @@ class FairShareModel:
         """
         if activity._model is not self:
             return
-        slot = self._slot_of.get(activity)
-        if slot is not None:
-            self._integrate_slot(slot)
+        if activity in self._slot_of:
+            slot = self._single_slot(activity, self._slot_of)
+            self._integrate_slot(slot, self.env.now)
             self._free_slot(slot)
         else:
             self._integrate(self._comp_of[activity])
@@ -997,9 +954,12 @@ class FairShareModel:
         """
         for comp in self._components:
             self._integrate(comp)
-        if self._slot_of:
-            for slot in self._slot_of.values():
-                self._integrate_slot(slot)
+        table = self._array
+        if table is not None:
+            now = self.env.now
+            for slot, acts in enumerate(table.acts):
+                if acts is not None:
+                    self._integrate_slot(slot, now)
 
     # -- component maintenance --------------------------------------------
 
@@ -1011,9 +971,8 @@ class FairShareModel:
             # simple: promote it to a real Component first, then let the
             # ordinary merge machinery below see it as `involved`.
             for res in activity.usages:
-                slot = self._res_slot.get(res)
-                if slot is not None:
-                    self._promote_slot(slot)
+                if res in self._res_slot:
+                    self._promote_slot(self._single_slot(res, self._res_slot))
         involved: List[Component] = []
         if self._partition:
             seen: set[int] = set()
@@ -1029,7 +988,8 @@ class FairShareModel:
             involved = list(self._components)
 
         if not involved:
-            comp = Component(next(self._comp_ids), self.env.now)
+            comp = Component(self._next_cid, self.env.now)
+            self._next_cid += 1
             self._components[comp] = None
             if len(self._components) > self.peak_components:
                 self.peak_components = len(self._components)
@@ -1137,7 +1097,8 @@ class FairShareModel:
         self._dirty.pop(comp, None)
         self.splits += 1
         for group in groups:
-            new = Component(next(self._comp_ids), comp.last_update)
+            new = Component(self._next_cid, comp.last_update)
+            self._next_cid += 1
             for act in group:
                 new.acts[act] = None
                 self._comp_of[act] = new
@@ -1146,100 +1107,122 @@ class FairShareModel:
         if len(self._components) > self.peak_components:
             self.peak_components = len(self._components)
 
-    # -- slot engine (struct-of-arrays) -------------------------------------
+    # -- cohort engine (struct-of-arrays) -----------------------------------
 
-    def _add_slot(self, activity: Activity, res: SharedResource, factor: float) -> None:
-        """Register a simple activity in the slot table (array engine).
+    def _admit(self, acts: List[Activity], ress: List[SharedResource]) -> None:
+        """Enter simple activities, started this instant, as one cohort row.
 
-        Solves the slot's rate immediately — the inputs are immutable, so
-        this replays :func:`_solve_single`'s float operations once and the
-        per-resolve work shrinks to a horizon division.  ``Activity.rate``
-        is *not* written here: the object engine only writes it at solve
-        flushes, and the first flush happens at this same instant anyway.
+        ``acts`` are identical but for their resource (``ress``: distinct,
+        free, of one capacity).  The row's rate is solved here, once: its
+        inputs are immutable, so the per-resolve work shrinks to a horizon
+        division.  ``Activity.rate`` is *not* written yet — the object
+        engine only writes it at solve flushes, and the first flush
+        happens at this same instant anyway.
         """
-        w = activity.weight
-        theta = inf
-        d = factor * w
-        if d > 1e-15:
-            theta = res.capacity / d
-        bound = activity.bound
-        limited = False
-        if bound < inf:
-            ratio = (bound - 0.0) / w
-            if ratio < theta:
-                theta = ratio
-                limited = True
-        if theta == inf:
-            rate = inf
-        else:
-            rate = 0.0
-            if theta > 0:
-                rate = 0.0 + theta * w
-            if bound < inf and rate >= bound * (1 - 1e-12):
-                rate = bound
-            if limited:
-                rate = bound
-        thresh = _FINISH_TOL * (1 + activity.work)
-
+        first = acts[0]
         table = self._array
         assert table is not None
-        if table.free:
-            s = table.free.pop()
-            table.act[s] = activity
-            table.res[s] = res
-            table.rate0[s] = rate
-            table.thresh[s] = thresh
-            table.remaining[s] = activity.remaining
-            table.last[s] = self.env.now
-            table.cid[s] = next(self._comp_ids)
-        else:
-            s = len(table.act)
-            table.act.append(activity)
-            table.res.append(res)
-            table.rate0.append(rate)
-            table.thresh.append(thresh)
-            table.remaining.append(activity.remaining)
-            table.last.append(self.env.now)
-            table.version.append(0)
-            table.cid.append(next(self._comp_ids))
-        table.live += 1
-        self._slot_of[activity] = s
-        self._res_slot[res] = s
+        n = len(acts)
+        s = table.add(
+            acts,
+            ress,
+            _single_rate(first),
+            _FINISH_TOL * (1 + first.work),
+            first.remaining,
+            first.started_at,  # type: ignore[arg-type]
+            self._next_cid,
+        )
+        self._next_cid += n
+        table.live += n
+        slot_of = self._slot_of
+        for act in acts:
+            slot_of[act] = s
+        res_slot = self._res_slot
+        for res in ress:
+            res_slot[res] = s
         self._dirty_slots[s] = None
+        self.cohorts_admitted += 1
+        self.cohort_members += n
+        # Within one admission the total only grows: its end is its peak.
         total = len(self._components) + table.live
         if total > self.peak_components:
             self.peak_components = total
 
     def _free_slot(self, s: int) -> None:
-        """Release a slot; bump its version so heap entries lazily die."""
+        """Release a row and deregister its members."""
         table = self._array
         assert table is not None
-        act = table.act[s]
-        del self._slot_of[act]  # type: ignore[index]
-        del self._res_slot[table.res[s]]  # type: ignore[index]
-        table.act[s] = None
-        table.res[s] = None
-        table.version[s] += 1
-        table.live -= 1
-        table.free.append(s)
+        acts = table.acts[s]
+        assert acts is not None
+        for act in acts:
+            del self._slot_of[act]
+        for res in table.ress[s]:  # type: ignore[union-attr]
+            del self._res_slot[res]
+        table.live -= len(acts)
+        table.release(s)
         self._dirty_slots.pop(s, None)
 
-    def _promote_slot(self, s: int) -> None:
-        """Turn a slot into a real singleton ``Component`` (same id).
+    def _single_slot(self, key: Any, index: Dict[Any, int]) -> int:
+        """Slot of the row of one holding ``key`` — a member in ``_slot_of``
+        or its resource in ``_res_slot`` — dissolving its cohort first."""
+        s = index[key]
+        if len(self._array.acts[s]) > 1:  # type: ignore[union-attr,arg-type]
+            self._dissolve(s)
+            s = index[key]
+        return s
 
-        Happens when a second activity arrives on the slot's resource: the
+    def _dissolve(self, s: int) -> None:
+        """Split a cohort into rows of one that carry on unchanged.
+
+        Each member keeps the cohort's rate, remaining work, integration
+        time and — unless a solve is pending anyway — its *absolute*
+        horizon, re-queued as is: nothing is integrated or re-divided, so
+        every sibling finishes at the instant the cohort would have.
+        """
+        table = self._array
+        assert table is not None
+        acts = table.acts[s]
+        ress = table.ress[s]
+        assert acts is not None and ress is not None
+        rate = table.rate[s]
+        thresh = table.thresh[s]
+        remaining = table.remaining[s]
+        last = table.last[s]
+        cid = table.cid[s]
+        horizon = table.horizon[s]
+        dirty = s in self._dirty_slots
+        self._dirty_slots.pop(s, None)
+        table.release(s)
+        for k, (act, res) in enumerate(zip(acts, ress)):
+            r = table.add([act], [res], rate, thresh, remaining, last, cid + k)
+            self._slot_of[act] = r
+            self._res_slot[res] = r
+            if dirty:
+                self._dirty_slots[r] = None
+            else:
+                table.version[r] += 1
+                table.horizon[r] = horizon
+                heappush(
+                    self._horizon_heap,
+                    (horizon, next(self._entry_ids), r, table.version[r]),
+                )
+        self.cohorts_dissolved += 1
+
+    def _promote_slot(self, s: int) -> None:
+        """Turn a row of one into a real singleton ``Component`` (same id).
+
+        Happens when a second activity arrives on the row's resource: the
         activity is no longer "simple", so it rejoins the object engine.
         Integration runs first, so the component's ``last_update`` and the
         activity's ``remaining`` match what the object engine would hold.
         ``Activity.rate`` is left alone: both engines last wrote it at the
-        same solve point (or never, for a slot added this instant).
+        same solve point (or never, for a row added this instant).
         """
         table = self._array
         assert table is not None
-        self._integrate_slot(s)
-        act = table.act[s]
-        res = table.res[s]
-        assert act is not None and res is not None
+        self._integrate_slot(s, self.env.now)
+        (act,) = table.acts[s]  # type: ignore[misc]
+        (res,) = table.ress[s]  # type: ignore[misc]
         comp = Component(table.cid[s], table.last[s])
         comp.acts[act] = None
         self._components[comp] = None
@@ -1250,29 +1233,28 @@ class FairShareModel:
         if was_dirty:
             self._dirty[comp] = None
 
-    def _integrate_slot(self, s: int) -> None:
-        """Integrate one slot's remaining work up to the current time.
+    def _integrate_slot(self, s: int, now: float) -> None:
+        """Integrate a row's remaining work up to the current time ``now``.
 
-        Uses the precomputed ``rate0``: time cannot advance between a
-        slot's admission and its first solve flush (the resolve event fires
-        URGENT at the same instant), so whenever ``dt > 0`` the applied
-        rate equals the precomputed one.
+        Uses the precomputed rate: time cannot advance between a row's
+        admission and its first solve flush (the resolve event fires URGENT
+        at the same instant), so whenever ``dt > 0`` the applied rate
+        equals the precomputed one.
         """
         table = self._array
         assert table is not None
-        now = self.env.now
         dt = now - table.last[s]
         if dt > 0:
-            rate = table.rate0[s]
+            rate = table.rate[s]
             if rate == inf:
-                table.remaining[s] = 0.0
-                table.act[s].remaining = 0.0  # type: ignore[union-attr]
-            elif rate > 0:
+                rem = 0.0
+            else:
                 rem = table.remaining[s] - rate * dt
                 if rem < 0.0:
                     rem = 0.0
-                table.remaining[s] = rem
-                table.act[s].remaining = rem  # type: ignore[union-attr]
+            table.remaining[s] = rem
+            for act in table.acts[s]:  # type: ignore[union-attr]
+                act.remaining = rem
         table.last[s] = now
 
     # -- lazy progress ------------------------------------------------------
@@ -1307,10 +1289,10 @@ class FairShareModel:
             return
         self._resolve_scheduled = True
         resolve = self.env.pooled_event()
-        resolve.callbacks.append(lambda _e: self._do_resolve())
+        resolve.callbacks.append(self._do_resolve)
         self.env.schedule(resolve, priority=URGENT)
 
-    def _do_resolve(self) -> None:
+    def _do_resolve(self, _event: Event) -> None:
         self._resolve_scheduled = False
         self._flush()
 
@@ -1381,44 +1363,48 @@ class FairShareModel:
         self._arm_wake()
 
     def _solve_slots(self, slots: List[int], now: float) -> int:
-        """Re-solve every dirty slot; returns how many were solved.
+        """Re-solve every dirty row; returns how many activities that was.
 
-        Rates were precomputed at admission (:meth:`_add_slot`), so a
-        re-solve reduces to the batched completion-horizon recomputation:
-        per slot, one finished check and one ``remaining / rate`` division,
-        then a horizon-heap push — the same float operations (hence bits)
-        as the object engine's per-component ``_flush`` loop.
+        Rates were precomputed at admission (:meth:`_admit`), so a re-solve
+        reduces to the completion-horizon recomputation: per row, one
+        finished check and one ``remaining / rate`` division, then one
+        horizon-heap push for all members — the same float operations
+        (hence bits) as the object engine's per-component ``_flush`` loop
+        performs for each of them.
         """
         table = self._array
         assert table is not None
         started = perf_counter()
         heap = self._horizon_heap
         entry_ids = self._entry_ids
-        acts = table.act
-        rate0 = table.rate0
+        t_acts = table.acts
+        t_rate = table.rate
         version = table.version
         remaining = table.remaining
         thresh = table.thresh
+        t_horizon = table.horizon
         count_solved = 0
         for s in slots:
-            act = acts[s]
-            if act is None:
+            acts = t_acts[s]
+            if acts is None:
                 continue
-            rate = rate0[s]
-            act.rate = rate
+            rate = t_rate[s]
+            for act in acts:
+                act.rate = rate
             rem = remaining[s]
             if rate == inf or rem <= thresh[s]:
-                horizon = 0.0
+                horizon = now
             elif rate > 0:
-                horizon = rem / rate
+                horizon = now + rem / rate
             else:
                 raise RuntimeError(
                     "FairShareModel deadlock: no activity can progress"
                 )
             v = version[s] + 1
             version[s] = v
-            heappush(heap, (now + horizon, next(entry_ids), s, v))
-            count_solved += 1
+            t_horizon[s] = horizon
+            heappush(heap, (horizon, next(entry_ids), s, v))
+            count_solved += len(acts)
         self.solver_time += perf_counter() - started
         self.resolves += count_solved
         self.fast_solves += count_solved
@@ -1442,7 +1428,7 @@ class FairShareModel:
                 ]
             else:
                 version = table.version
-                acts = table.act
+                acts = table.acts
                 fresh = []
                 for entry in heap:
                     ref = entry[2]
@@ -1464,7 +1450,7 @@ class FairShareModel:
         while heap:
             _, _, ref, version = heap[0]
             if type(ref) is int:
-                if version != table.version[ref] or table.act[ref] is None:  # type: ignore[union-attr]
+                if version != table.version[ref] or table.acts[ref] is None:  # type: ignore[union-attr]
                     heappop(heap)
                     continue
             elif version != ref.version or not ref.alive or not ref.acts:
@@ -1501,7 +1487,7 @@ class FairShareModel:
         while heap:
             horizon, _, ref, entry_version = heap[0]
             if type(ref) is int:
-                if entry_version != table.version[ref] or table.act[ref] is None:  # type: ignore[union-attr]
+                if entry_version != table.version[ref] or table.acts[ref] is None:  # type: ignore[union-attr]
                     heappop(heap)
                     continue
                 if horizon > now:
@@ -1521,7 +1507,6 @@ class FairShareModel:
             return
 
         finished: List[Activity] = []
-        finished_slots: Dict[Activity, int] = {}
         for comp in due:
             self._integrate(comp)
             for act in comp.acts:
@@ -1531,78 +1516,33 @@ class FairShareModel:
             # float drift left nothing quite finished: the new (shorter)
             # horizon re-arms and converges within tolerance.
             self._mark_dirty(comp)
-        if due_slots:
-            # Inlined _integrate_slot + finished check, columns hoisted.
-            t_act = table.act  # type: ignore[union-attr]
-            t_rate0 = table.rate0  # type: ignore[union-attr]
-            t_rem = table.remaining  # type: ignore[union-attr]
-            t_last = table.last  # type: ignore[union-attr]
-            t_thresh = table.thresh  # type: ignore[union-attr]
-            dirty_slots = self._dirty_slots
-            for s in due_slots:
-                act = t_act[s]
-                rate = t_rate0[s]
-                rem = t_rem[s]
-                dt = now - t_last[s]
-                if dt > 0:
-                    if rate == inf:
-                        rem = 0.0
-                        t_rem[s] = 0.0
-                        act.remaining = 0.0  # type: ignore[union-attr]
-                    elif rate > 0:
-                        rem = rem - rate * dt
-                        if rem < 0.0:
-                            rem = 0.0
-                        t_rem[s] = rem
-                        act.remaining = rem  # type: ignore[union-attr]
-                    t_last[s] = now
-                else:
-                    t_last[s] = now
-                if rate == inf or rem <= t_thresh[s]:
-                    finished.append(act)  # type: ignore[arg-type]
-                    finished_slots[act] = s  # type: ignore[index]
-                # Re-dirty like components; a finished slot's dirty mark is
-                # dropped again by the free below (as _remove does for comps).
-                dirty_slots[s] = None
+        finished_rows = 0
+        for s in due_slots:
+            self._integrate_slot(s, now)
+            if table.rate[s] == inf or table.remaining[s] <= table.thresh[s]:  # type: ignore[union-attr]
+                finished += table.acts[s]  # type: ignore[union-attr,arg-type]
+                finished_rows += 1
+                self._free_slot(s)
+            else:
+                self._dirty_slots[s] = None  # re-solve, like a component
 
-        finished.sort(key=lambda a: a._seq)  # deterministic completion order
-        if finished_slots and not due:
-            # Pure-slot completion burst (the hot shape): inlined _free_slot.
-            t_act = table.act  # type: ignore[union-attr]
-            t_res = table.res  # type: ignore[union-attr]
-            t_version = table.version  # type: ignore[union-attr]
-            free_stack = table.free  # type: ignore[union-attr]
-            slot_of = self._slot_of
-            res_slot = self._res_slot
-            dirty_slots = self._dirty_slots
-            finished_count = len(finished)
+        if due or finished_rows > 1:
+            # Deterministic completion order; one cohort alone is in it.
+            finished.sort(key=lambda a: a._seq)
             for act in finished:
-                s = finished_slots[act]
-                del slot_of[act]
-                del res_slot[t_res[s]]
-                t_act[s] = None
-                t_res[s] = None
-                t_version[s] += 1
-                free_stack.append(s)
-                dirty_slots.pop(s, None)
-                act._model = None
-                act.remaining = 0.0
-                act.rate = 0.0
-                act.finished_at = now
-                act.done.succeed(act)
-            table.live -= finished_count  # type: ignore[union-attr]
-        else:
-            for act in finished:
-                s = finished_slots.get(act)
-                if s is not None:
-                    self._free_slot(s)
-                else:
+                if act in self._comp_of:
                     self._remove(act)
-                act._model = None
-                act.remaining = 0.0
-                act.rate = 0.0
-                act.finished_at = now
-                act.done.succeed(act)
+        for act in finished:
+            act._model = None
+            act.remaining = 0.0
+            act.rate = 0.0
+            act.finished_at = now
+            done = act.done
+            if done._value is not PENDING:  # type: ignore[union-attr]
+                raise SimulationError(f"{done!r} has already been triggered")
+            done._value = act  # type: ignore[union-attr]
+        # Every completion of this wake, in order, as one queue entry.
+        self.env.schedule_run([act.done for act in finished])
         self._flush()
 
     # -- snapshot/restore ---------------------------------------------------
@@ -1618,11 +1558,11 @@ class FairShareModel:
         (:meth:`repro.platform.topology` — names are user-controlled and may
         collide, positions cannot).
 
-        Counter capture consumes one tick (``next(counter)``): the consumed
+        Capturing an ``itertools.count`` consumes one tick: the consumed
         value is the snapshot's, and the live run's future ids shift up by
         one uniformly — order-preserving, hence unobservable, since entry
-        ids only break heap ties and component ids only break merge ties
-        among coexisting objects.
+        ids only break heap ties (and activity ``_seq`` only orders
+        coexisting activities).
         """
         if self._dirty or self._dirty_slots:
             raise RuntimeError("Cannot snapshot: model has unflushed dirty state")
@@ -1679,21 +1619,25 @@ class FairShareModel:
         table = self._array
         slots = None
         if table is not None:
+            # One record per row, members listed: a cohort in flight is
+            # captured — and resumed — as the cohort it is.
             slots = {
-                "act": [
-                    f"act.{a._seq}" if a is not None else None for a in table.act
+                "acts": [
+                    [f"act.{a._seq}" for a in acts] if acts is not None else None
+                    for acts in table.acts
                 ],
-                "res": [
-                    res_index[r] if r is not None else None for r in table.res
+                "ress": [
+                    [res_index[r] for r in ress] if ress is not None else None
+                    for ress in table.ress
                 ],
-                "rate0": list(table.rate0),
+                "rate": list(table.rate),
                 "thresh": list(table.thresh),
                 "remaining": list(table.remaining),
                 "last": list(table.last),
                 "version": list(table.version),
                 "cid": list(table.cid),
+                "horizon": list(table.horizon),
                 "free": list(table.free),
-                "live": table.live,
             }
 
         # Live horizon entries only: stale ones (version mismatch, dead or
@@ -1703,7 +1647,7 @@ class FairShareModel:
         heap_records = []
         for time, entry_id, ref, version in sorted(self._horizon_heap):
             if type(ref) is int:
-                if table is None or version != table.version[ref] or table.act[ref] is None:
+                if table is None or version != table.version[ref] or table.acts[ref] is None:
                     continue
                 heap_records.append([time, entry_id, ["slot", ref], version])
             else:
@@ -1726,11 +1670,9 @@ class FairShareModel:
             "components": components,
             "res_users": res_users,
             "slots": slots,
-            "slot_of": [[f"act.{a._seq}", s] for a, s in self._slot_of.items()],
-            "res_slot": [[res_index[r], s] for r, s in self._res_slot.items()],
             "horizon_heap": heap_records,
             "entry_ids": next(self._entry_ids),
-            "comp_ids": next(self._comp_ids),
+            "comp_ids": self._next_cid,
             "wake_version": self._wake_version,
             "wakes": wakes,
             "counters": {
@@ -1811,25 +1753,27 @@ class FairShareModel:
         table = self._array
         if table is not None:
             slots = state["slots"]
-            table.act = [
-                acts_by_sid[sid] if sid is not None else None
-                for sid in slots["act"]
+            table.acts = [
+                [acts_by_sid[sid] for sid in sids] if sids is not None else None
+                for sids in slots["acts"]
             ]
-            table.res = [
-                resources[i] if i is not None else None for i in slots["res"]
+            table.ress = [
+                [resources[i] for i in idxs] if idxs is not None else None
+                for idxs in slots["ress"]
             ]
-            table.rate0 = list(slots["rate0"])
+            table.rate = list(slots["rate"])
             table.thresh = list(slots["thresh"])
             table.remaining = list(slots["remaining"])
             table.last = list(slots["last"])
             table.version = list(slots["version"])
             table.cid = list(slots["cid"])
+            table.horizon = list(slots["horizon"])
             table.free = list(slots["free"])
-            table.live = slots["live"]
-        for sid, s in state["slot_of"]:
-            self._slot_of[acts_by_sid[sid]] = s
-        for idx, s in state["res_slot"]:
-            self._res_slot[resources[idx]] = s
+            for s, acts in enumerate(table.acts):
+                if acts is not None:
+                    table.live += len(acts)
+                    self._slot_of.update(dict.fromkeys(acts, s))
+                    self._res_slot.update(dict.fromkeys(table.ress[s], s))
 
         heap: List[tuple] = []
         for time, entry_id, (kind, ref), version in state["horizon_heap"]:
@@ -1844,7 +1788,7 @@ class FairShareModel:
         self._horizon_heap = heap  # sorted at capture: a valid heap
 
         self._entry_ids = count(state["entry_ids"] + 1)
-        self._comp_ids = count(state["comp_ids"] + 1)
+        self._next_cid = state["comp_ids"]
         self._wake_version = state["wake_version"]
         for sid, version in state["wakes"]:
             wake = PooledEvent(env)
