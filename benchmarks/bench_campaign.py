@@ -22,6 +22,12 @@ different answer.
 The deterministic aggregate report lands in
 ``<results>/campaign_bench/campaign.json``; CI diffs it against
 ``benchmarks/baselines/campaign_bench.json``.
+
+``BENCH_campaign_keying.json`` holds what the runner pays per scenario
+before anything executes — ``key()`` + ``as_record()`` — over three
+passes of the same scenario objects, with the number of times a spec was
+canonicalised: once per scenario in the first pass, never again (CI
+gates that column against ``benchmarks/baselines/``).
 """
 
 import os
@@ -37,6 +43,7 @@ from benchmarks.common import (
     bench_results_dir,
     write_bench_json,
 )
+import repro.campaign.spec as campaign_spec
 from repro.campaign import CampaignRunner, ResultCache, result_fingerprint
 from repro.workload import WorkloadSpec, generate_workload
 
@@ -250,3 +257,46 @@ def test_campaign_speedups_and_report(campaign_timings):
             f"queue-worker speedup {queue_speedup:.2f}x below the "
             f"{QUEUE_FLOOR}x floor on {cores} cores"
         )
+
+
+def test_scenario_keying_overhead(monkeypatch):
+    """``key()`` + ``as_record()`` per scenario, pass by pass."""
+    specs_canonicalised = [0]
+    canonicalize = campaign_spec.canonicalize
+
+    def counting(value):
+        # Nested calls see fragments; only a whole spec has a platform.
+        if isinstance(value, dict) and "platform" in value:
+            specs_canonicalised[0] += 1
+        return canonicalize(value)
+
+    monkeypatch.setattr(campaign_spec, "canonicalize", counting)
+    scenarios = _grid()
+    rows = []
+    for number in (1, 2, 3):
+        specs_canonicalised[0] = 0
+        t0 = time.perf_counter()
+        keys = [scenario.key() for scenario in scenarios]
+        key_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        records = [scenario.as_record() for scenario in scenarios]
+        record_s = time.perf_counter() - t0
+        assert len(set(keys)) == len(records) == len(scenarios)
+        rows.append(
+            [
+                f"pass-{number}",
+                len(scenarios),
+                key_s / len(scenarios) * 1e6,
+                record_s / len(scenarios) * 1e6,
+                specs_canonicalised[0] / len(scenarios),
+            ]
+        )
+    header = ["pass", "scenarios", "key_us", "as_record_us", "canonicalisations_per_scenario"]
+    print_table("campaign: keying overhead per scenario", header, rows)
+    write_bench_json(
+        "campaign_keying",
+        title="campaign: key() + as_record() per scenario",
+        header=header,
+        rows=rows,
+    )
+    assert [row[4] for row in rows] == [1.0, 0.0, 0.0]

@@ -15,6 +15,7 @@ import repro.sharing.model as sharing_model
 from repro import Simulation
 from repro.des import Environment
 from repro.job import Job
+from repro.monitoring import SolverStats
 from repro.sharing import Activity, FairShareModel, SharedResource, solve_max_min
 
 from benchmarks.bench_e10_topology import NUM_NODES, TOPOLOGIES, _comm_app, _platform
@@ -440,3 +441,89 @@ def test_micro_fanout_sweep(benchmark):
     calls = [row[2] for row in rows]
     assert calls == sorted(calls, reverse=True), calls  # never dearer when wider
     assert calls[0] <= FANOUT_CALLS_N1_BEFORE_COHORTS
+
+
+RING_SIZES = (2, 8, 64)
+RING_ROUNDS = 50
+
+
+def _ring_exchanges(topology: str, n: int):
+    """One n-node job doing ``RING_ROUNDS`` ring steps, through the engine."""
+    network = {"topology": topology, "bandwidth": 1e10, "latency": 1e-6}
+    if topology == "fat_tree":
+        network["arity"] = 8
+    ring = {"type": "comm", "bytes": 1e9, "pattern": "ring"}
+    return Simulation.from_spec(
+        {
+            "platform": {"nodes": {"count": 64, "flops": 1e12}, "network": network},
+            "workload": {
+                "inline": {
+                    "jobs": [
+                        {
+                            "id": 1,
+                            "num_nodes": n,
+                            "application": {
+                                "phases": [{"iterations": RING_ROUNDS, "tasks": [ring]}]
+                            },
+                        }
+                    ]
+                }
+            },
+            "algorithm": "fcfs",
+        }
+    )
+
+
+@pytest.mark.benchmark(group="micro-model")
+def test_micro_ring_exchange(benchmark):
+    """Per-flow cost of a ring step: one cohort row of private two-link
+    routes on a star, one component per flow where links are shared."""
+
+    def sweep():
+        rows = []
+        for topology in ("star", "fat_tree"):
+            for n in RING_SIZES:
+                best = float("inf")
+                for _ in range(3):
+                    sim = _ring_exchanges(topology, n)
+                    start = time.perf_counter()
+                    sim.run()
+                    best = min(best, time.perf_counter() - start)
+                sim = _ring_exchanges(topology, n)
+                calls = profiled_calls(sim.run)
+                flows = RING_ROUNDS * n
+                stats = SolverStats.from_model(sim.batch.model)
+                rows.append(
+                    [
+                        f"{topology}/n={n}",
+                        best / flows * 1e6,
+                        calls / flows,
+                        stats.cohorts_admitted,
+                        stats.slot_solves,
+                    ]
+                )
+        return rows
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    header = ["exchange", "us_per_flow", "calls_per_flow", "cohort_rows", "slot_solves"]
+    print_table(
+        "micro: one ring exchange through the engine",
+        header,
+        rows,
+        note=f"{RING_ROUNDS} steps per run, best of 3; calls counted by cProfile",
+    )
+    write_bench_json(
+        "MICRO_RING",
+        title="ring exchange cost per flow",
+        header=header,
+        rows=rows,
+        extra={"rounds": RING_ROUNDS, "python": sys.version.split()[0]},
+    )
+    by_label = {row[0]: row for row in rows}
+    for n in RING_SIZES:
+        star, tree = by_label[f"star/n={n}"], by_label[f"fat_tree/n={n}"]
+        # One row per step, every solve a slot solve; none on shared links.
+        assert star[3] == RING_ROUNDS and star[4] == RING_ROUNDS * n
+        assert tree[3] == 0 and tree[4] == 0
+    star_calls = [by_label[f"star/n={n}"][2] for n in RING_SIZES]
+    assert star_calls == sorted(star_calls, reverse=True), star_calls

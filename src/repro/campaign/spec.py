@@ -36,11 +36,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Sequence, Union
-
-
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro import __version__
 from repro.expressions import ExpressionError, compile_expression
@@ -100,18 +99,26 @@ def canonicalize(value: Any) -> Any:
     raise CampaignError(f"not JSON-serialisable: {value!r} ({type(value).__name__})")
 
 
+def _dump_canonical(canonical: Any) -> str:
+    return json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value: Any) -> str:
     """The canonical single-line serialisation used for hashing and reports."""
-    return json.dumps(canonicalize(value), sort_keys=True, separators=(",", ":"))
+    return _dump_canonical(canonicalize(value))
+
+
+def _content_key(salt: str, canonical_bytes: bytes) -> str:
+    digest = hashlib.sha256()
+    digest.update(salt.encode("utf-8"))
+    digest.update(b"\x00")
+    digest.update(canonical_bytes)
+    return digest.hexdigest()
 
 
 def scenario_key(scenario: Mapping[str, Any], *, salt: str = DEFAULT_SALT) -> str:
     """Content address of a scenario: SHA-256 over salt + canonical spec."""
-    digest = hashlib.sha256()
-    digest.update(salt.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(canonical_json(scenario).encode("utf-8"))
-    return digest.hexdigest()
+    return _content_key(salt, canonical_json(scenario).encode("utf-8"))
 
 
 def derive_seed(base_seed: int, *parts: Any) -> int:
@@ -159,6 +166,10 @@ def _normalize_engine(engine: Mapping[str, Any]) -> Dict[str, Any]:
     return out
 
 
+#: ``ScenarioSpec`` fields that enter the content key.
+_HASHED_FIELDS = frozenset({"platform", "workload", "algorithm", "seed", "sim", "engine"})
+
+
 @dataclass
 class ScenarioSpec:
     """One grid point: everything needed to run a single simulation.
@@ -200,25 +211,49 @@ class ScenarioSpec:
         coords = [f"{k}={self.params[k]}" for k in sorted(self.params)]
         return "/".join([self.algorithm, *coords, f"seed={self.seed}"])
 
+    def __setattr__(self, name: str, value: Any) -> None:
+        # Reassigning a hashed field drops the memoised canonical form.
+        if name in _HASHED_FIELDS:
+            self.__dict__.pop("_memo", None)
+        object.__setattr__(self, name, value)
+
+    def _canonical(self) -> Tuple[Dict[str, Any], bytes]:
+        """The canonical dict and its canonical-JSON bytes, computed once.
+
+        The memo lives until a hashed field is *reassigned*; code that
+        mutates one in place (``_pin_workload_file``) must reassign it, or
+        the scenario keeps the key it had.
+        """
+        memo: Tuple[Dict[str, Any], bytes] = self.__dict__.get("_memo")
+        if memo is None:
+            spec: Dict[str, Any] = {
+                "platform": self.platform,
+                "workload": self.workload,
+                "algorithm": self.algorithm,
+                "seed": int(self.seed),
+                "sim": self.sim,
+            }
+            # Only present when pinned: unpinned scenarios keep the content
+            # keys (and therefore cached results) they had before the engine
+            # field existed.
+            if self.engine:
+                spec["engine"] = self.engine
+            canonical = canonicalize(spec)
+            memo = (canonical, _dump_canonical(canonical).encode("utf-8"))
+            self.__dict__["_memo"] = memo
+        return memo
+
     def canonical(self) -> Dict[str, Any]:
-        """The hashed portion of the spec in canonical form."""
-        spec: Dict[str, Any] = {
-            "platform": self.platform,
-            "workload": self.workload,
-            "algorithm": self.algorithm,
-            "seed": int(self.seed),
-            "sim": self.sim,
-        }
-        # Only present when pinned: unpinned scenarios keep the content
-        # keys (and therefore cached results) they had before the engine
-        # field existed.
-        if self.engine:
-            spec["engine"] = self.engine
-        result: Dict[str, Any] = canonicalize(spec)
-        return result
+        """The hashed portion of the spec in canonical form.
+
+        A fresh top-level dict over the memoised values: treat what is
+        nested inside as read-only.
+        """
+        return dict(self._canonical()[0])
 
     def key(self, *, salt: str = DEFAULT_SALT) -> str:
-        return scenario_key(self.canonical(), salt=salt)
+        """Content address; equals ``scenario_key(self.canonical(), salt=salt)``."""
+        return _content_key(salt, self._canonical()[1])
 
     def as_record(self) -> Dict[str, Any]:
         """Full serialisable form (labels included) for reports."""
@@ -404,9 +439,11 @@ def _pin_workload_file(scenario: ScenarioSpec, base: Path) -> None:
     name.  Applies to both ``workload.file`` job lists and the trace
     inside a ``workload.swf`` block.
     """
-    targets = [scenario.workload]
-    swf = scenario.workload.get("swf")
+    workload = dict(scenario.workload)
+    targets = [workload]
+    swf = workload.get("swf")
     if isinstance(swf, dict):
+        swf = workload["swf"] = dict(swf)
         targets.append(swf)
     for block in targets:
         ref = block.get("file")
@@ -423,6 +460,8 @@ def _pin_workload_file(scenario: ScenarioSpec, base: Path) -> None:
             ) from None
         block["file"] = str(resolved)
         block["sha256"] = hashlib.sha256(payload).hexdigest()
+    # Reassigned, not edited in place: the content key is memoised.
+    scenario.workload = workload
 
 
 def campaign_run_settings(spec: Mapping[str, Any]) -> Dict[str, Any]:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -559,15 +560,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _writable_dir(path: str | os.PathLike[str]) -> Path:
+    """Create ``path`` if need be and check that files can be written there.
+
+    Called before any simulating: a bad output path must cost milliseconds,
+    not a finished run whose printed summary was never saved.
+    """
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise PermissionError(f"output directory is not writable: {out}")
+    return out
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    # A bad output path must cost milliseconds, not a finished simulation
-    # whose printed summary was never saved.
-    out = None
-    if args.output_dir is not None:
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    out = _writable_dir(args.output_dir) if args.output_dir is not None else None
     if args.trace is not None:
-        Path(args.trace).parent.mkdir(parents=True, exist_ok=True)
+        _writable_dir(Path(args.trace).parent)
     platform = load_platform(args.platform)
     jobs = load_workload(args.workload)
     failures = None
@@ -674,6 +683,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     scenarios = campaign.load_campaign(args.spec)
     settings = campaign.campaign_run_settings(campaign.load_campaign_spec(args.spec))
     name = args.name or Path(args.spec).stem
+    output_dir = _writable_dir(args.output_dir or Path("campaign-results") / name)
+    if args.fingerprints is not None:
+        _writable_dir(Path(args.fingerprints).parent)
     # ArtifactStore without a shared root behaves exactly like the plain
     # local cache; --store-dir / $ELASTISIM_STORE_DIR arm the shared layer.
     cache = (
@@ -723,7 +735,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     print(f"campaign {name}: {len(scenarios)} scenarios, {runner.workers} workers")
     report = runner.run(progress=None if args.quiet else progress)
 
-    output_dir = Path(args.output_dir or Path("campaign-results") / name)
     files = report.write(output_dir)
     if args.fingerprints is not None:
         fingerprints = {
@@ -731,7 +742,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             for record in report.records
         }
         path = Path(args.fingerprints)
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(fingerprints, sort_keys=True, indent=2) + "\n")
         print(f"fingerprints: {path}")
     print("-" * 46)

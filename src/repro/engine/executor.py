@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Protocol, Sequence
+from typing import Any, Collection, Generator, List, Optional, Protocol, Sequence
 
 from repro.application import (
     BbReadTask,
@@ -20,7 +20,7 @@ from repro.application import (
 from repro.des import Environment, Event, Interrupt
 from repro.job import Job
 from repro.platform import Node, Platform, Route
-from repro.sharing import Activity, FairShareModel
+from repro.sharing import Activity, FairShareModel, SharedResource
 
 
 class EngineError(Exception):
@@ -51,6 +51,21 @@ class BatchCallbacks(Protocol):
         ...
 
 
+def flow_work(nbytes: float, latency: float, resources: Collection[SharedResource]) -> float:
+    """Work of a flow of ``nbytes`` over ``resources``, latency included.
+
+    Route latency is charged by *inflating the work* with an equivalent
+    byte count at the route's bottleneck bandwidth — the standard trick to
+    keep latency inside a single fluid activity.  For batch workloads
+    (latencies ~1 µs, transfers ~GB) the effect is negligible but non-zero,
+    matching SimGrid's ``latency + size/bandwidth`` shape.
+    """
+    work = float(nbytes)
+    if latency > 0 and resources:
+        work += latency * min([res.capacity for res in resources])
+    return work
+
+
 def transfer(
     env: Environment,
     model: FairShareModel,
@@ -60,23 +75,12 @@ def transfer(
     extra_usages: Optional[dict] = None,
     payload: Any = None,
 ) -> Activity:
-    """Create (and start) a flow activity along ``route``.
-
-    Route latency is charged by *inflating the work* with an equivalent
-    byte count at the route's bottleneck bandwidth — the standard trick to
-    keep latency inside a single fluid activity.  For batch workloads
-    (latencies ~1 µs, transfers ~GB) the effect is negligible but non-zero,
-    matching SimGrid's ``latency + size/bandwidth`` shape.
-    """
+    """Create (and start) a flow activity along ``route`` (see :func:`flow_work`)."""
     usages = {res: 1.0 for res in route.resources}
     if extra_usages:
         for res, factor in extra_usages.items():
             usages[res] = max(usages.get(res, 0.0), factor)
-    work = float(nbytes)
-    if route.latency > 0 and usages:
-        bottleneck = min(res.capacity for res in usages)
-        work += route.latency * bottleneck
-    activity = Activity(work, usages, payload=payload)
+    activity = Activity(flow_work(nbytes, route.latency, usages), usages, payload=payload)
     model.execute(activity)
     return activity
 
@@ -352,21 +356,15 @@ class JobExecutor:
             nbytes = task.message_size(variables)
             if nbytes <= 0 or n <= 1:
                 return
-            activities = []
+            routes = []
+            payloads = []
             for src_rank, dst_rank in task.flows(n):
                 route = self.platform.route(nodes[src_rank].index, nodes[dst_rank].index)
                 if not route.resources and route.latency == 0:
                     continue  # same-node "transfer" is free
-                activities.append(
-                    transfer(
-                        self.env,
-                        self.model,
-                        route,
-                        nbytes,
-                        payload=(self.job.jid, task.name, src_rank, dst_rank),
-                    )
-                )
-            yield from self._wait_started(activities)
+                routes.append(route)
+                payloads.append((self.job.jid, task.name, src_rank, dst_rank))
+            yield from self._wait_started(self._start_flows(routes, nbytes, payloads))
             return
 
         if isinstance(task, PfsReadTask):
@@ -427,6 +425,34 @@ class JobExecutor:
             return
 
         raise EngineError(f"Unknown task type {type(task).__name__}")
+
+    def _start_flows(
+        self, routes: List[Route], nbytes: float, payloads: List[tuple]
+    ) -> List[Activity]:
+        """Start one flow of ``nbytes`` along each of ``routes``.
+
+        Flows that are one activity but for their resources — equal hop
+        count, equal latency-inflated work, as in any exchange on a star —
+        are handed to the model in one call, which makes them one cohort
+        row when the routes are private; routes of unequal length or
+        bottleneck (fat tree, torus) start one :func:`transfer` each.
+        """
+        hops = len(routes[0].resources) if routes else 0
+        if hops and all([len(route.resources) == hops for route in routes]):
+            works = [flow_work(nbytes, route.latency, route.resources) for route in routes]
+            if works.count(works[0]) == len(works):
+                activities = self.model.execute_fanout(
+                    works[0],
+                    [res for route in routes for res in route.resources],
+                    hops=hops,
+                )
+                for activity, payload in zip(activities, payloads):
+                    activity.payload = payload
+                return activities
+        return [
+            transfer(self.env, self.model, route, nbytes, payload=payload)
+            for route, payload in zip(routes, payloads)
+        ]
 
     def _run_pfs_io(self, task, variables, *, read: bool) -> Generator[Event, Any, None]:
         pfs = self.platform.pfs

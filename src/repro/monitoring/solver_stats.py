@@ -56,6 +56,16 @@ class SolverStats:
         slot engine (see ``set_array_engine_enabled``).  Like the kernel
         dispatch counts, this depends on the engine switch and stays out of
         ``Monitor.run_record()``.
+    cohorts_admitted / cohort_members / cohorts_dissolved:
+        Cohort rows the slot engine admitted (a task fan-out or a
+        communication exchange on private routes is one row, a lone simple
+        activity a row of one), the activities in them in total, and rows
+        split back into rows of one because a member was cancelled or got
+        a second user on one of its resources.  All zero on the object
+        engine: engine-dependent like ``slot_solves``, and outside
+        ``Monitor.run_record()`` for the same reason.  Counted since the
+        model was built or restored — a resumed run does not carry the
+        checkpoint's tallies.
     """
 
     resolves: int = 0
@@ -72,6 +82,9 @@ class SolverStats:
     scalar_solves: int = 0
     vector_solves: int = 0
     slot_solves: int = 0
+    cohorts_admitted: int = 0
+    cohort_members: int = 0
+    cohorts_dissolved: int = 0
 
     @property
     def mean_solve_scope(self) -> float:
@@ -81,6 +94,7 @@ class SolverStats:
     @classmethod
     def from_model(cls, model: Any) -> "SolverStats":
         """Snapshot ``model`` (a :class:`~repro.sharing.FairShareModel`)."""
+        admitted, members, dissolved = model.cohort_counts()
         return cls(
             resolves=model.resolves,
             solve_events=model.solve_events,
@@ -97,6 +111,9 @@ class SolverStats:
             scalar_solves=getattr(model, "scalar_solves", 0),
             vector_solves=getattr(model, "vector_solves", 0),
             slot_solves=getattr(model, "slot_solves", 0),
+            cohorts_admitted=admitted,
+            cohort_members=members,
+            cohorts_dissolved=dissolved,
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -116,4 +133,7 @@ class SolverStats:
             "scalar_solves": self.scalar_solves,
             "vector_solves": self.vector_solves,
             "slot_solves": self.slot_solves,
+            "cohorts_admitted": self.cohorts_admitted,
+            "cohort_members": self.cohort_members,
+            "cohorts_dissolved": self.cohorts_dissolved,
         }

@@ -30,7 +30,7 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 from math import inf
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.des.environment import Environment
 from repro.des.events import PENDING, Event, PooledEvent, URGENT
@@ -539,15 +539,19 @@ class Component:
 class _SlotTable:
     """Struct-of-arrays store of *cohorts* of simple activities (array engine).
 
-    A simple activity uses exactly one resource and is that resource's sole
-    user — a singleton component of the activity↔resource graph, the
-    dominant case by far in the reference workloads (E5: 100% of solves).
-    A task fan-out starts ``n`` of them at one instant with identical work
-    and usage on ``n`` distinct resources of equal capacity: identical
-    rate, remaining work, finish threshold and completion horizon, by
-    construction.  One row of the table therefore serves a whole *cohort*
-    (a lone simple activity is a cohort of one): the member lists ``acts``
-    / ``ress`` plus scalar ``rate``, ``thresh``, ``remaining``, ``last``,
+    A simple activity is the sole user of each resource it uses — a
+    compute task on its node's CPU, a flow on its private route (a ring
+    step on full-duplex star links: ``up[i]``, ``down[i+1]``): a singleton
+    component of the activity↔resource graph, the dominant case by far in
+    the reference workloads (E5: 100% of solves).  A task fan-out or a
+    communication exchange starts ``n`` of them at one instant with
+    identical work and unit usage on ``n`` pairwise-disjoint routes of
+    equal per-hop capacity: identical rate, remaining work, finish
+    threshold and completion horizon, by construction.  One row of the
+    table therefore serves a whole *cohort* (a lone simple activity is a
+    cohort of one): the member list ``acts``, the flat list ``ress`` of
+    their routes (``len(ress) // len(acts)`` resources each, in member
+    order) plus scalar ``rate``, ``thresh``, ``remaining``, ``last``,
     ``version`` and absolute ``horizon`` — one rate computation, one dirty
     mark, one horizon-heap entry, one integration and one finished-check
     for all members, the float operations a singleton component gets,
@@ -573,8 +577,8 @@ class _SlotTable:
     work.  The finish threshold ``_FINISH_TOL * (1 + work)`` is likewise
     constant and precomputed.
 
-    Whatever singles a member out — its cancellation, a second user on its
-    resource — first *dissolves* the cohort into rows of one that keep its
+    Whatever singles a member out — its cancellation, a second user on one
+    of its resources — first *dissolves* the cohort into rows of one that keep its
     scalars and are queued under the **same absolute horizon**: no
     integration step happens, so no float drifts, and from there the
     single-member code runs unchanged.
@@ -592,10 +596,13 @@ class _SlotTable:
         "horizon",
         "free",
         "live",
+        "admitted",
+        "members",
+        "dissolved",
     )
 
     def __init__(self) -> None:
-        #: Members in creation (``_seq``) order, and the resource of each.
+        #: Members in creation (``_seq``) order, and their routes, flat.
         self.acts: List[Optional[List[Activity]]] = []
         self.ress: List[Optional[List[SharedResource]]] = []
         #: Precomputed solved rate (:func:`_single_rate`).
@@ -613,6 +620,11 @@ class _SlotTable:
         self.free: List[int] = []
         #: Number of live member activities (each a singleton component).
         self.live: int = 0
+        #: Diagnostics (``SolverStats.cohorts_*``): rows admitted, their
+        #: members in total, rows dissolved.
+        self.admitted: int = 0
+        self.members: int = 0
+        self.dissolved: int = 0
 
     def add(
         self,
@@ -771,11 +783,6 @@ class FairShareModel:
         #: Solves served by the struct-of-arrays slot engine (a subset of
         #: ``fast_solves``: every slot solve is a singleton solve).
         self.slot_solves: int = 0
-        #: Cohort diagnostics (array engine; not part of ``SolverStats``):
-        #: rows admitted, their members in total, rows dissolved.
-        self.cohorts_admitted: int = 0
-        self.cohort_members: int = 0
-        self.cohorts_dissolved: int = 0
         #: Optional flight recorder (see :mod:`repro.tracing`); attached by
         #: ``Simulation.run(trace=...)``.  Guarded per flush, so the
         #: disabled path costs one ``is None`` check per solve event.
@@ -823,6 +830,17 @@ class FairShareModel:
             histogram[1] = histogram.get(1, 0) + len(self._slot_of)
         return dict(sorted(histogram.items()))
 
+    def cohort_counts(self) -> Tuple[int, int, int]:
+        """Cohort rows admitted, the members in them, and rows dissolved.
+
+        Diagnostics of the array engine (all zero on the object engine),
+        snapshotted into :class:`repro.monitoring.SolverStats`.
+        """
+        table = self._array
+        if table is None:
+            return 0, 0, 0
+        return table.admitted, table.members, table.dissolved
+
     def execute(self, activity: Activity) -> Activity:
         """Start ``activity``; its ``done`` event fires at completion."""
         if activity._model is not None:
@@ -865,35 +883,60 @@ class FairShareModel:
             self.execute(activity)
 
     def execute_fanout(
-        self, work: float, resources: List[SharedResource], payload: Any = None
+        self,
+        work: float,
+        resources: List[SharedResource],
+        payload: Any = None,
+        hops: int = 1,
     ) -> List[Activity]:
-        """Start one unit-usage activity of ``work`` on each of ``resources``.
+        """Start one unit-usage activity of ``work`` per route in ``resources``.
 
-        What a compute task does across its nodes, said once.  Observably
-        ``acts = [Activity(work, {res: 1.0}, payload=payload) for res in
-        resources]`` followed by ``execute_many(acts)`` — same ``_seq``
-        and component ids, same events, same results on either engine.
-        With the array engine, free and distinct resources of one capacity
-        make the activities a single cohort row (see :class:`_SlotTable`);
-        anything else takes the ordinary admission above.  The model keeps
-        ``resources`` (pass a list it may own); the activities are
-        returned in resource order.
+        What a compute task does across its nodes (``hops=1``: one CPU
+        each) and a communication step across its flows (``hops=2`` on a
+        star: ``up[src]``, ``down[dst]``), said once: ``resources`` lists
+        the members' routes back to back, ``hops`` resources each.
+        Observably ``acts = [Activity(work, {res: 1.0, ...},
+        payload=payload) for each route]`` followed by
+        ``execute_many(acts)`` — same ``_seq`` and component ids, same
+        events, same results on either engine.  With the array engine,
+        free and pairwise-distinct resources whose capacities repeat from
+        route to route make the activities a single cohort row (see
+        :class:`_SlotTable`); anything else takes the ordinary admission
+        above.  The model keeps ``resources`` (pass a list it may own);
+        the activities are returned in route order.
         """
-        n = len(resources)
+        total = len(resources)
+        if hops < 1 or total % hops:
+            raise ValueError(f"{total} resources do not make routes of {hops} hops")
+        n = total // hops
         cohort = self._array is not None and n > 0 and work > 0
         if cohort:
             res_users = self._res_users
             res_slot = self._res_slot
-            capacity = resources[0].capacity
+            hop = 0  # position within the route: compare with the first route's
             for res in resources:
-                if res in res_slot or res in res_users or res.capacity != capacity:
+                if (
+                    res in res_slot
+                    or res in res_users
+                    or res.capacity != resources[hop].capacity
+                ):
                     cohort = False
                     break
+                hop += 1
+                if hop == hops:
+                    hop = 0
             else:
                 # A resource listed twice would be its own second user.
-                cohort = n == 1 or len(set(resources)) == n
+                cohort = total == 1 or len(set(resources)) == total
         if not cohort:
-            acts = [Activity(work, {res: 1.0}, payload=payload) for res in resources]
+            acts = [
+                Activity(
+                    work,
+                    dict.fromkeys(resources[k : k + hops], 1.0),
+                    payload=payload,
+                )
+                for k in range(0, total, hops)
+            ]
             self.execute_many(acts)
             return acts
 
@@ -902,11 +945,15 @@ class FairShareModel:
         counter = Activity._counter
         work = float(work)
         acts: List[Activity] = [None] * n  # type: ignore[list-item]
-        for k, res in enumerate(resources):
+        for k in range(n):
             act = Activity.__new__(Activity)
             act.work = work
             act.remaining = work
-            act.usages = {res: 1.0}
+            act.usages = (
+                {resources[k]: 1.0}
+                if hops == 1
+                else dict.fromkeys(resources[k * hops : (k + 1) * hops], 1.0)
+            )
             act.weight = 1.0
             act.bound = inf
             act.payload = payload
@@ -991,8 +1038,9 @@ class FairShareModel:
             comp = Component(self._next_cid, self.env.now)
             self._next_cid += 1
             self._components[comp] = None
-            if len(self._components) > self.peak_components:
-                self.peak_components = len(self._components)
+            live = self.component_count
+            if live > self.peak_components:
+                self.peak_components = live
             return comp
 
         # Union by size (ties: oldest component) keeps merge cost amortized.
@@ -1104,16 +1152,18 @@ class FairShareModel:
                 self._comp_of[act] = new
             self._components[new] = None
             self._mark_dirty(new)
-        if len(self._components) > self.peak_components:
-            self.peak_components = len(self._components)
+        live = self.component_count
+        if live > self.peak_components:
+            self.peak_components = live
 
     # -- cohort engine (struct-of-arrays) -----------------------------------
 
     def _admit(self, acts: List[Activity], ress: List[SharedResource]) -> None:
         """Enter simple activities, started this instant, as one cohort row.
 
-        ``acts`` are identical but for their resource (``ress``: distinct,
-        free, of one capacity).  The row's rate is solved here, once: its
+        ``acts`` are identical but for their routes (``ress``, flat: free,
+        pairwise distinct, the same capacities hop for hop).  The row's
+        rate is solved here, once: its
         inputs are immutable, so the per-resolve work shrinks to a horizon
         division.  ``Activity.rate`` is *not* written yet — the object
         engine only writes it at solve flushes, and the first flush
@@ -1141,8 +1191,8 @@ class FairShareModel:
         for res in ress:
             res_slot[res] = s
         self._dirty_slots[s] = None
-        self.cohorts_admitted += 1
-        self.cohort_members += n
+        table.admitted += 1
+        table.members += n
         # Within one admission the total only grows: its end is its peak.
         total = len(self._components) + table.live
         if total > self.peak_components:
@@ -1193,10 +1243,13 @@ class FairShareModel:
         dirty = s in self._dirty_slots
         self._dirty_slots.pop(s, None)
         table.release(s)
-        for k, (act, res) in enumerate(zip(acts, ress)):
-            r = table.add([act], [res], rate, thresh, remaining, last, cid + k)
+        hops = len(ress) // len(acts)
+        for k, act in enumerate(acts):
+            route = ress[k * hops : (k + 1) * hops]
+            r = table.add([act], route, rate, thresh, remaining, last, cid + k)
             self._slot_of[act] = r
-            self._res_slot[res] = r
+            for res in route:
+                self._res_slot[res] = r
             if dirty:
                 self._dirty_slots[r] = None
             else:
@@ -1206,13 +1259,14 @@ class FairShareModel:
                     self._horizon_heap,
                     (horizon, next(self._entry_ids), r, table.version[r]),
                 )
-        self.cohorts_dissolved += 1
+        table.dissolved += 1
 
     def _promote_slot(self, s: int) -> None:
         """Turn a row of one into a real singleton ``Component`` (same id).
 
-        Happens when a second activity arrives on the row's resource: the
-        activity is no longer "simple", so it rejoins the object engine.
+        Happens when a second activity arrives on one of the row's
+        resources: the activity is no longer "simple", so it rejoins the
+        object engine, registered as the user of every resource it has.
         Integration runs first, so the component's ``last_update`` and the
         activity's ``remaining`` match what the object engine would hold.
         ``Activity.rate`` is left alone: both engines last wrote it at the
@@ -1222,12 +1276,12 @@ class FairShareModel:
         assert table is not None
         self._integrate_slot(s, self.env.now)
         (act,) = table.acts[s]  # type: ignore[misc]
-        (res,) = table.ress[s]  # type: ignore[misc]
         comp = Component(table.cid[s], table.last[s])
         comp.acts[act] = None
         self._components[comp] = None
         self._comp_of[act] = comp
-        self._res_users[res] = {act: None}
+        for res in table.ress[s]:  # type: ignore[union-attr]
+            self._res_users[res] = {act: None}
         was_dirty = s in self._dirty_slots
         self._free_slot(s)
         if was_dirty:
@@ -1506,12 +1560,26 @@ class FairShareModel:
             self._arm_wake()
             return
 
+        # A due row or component whose re-solved horizon would again be
+        # ``now`` — ``remaining / rate`` below the float spacing at ``now``
+        # — would re-arm this wake with ``dt == 0`` forever: what time can
+        # no longer resolve is complete.
         finished: List[Activity] = []
         for comp in due:
             self._integrate(comp)
-            for act in comp.acts:
-                if act.rate == inf or act.remaining <= _FINISH_TOL * (1 + act.work):
-                    finished.append(act)
+            done = [
+                act
+                for act in comp.acts
+                if act.rate == inf or act.remaining <= _FINISH_TOL * (1 + act.work)
+            ]
+            if not done:
+                # Same members, so the re-solve returns the same rates.
+                done = [
+                    act
+                    for act in comp.acts
+                    if act.rate > 0 and now + act.remaining / act.rate == now
+                ]
+            finished += done
             # Always re-solve a component that reached its horizon, even if
             # float drift left nothing quite finished: the new (shorter)
             # horizon re-arms and converges within tolerance.
@@ -1519,7 +1587,13 @@ class FairShareModel:
         finished_rows = 0
         for s in due_slots:
             self._integrate_slot(s, now)
-            if table.rate[s] == inf or table.remaining[s] <= table.thresh[s]:  # type: ignore[union-attr]
+            rate = table.rate[s]  # type: ignore[union-attr]
+            rem = table.remaining[s]  # type: ignore[union-attr]
+            if (
+                rate == inf
+                or rem <= table.thresh[s]  # type: ignore[union-attr]
+                or (rate > 0 and now + rem / rate == now)
+            ):
                 finished += table.acts[s]  # type: ignore[union-attr,arg-type]
                 finished_rows += 1
                 self._free_slot(s)

@@ -88,6 +88,100 @@ class TestScenarioKey:
     def test_scenario_key_function_matches_method(self):
         scenario = make_scenario()
         assert scenario.key() == scenario_key(scenario.canonical())
+        assert scenario.key(salt="s") == scenario_key(scenario.canonical(), salt="s")
+
+    def test_golden_content_key(self):
+        # Computed at a24cdc2, before the canonical form was memoised: a
+        # change here orphans every existing result cache.
+        scenario = make_scenario(
+            workload={"generate": {"num_jobs": 4, "max_request": 4.0}},
+            seed=7,
+            sim={"invocation_interval": 30.0},
+            engine={"array_engine": 1},
+            params={"load": 0.5},
+            name="golden",
+        )
+        golden = "66e16e20751817154d230bcb8410eb5bc28d73d08d9a08946cf3d9840b081169"
+        assert scenario.key(salt="golden-salt") == golden
+        assert scenario.key(salt="golden-salt") == golden  # from the memo
+
+
+class TestCanonicalMemo:
+    """``ScenarioSpec`` canonicalises once; reassigning a hashed field resets it."""
+
+    def test_canonical_form_is_computed_once(self, monkeypatch):
+        import repro.campaign.spec as spec_module
+
+        real = spec_module.canonicalize
+        roots = []  # top-level documents handed to (recursive) canonicalize
+        depth = [0]
+
+        def counting(value):
+            if not depth[0]:
+                roots.append(value)
+            depth[0] += 1
+            try:
+                return real(value)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(spec_module, "canonicalize", counting)
+        scenario = make_scenario(params={"load": 1})
+        scenario.key()
+        assert len(roots) == 1 and "platform" in roots[0]
+        scenario.key(salt="other")
+        scenario.canonical()
+        assert len(roots) == 1
+        scenario.as_record()
+        assert roots[1:] == [{"load": 1}]  # the labels only
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("platform", {**PLATFORM, "nodes": {"count": 16, "flops": 1e12}}),
+            ("workload", {"generate": {"num_jobs": 5}}),
+            ("algorithm", "fcfs"),
+            ("seed", 1),
+            ("sim", {"invocation_interval": 10}),
+            ("engine", {"compiled": False}),
+        ],
+    )
+    def test_reassigning_a_hashed_field_changes_the_key(self, field, value):
+        scenario = make_scenario()
+        before = scenario.key()
+        setattr(scenario, field, value)
+        assert scenario.key() != before
+        assert scenario.key() == make_scenario(**{field: value}).key()
+        assert scenario.as_record()[field] == scenario.canonical()[field]
+
+    def test_labels_do_not_touch_the_memo(self):
+        scenario = make_scenario()
+        before = scenario.key()
+        scenario.name = "renamed"
+        scenario.params = {"load": 2}
+        assert scenario.key() == before
+        record = scenario.as_record()
+        assert record["name"] == "renamed" and record["params"] == {"load": 2}
+
+    def test_canonical_and_record_are_fresh_top_level_dicts(self):
+        scenario = make_scenario()
+        scenario.canonical()["seed"] = 99
+        scenario.as_record()["algorithm"] = "other"
+        assert scenario.canonical()["seed"] == 0
+        assert scenario.as_record()["algorithm"] == "easy"
+        assert "name" not in scenario.canonical()
+
+    def test_pinning_a_workload_file_after_keying_changes_the_key(self, tmp_path):
+        from repro.campaign.spec import _pin_workload_file
+
+        (tmp_path / "wl.json").write_text("{}")
+        original = {"file": "wl.json"}
+        scenario = make_scenario(workload=original)
+        before = scenario.key()
+        _pin_workload_file(scenario, tmp_path)
+        assert scenario.key() != before
+        assert scenario.canonical()["workload"]["sha256"]
+        assert original == {"file": "wl.json"}  # the caller's dict is not edited
 
 
 class TestScenarioSpec:

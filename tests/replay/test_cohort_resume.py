@@ -1,7 +1,8 @@
 """Checkpoints that land while fan-out cohorts are in flight.
 
-A cohort row is captured as the row it is (member lists, one set of
-scalars) and a dissolved one as its rows of one / promoted components;
+A cohort row is captured as the row it is (member lists, the members'
+routes as one flat resource list, one set of scalars) and a dissolved
+one as its rows of one / promoted components;
 resuming either must reproduce the uninterrupted run byte for byte, in
 every engine mode, and ``whatif`` must still take the warm path.
 """
@@ -14,6 +15,7 @@ import pytest
 from repro.batch import Simulation
 from repro.des import Environment
 from repro.expressions import compiled_enabled, set_compiled_enabled
+from repro.monitoring import SolverStats
 from repro.replay import SCHEMA_VERSION, ReplayError, Snapshot, whatif
 from repro.replay.snapshot import SidRegistry
 from repro.replay.whatif import run_with_snapshots
@@ -25,6 +27,8 @@ from repro.sharing import (
 )
 
 from tests.replay.helpers import assert_resume_identical, snapshot_run
+
+_cohorts = SolverStats.from_model
 
 
 def _cpu(flops, iterations):
@@ -94,12 +98,67 @@ def test_the_scenario_checkpoints_cohorts_whole_and_dissolved():
     )
     sim = Simulation.from_spec(_spec())
     sim.run()
-    assert sim.batch.model.cohorts_dissolved == 3
+    assert _cohorts(sim.batch.model).cohorts_dissolved == 3
 
 
 @pytest.mark.parametrize("engine_mode", MODES, indirect=True)
 def test_resume_from_every_checkpoint_is_byte_identical(engine_mode):
     assert assert_resume_identical(_spec(), snapshot_every=40) >= 5
+
+
+def _exchange_spec():
+    """Ring exchanges on a star: rows whose members hold two links each."""
+    ring = {"type": "comm", "bytes": 2e10, "pattern": "ring"}  # 2 s a step
+    jobs = [
+        {"id": 1, "submit_time": 0.0, "num_nodes": 32,
+         "application": {"name": "halo", "phases": [
+             {"iterations": 5, "tasks": [{"type": "cpu", "flops": 32e12}, ring]}]}},
+        # A write beside the ring: second user on every member's uplink.
+        {"id": 2, "submit_time": 0.5, "num_nodes": 8,
+         "application": {"name": "dump", "phases": [
+             {"parallel": True, "iterations": 2,
+              "tasks": [ring, {"type": "pfs_write", "bytes": 4e10}]}]}},
+        # Killed half-way through its second exchange.
+        {"id": 3, "submit_time": 0.0, "num_nodes": 16, "walltime": 5.0,
+         "application": {"name": "cut", "phases": [
+             {"iterations": 4, "tasks": [{"type": "cpu", "flops": 16e12}, ring]}]}},
+        *({"id": 10 + k, "submit_time": 0.9 * k, "num_nodes": 1 + k % 2,
+           "application": {"name": "small", "phases": [_cpu(1e12, 3)]}}
+          for k in range(12)),
+    ]
+    return {
+        "name": "exchange-resume",
+        "platform": {
+            "name": "exchange-resume",
+            "nodes": {"count": 64, "flops": 1e12},
+            "network": {"topology": "star", "bandwidth": 1e10, "latency": 1e-6,
+                        "pfs_bandwidth": 4e10},
+            "pfs": {"read_bw": 2e10, "write_bw": 2e10},
+        },
+        "workload": {"inline": {"jobs": jobs}},
+        "algorithm": "easy",
+    }
+
+
+def test_the_exchange_scenario_checkpoints_two_link_members():
+    _, _, snapshots = snapshot_run(_exchange_spec(), 25)
+    slots = [snap.state["model"]["slots"] for snap in snapshots]
+    shapes = {
+        (len(acts), len(ress))
+        for table in slots
+        for acts, ress in zip(table["acts"], table["ress"])
+        if acts is not None
+    }
+    assert {(32, 64), (16, 32)} <= shapes  # the rings of jobs 1 and 3, whole
+    sim = Simulation.from_spec(_exchange_spec())
+    sim.run()
+    assert sim.monitor.run_record()["summary"]["killed_jobs"] == 1
+    assert _cohorts(sim.batch.model).cohorts_dissolved >= 3
+
+
+@pytest.mark.parametrize("engine_mode", MODES, indirect=True)
+def test_resume_mid_exchange_is_byte_identical(engine_mode):
+    assert assert_resume_identical(_exchange_spec(), snapshot_every=25) >= 5
 
 
 def test_whatif_stays_warm_across_cohorts():
@@ -124,23 +183,25 @@ def test_whatif_stays_warm_across_cohorts():
     assert any(len(acts) > 1 for acts in _rows(used))
 
 
-def test_rows_of_a_dissolved_cohort_survive_capture_and_restore():
+def _dissolved_rows_survive_capture_and_restore(hops):
     """Model level: cancel one member of a cohort, checkpoint the 15 rows
-    of one it leaves behind, restore, and finish at the same instants."""
+    of one (``hops`` resources each) it leaves behind, restore, and finish
+    at the same instants."""
 
     def build():
         env = Environment()
         model = FairShareModel(env, array_engine=True)
-        resources = [SharedResource(f"cpu{i}", 3.0) for i in range(16)]
+        resources = [SharedResource(f"r{i}", 3.0) for i in range(16 * hops)]
         return env, model, resources
 
     env, model, resources = build()
-    acts = model.execute_fanout(1000.0, list(resources), ("job", "task"))
+    acts = model.execute_fanout(1000.0, list(resources), ("job", "task"), hops=hops)
     env.run(until=100.0)
     model.cancel(acts[5])
     env.run(until=101.0)
-    assert model.cohorts_dissolved == 1
+    assert _cohorts(model).cohorts_dissolved == 1
     assert sum(a is not None for a in model._array.acts) == 15
+    assert {len(r) for r in model._array.ress if r is not None} == {hops}
 
     registry = SidRegistry()
     state = model.capture_state(registry, {r: i for i, r in enumerate(resources)})
@@ -164,6 +225,14 @@ def test_rows_of_a_dissolved_cohort_survive_capture_and_restore():
     ]
     assert env2.processed_events == env.processed_events
     assert model2.resolves == model.resolves
+
+
+def test_rows_of_a_dissolved_cohort_survive_capture_and_restore():
+    _dissolved_rows_survive_capture_and_restore(hops=1)
+
+
+def test_rows_of_a_dissolved_exchange_keep_both_links_across_restore():
+    _dissolved_rows_survive_capture_and_restore(hops=2)
 
 
 def test_version_1_snapshots_are_refused_cleanly():

@@ -1,9 +1,10 @@
 """Fan-out cohorts: one table row for n identical simple activities.
 
-The array engine admits a task fan-out as a single cohort row and
-dissolves it the moment one member is singled out; the object engine
-(``array_engine=False``) runs every member as its own component and is
-the reference.  Both must agree on everything observable, step by step.
+The array engine admits a task fan-out — or an exchange of flows over
+private routes — as a single cohort row and dissolves it the moment one
+member is singled out; the object engine (``array_engine=False``) runs
+every member as its own component and is the reference.  Both must agree
+on everything observable, step by step.
 """
 
 import json
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.batch import Simulation
 from repro.des import EmptySchedule, Environment
+from repro.monitoring import SolverStats
 from repro.sharing import Activity, ActivityCancelled, FairShareModel, SharedResource
 
 
@@ -24,8 +26,11 @@ COUNTERS = (
     "max_solve_scope",
     "merges",
     "splits",
-    "peak_components",
 )
+
+
+#: The cohort tallies live in the one stats surface, ``monitor.solver``.
+_cohorts = SolverStats.from_model
 
 
 class _World:
@@ -48,12 +53,15 @@ class _World:
     def apply(self, op):
         kind = op[0]
         if kind == "fanout":
-            _, indices, work = op
+            _, indices, work, hops = op
             resources = [self.pool[i] for i in indices]
-            self._track(self.model.execute_fanout(work, resources, ("job", "task")))
+            self._track(
+                self.model.execute_fanout(work, resources, ("job", "task"), hops=hops)
+            )
         elif kind == "single":
-            _, index, work = op
-            self._track([self.model.execute(Activity(work, {self.pool[index]: 1.0}))])
+            _, indices, work = op
+            usages = {self.pool[i]: 1.0 for i in indices}
+            self._track([self.model.execute(Activity(work, usages))])
         elif kind == "cancel":
             running = [a for a in self.acts if a.running]
             if running:
@@ -90,6 +98,10 @@ class _World:
             "now": self.env.now,
             "events": self.env.processed_events,
             "counters": [getattr(model, name) for name in COUNTERS],
+            # Within one wake the array engine frees finished rows before
+            # it splits a finished member's component, the object engine
+            # goes by ``_seq``: the transient peak may differ after a split.
+            "peak": model.peak_components if not model.splits else None,
             "running": sorted(self.index[a] for a in model.activities),
             "component_count": model.component_count,
             "component_sizes": model.component_sizes(),
@@ -100,9 +112,11 @@ class _World:
 @st.composite
 def _scripts(draw):
     n_caps = draw(st.sampled_from([1, 1, 2, 3]))
+    # 1e10 against clock values near 1e9 puts ``remaining / rate`` under
+    # the float spacing at ``now``: the absorbed-horizon completion.
     distinct = draw(
         st.lists(
-            st.sampled_from([1.0, 2.0, 3.0, 10.0, 64.0, math.inf]),
+            st.sampled_from([1.0, 2.0, 3.0, 10.0, 64.0, 1e10, math.inf]),
             min_size=n_caps,
             max_size=n_caps,
             unique=True,
@@ -119,16 +133,20 @@ def _scripts(draw):
             st.sampled_from(["fanout", "fanout", "single", "cancel", "sync", "step", "run"])
         )
         if kind == "fanout":
-            n = draw(st.integers(min_value=1, max_value=min(64, pool_size)))
-            start = draw(st.integers(min_value=0, max_value=pool_size - n))
-            indices = list(range(start, start + n))
+            # Members on routes of `hops` resources each, back to back.
+            hops = draw(st.sampled_from([1, 1, 2, 3]))
+            hops = min(hops, pool_size)
+            n = draw(st.integers(min_value=1, max_value=min(64, pool_size // hops)))
+            start = draw(st.integers(min_value=0, max_value=pool_size - n * hops))
+            indices = list(range(start, start + n * hops))
             if draw(st.booleans()) and draw(st.booleans()):
                 indices[-1] = indices[0]  # a resource listed twice
-            ops.append(("fanout", indices, draw(work)))
+            ops.append(("fanout", indices, draw(work), hops))
         elif kind == "single":
-            ops.append(
-                ("single", draw(st.integers(0, pool_size - 1)), draw(work))
+            indices = draw(
+                st.lists(st.integers(0, pool_size - 1), min_size=1, max_size=2, unique=True)
             )
+            ops.append(("single", indices, draw(work)))
         elif kind == "cancel":
             ops.append(("cancel", draw(st.integers(0, 500))))
         elif kind == "sync":
@@ -136,7 +154,7 @@ def _scripts(draw):
         elif kind == "step":
             ops.append(("step", draw(st.integers(1, 70))))
         else:
-            ops.append(("run", draw(st.sampled_from([0.0, 0.5, 3.0, 1e3]))))
+            ops.append(("run", draw(st.sampled_from([0.0, 0.5, 3.0, 1e3, 1e9]))))
     ops.append(("drain",))
     return capacities, ops
 
@@ -160,15 +178,16 @@ def _fanout_world(n, capacity=4.0, array=True):
 
 def test_cohort_is_one_row_one_heap_entry_and_n_components():
     world = _fanout_world(64)
-    world.apply(("fanout", list(range(64)), 1024.0))
+    world.apply(("fanout", list(range(64)), 1024.0, 1))
     world.env.run(until=1.0)
     model = world.model
-    assert model.cohorts_admitted == 1 and model.cohort_members == 64
+    stats = _cohorts(model)
+    assert stats.cohorts_admitted == 1 and stats.cohort_members == 64
     assert len(model._horizon_heap) == 1
     assert sum(acts is not None for acts in model._array.acts) == 1
     # Observability: members are the singleton components they are.
     reference = _fanout_world(64, array=False)
-    reference.apply(("fanout", list(range(64)), 1024.0))
+    reference.apply(("fanout", list(range(64)), 1024.0, 1))
     reference.env.run(until=1.0)
     assert len(model.activities) == 64
     assert model.component_count == reference.model.component_count == 64
@@ -183,16 +202,16 @@ def test_cohort_is_one_row_one_heap_entry_and_n_components():
 
 def test_member_cancelled_mid_flight_leaves_siblings_at_their_instant():
     untouched = _fanout_world(16, capacity=3.0)
-    untouched.apply(("fanout", list(range(16)), 1000.0))
+    untouched.apply(("fanout", list(range(16)), 1000.0, 1))
     untouched.apply(("drain",))
     instant = untouched.acts[0].finished_at
 
     world = _fanout_world(16, capacity=3.0)
-    world.apply(("fanout", list(range(16)), 1000.0))
+    world.apply(("fanout", list(range(16)), 1000.0, 1))
     world.env.run(until=100.0)
     victim = world.acts[5]
     world.model.cancel(victim)
-    assert world.model.cohorts_dissolved == 1
+    assert _cohorts(world.model).cohorts_dissolved == 1
     assert isinstance(victim.done.value, ActivityCancelled)
     assert victim.remaining == 1000.0 - 3.0 * 100.0
     world.env.run()
@@ -203,11 +222,11 @@ def test_member_cancelled_mid_flight_leaves_siblings_at_their_instant():
 
 def test_second_user_promotes_one_member_under_its_own_component_id():
     world = _fanout_world(8)
-    world.apply(("fanout", list(range(8)), 1024.0))
+    world.apply(("fanout", list(range(8)), 1024.0, 1))
     world.env.run(until=64.0)
     model = world.model
-    world.apply(("single", 3, 512.0))
-    assert model.cohorts_dissolved == 1
+    world.apply(("single", [3], 512.0))
+    assert _cohorts(model).cohorts_dissolved == 1
     promoted = world.acts[3]
     assert model._comp_of[promoted].id == 3  # the row's first id + k
     assert model._comp_of[promoted] is model._comp_of[world.acts[8]]
@@ -226,37 +245,38 @@ def test_second_user_promotes_one_member_under_its_own_component_id():
 def test_two_cohorts_and_a_component_due_in_one_wake_complete_in_seq_order():
     for array in (True, False):
         world = _World(array, [4.0] * 3 + [8.0] + [4.0] * 3)
-        world.apply(("fanout", [0, 1, 2], 1024.0))
-        world.apply(("single", 3, 1024.0))
-        world.apply(("single", 3, 1024.0))  # two users at rate 4 each
-        world.apply(("fanout", [4, 5, 6], 1024.0))
+        world.apply(("fanout", [0, 1, 2], 1024.0, 1))
+        world.apply(("single", [3], 1024.0))
+        world.apply(("single", [3], 1024.0))  # two users at rate 4 each
+        world.apply(("fanout", [4, 5, 6], 1024.0, 1))
         world.env.run()
         assert {a.finished_at for a in world.acts} == {256.0}
         assert world.completed == list(range(8))
         assert [a._seq for a in world.acts] == sorted(a._seq for a in world.acts)
         if array:
-            assert world.model.cohorts_dissolved == 0
+            assert _cohorts(world.model).cohorts_dissolved == 0
 
 
 def test_unequal_capacities_fall_back_to_rows_of_one():
     states = []
     for array in (True, False):
         world = _World(array, [4.0, 4.0, 8.0, 4.0])
-        world.apply(("fanout", [0, 1, 2, 3], 64.0))
+        world.apply(("fanout", [0, 1, 2, 3], 64.0, 1))
         world.apply(("drain",))
         states.append(world.state())
         assert [a.finished_at for a in world.acts] == [16.0, 16.0, 8.0, 16.0]
         if array:
-            assert world.model.cohorts_admitted == 4 == world.model.cohort_members
+            stats = _cohorts(world.model)
+            assert stats.cohorts_admitted == 4 == stats.cohort_members
     assert states[0] == states[1]
 
 
 def test_zero_work_and_infinite_capacity_fanouts():
     for array in (True, False):
         world = _World(array, [math.inf] * 4)
-        world.apply(("fanout", [0, 1, 2, 3], 0.0))
+        world.apply(("fanout", [0, 1, 2, 3], 0.0, 1))
         assert all(a.done.triggered and a.finished_at == 0.0 for a in world.acts)
-        world.apply(("fanout", [0, 1, 2, 3], 5.0))
+        world.apply(("fanout", [0, 1, 2, 3], 5.0, 1))
         world.apply(("drain",))
         assert world.completed == list(range(8))
         assert world.env.now == 0.0 and world.env.processed_events == 10  # resolve, wake, 8 members
@@ -313,6 +333,35 @@ def test_wide_rigid_job_keeps_the_horizon_heap_tiny():
     model._flush = watching_flush
     sim.run()
     assert sim.monitor.run_record()["summary"]["completed_jobs"] == 1
-    assert model.cohorts_admitted == 20 and model.cohort_members == 20 * 4096
+    stats = _cohorts(model)
+    assert stats.cohorts_admitted == 20 and stats.cohort_members == 20 * 4096
     assert model.resolves == 20 * 4096
     assert peaks and max(peaks) <= 8
+
+
+@pytest.mark.parametrize("array", [True, False])
+@pytest.mark.parametrize("count, hops", [(5, 2), (4, 0), (1, -1)])
+def test_resources_must_divide_into_routes(array, count, hops):
+    world = _World(array, [4.0] * 8)
+    with pytest.raises(ValueError, match="do not make routes"):
+        world.model.execute_fanout(1.0, world.pool[:count], hops=hops)
+    assert not world.model.activities
+
+
+def test_exchange_on_private_routes_is_one_row_with_a_flat_route_list():
+    world = _World(True, [8.0, 4.0] * 6)
+    world.apply(("fanout", list(range(12)), 64.0, 2))  # rate: the 4.0 hop's
+    model = world.model
+    (row,) = [s for s, acts in enumerate(model._array.acts) if acts is not None]
+    assert len(model._array.acts[row]) == 6 and model._array.ress[row] == world.pool
+    assert _cohorts(model).cohort_members == 6 and len(model._horizon_heap) == 0
+    # A second user on member 2's *second* link singles that member out.
+    world.apply(("single", [5], 8.0))  # halves it until t = 4
+    assert _cohorts(model).cohorts_dissolved == 1
+    promoted = world.acts[2]
+    assert set(model._res_users) == {world.pool[4], world.pool[5]}
+    assert model._comp_of[promoted] is model._comp_of[world.acts[6]]
+    assert {len(r) for r in model._array.ress if r is not None} == {2}
+    world.apply(("drain",))
+    assert [a.finished_at for a in world.acts[:3]] == [16.0, 16.0, 18.0]
+    assert world.completed[-1] == 2

@@ -8,6 +8,11 @@ when every node of a task fan-out had its own solver row, horizon entry
 and queue entry, ~16 with one cohort row and one event run per fan-out.
 The budget leaves room for interpreter-version differences in which C
 calls cProfile sees, not for a per-node loop coming back.
+
+The second scenario is the small-campaign shape: six jobs iterating
+compute + ring exchange on a 16-node star, where every flow used to be
+its own component (30.8 calls per event) and an exchange on private
+routes is now one cohort row (22.4; the budget is that plus a quarter).
 """
 
 from repro import Simulation
@@ -15,6 +20,7 @@ from repro import Simulation
 from benchmarks.common import evaluation_workload, profiled_calls, reference_platform
 
 BUDGET = 20.0
+RING_BUDGET = 28.0
 
 
 def _simulation():
@@ -37,3 +43,42 @@ def test_rigid_easy_run_stays_within_its_call_budget():
     assert events > 10_000
     assert calls / events <= BUDGET, f"{calls / events:.2f} calls per event"
 
+
+def _ring_spec():
+    jobs = [
+        {
+            "id": k + 1,
+            "submit_time": 3.0 * k,
+            "num_nodes": nodes,
+            "application": {
+                "name": f"halo{k}",
+                "phases": [
+                    {
+                        "iterations": 25,
+                        "tasks": [
+                            {"type": "cpu", "flops": nodes * 1e12},
+                            {"type": "comm", "bytes": 1e7, "pattern": "ring"},
+                        ],
+                    }
+                ],
+            },
+        }
+        for k, nodes in enumerate([8, 4, 6, 2, 8, 5])
+    ]
+    return {
+        "platform": {
+            "nodes": {"count": 16, "flops": 1e12},
+            "network": {"topology": "star", "bandwidth": 1e10, "latency": 1e-6},
+        },
+        "workload": {"inline": {"jobs": jobs}},
+        "algorithm": "easy",
+    }
+
+
+def test_ring_exchange_run_stays_within_its_call_budget():
+    sim = Simulation.from_spec(_ring_spec())
+    calls = profiled_calls(sim.run)
+    events = sim.env.processed_events
+    assert sim.monitor.run_record()["summary"]["completed_jobs"] == 6
+    assert events > 3_000
+    assert calls / events <= RING_BUDGET, f"{calls / events:.2f} calls per event"

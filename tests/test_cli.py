@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,10 @@ def workload_file(tmp_path):
     )
     assert code == 0
     return path
+
+
+def _never_loaded(_path):
+    raise AssertionError("platform loaded before the output path was checked")
 
 
 def test_version_flag_prints_the_package_version(capsys):
@@ -182,10 +188,7 @@ class TestRun:
         # that printed its summary and then failed to save it is the bug.
         import repro.cli as cli
 
-        def never(_path):
-            raise AssertionError("platform loaded before the output path was checked")
-
-        monkeypatch.setattr(cli, "load_platform", never)
+        monkeypatch.setattr(cli, "load_platform", _never_loaded)
         occupied = tmp_path / "occupied"
         occupied.write_text("a file, not a directory")
         code = main(
@@ -204,6 +207,41 @@ class TestRun:
         assert "error:" in captured.err and "occupied" in captured.err
         assert "makespan" not in captured.out
         assert occupied.read_text() == "a file, not a directory"
+
+    @pytest.mark.parametrize("really", [True, False])
+    def test_run_existing_unwritable_output_dir_fails_before_simulating(
+        self, platform_file, workload_file, tmp_path, capsys, monkeypatch, really
+    ):
+        import repro.cli as cli
+
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        if really:
+            if os.geteuid() == 0:
+                pytest.skip("root writes anywhere")
+            locked.chmod(0o555)
+        else:
+            monkeypatch.setattr(
+                cli.os, "access", lambda path, mode: Path(path) != locked
+            )
+        monkeypatch.setattr(cli, "load_platform", _never_loaded)
+        code = main(
+            [
+                "run",
+                "--platform",
+                str(platform_file),
+                "--workload",
+                str(workload_file),
+                "--output-dir",
+                str(locked),
+            ]
+        )
+        locked.chmod(0o755)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.count("\n") == 1
+        assert "error:" in captured.err and "not writable" in captured.err
+        assert "makespan" not in captured.out
 
     def test_run_creates_missing_trace_parent(
         self, platform_file, workload_file, tmp_path
@@ -310,6 +348,54 @@ class TestCampaign:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fault", ["output-dir-occupied", "fingerprints-parent-occupied", "output-dir-locked"]
+    )
+    def test_campaign_run_bad_output_path_fails_before_any_scenario_runs(
+        self, campaign_file, tmp_path, capsys, monkeypatch, fault
+    ):
+        # The report is written after the whole campaign: the paths it
+        # will need are created and checked before the first scenario.
+        import repro.campaign as campaign
+        import repro.cli as cli
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("campaign ran before its output paths were checked")
+
+        monkeypatch.setattr(campaign.CampaignRunner, "run", never)
+        bad = tmp_path / "bad"
+        outdir, fingerprints = tmp_path / "out", tmp_path / "fp" / "prints.json"
+        if fault == "output-dir-locked":
+            bad.mkdir()
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != bad)
+            outdir = bad
+        else:
+            bad.write_text("a file, not a directory")
+            if fault == "output-dir-occupied":
+                outdir = bad
+            else:
+                fingerprints = bad / "prints.json"
+        code = main(
+            [
+                "campaign",
+                "run",
+                "--spec",
+                str(campaign_file),
+                "--output-dir",
+                str(outdir),
+                "--fingerprints",
+                str(fingerprints),
+                "--no-cache",
+                "--workers",
+                "1",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.count("\n") == 1
+        assert "error:" in captured.err and "bad" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_campaign_failed_scenario_is_runtime_exit(self, tmp_path, capsys):
         spec = dict(CAMPAIGN, algorithms=["easy", "wishful-thinking"])
