@@ -373,37 +373,39 @@ def test_micro_wide_component_removal_cost(benchmark):
     assert [row[4] for row in rows] == [256, 1024, 4096]
 
 
-FANOUT_SIZES = (1, 2, 4, 8, 16, 64, 512)
+#: 21 is the mean fan-out width of the ``rigid_sched`` journey.
+FANOUT_SIZES = (1, 8, 21, 64, 128)
 FANOUT_ROUNDS = 200
 
-#: Calls per member of ``_fanout_round_trips(1)`` at the parent of the
-#: cohort change (d66c426, CPython 3.11): n per-node ``Activity.unchecked``
-#: activities through ``execute_many``, one slot row, horizon entry and
-#: queue entry each.  A cohort of one must not cost more than that did.
-FANOUT_CALLS_N1_BEFORE_COHORTS = 103.18
+#: Calls per fan-out of ``_fanout_round_trips(n)`` at the parent of the
+#: memberless-cohort change (927741b, CPython 3.11): one ``Activity``, one
+#: ``done`` event, one all-of subscription and one ``_check`` per member —
+#: 102 + 6 (n - 1).  An intact cohort must not pay per member at all.
+FANOUT_CALLS_WITH_MEMBERS = {1: 103.2, 8: 151.2, 21: 229.3, 64: 487.5, 128: 871.8}
 
 
-def _fanout_round_trips(n: int) -> int:
-    """Admit and complete one n-node CPU fan-out, ``FANOUT_ROUNDS`` times."""
+def _fanout_round_trips(n: int):
+    """Admit and complete one n-node CPU fan-out, ``FANOUT_ROUNDS`` times;
+    returns the events processed and the cohorts that got members."""
     env = Environment()
     model = FairShareModel(env)
     cpus = [SharedResource(f"cpu{i}", 1e12) for i in range(n)]
 
     def job():
         for _ in range(FANOUT_ROUNDS):
-            acts = model.execute_fanout(1e12, list(cpus), ("job", "task"))
-            yield env.all_of([act.done for act in acts])
+            yield model.execute_fanout(1e12, cpus, ("job", "task")).done
 
     env.process(job())
     env.run()
     assert env.now == FANOUT_ROUNDS and model.resolves == FANOUT_ROUNDS * n
-    return env.processed_events
+    return env.processed_events, SolverStats.from_model(model).cohorts_dissolved
 
 
 @pytest.mark.benchmark(group="micro-model")
-def test_micro_fanout_sweep(benchmark):
-    """Per-member cost of a task fan-out by width: the cohort's fixed cost
-    (one row, one horizon entry, one event run) against what it saves."""
+def test_micro_fanout_width(benchmark):
+    """Cost of one task fan-out by width: admit, solve, wake, finish and
+    resume the waiting process.  A cohort has no members unless one is
+    singled out, so the calls must not grow with the width."""
 
     def sweep():
         rows = []
@@ -411,36 +413,48 @@ def test_micro_fanout_sweep(benchmark):
             best = float("inf")
             for _ in range(5):
                 start = time.perf_counter()
-                _fanout_round_trips(n)
+                events, dissolved = _fanout_round_trips(n)
                 best = min(best, time.perf_counter() - start)
-            members = FANOUT_ROUNDS * n
             calls = profiled_calls(lambda: _fanout_round_trips(n))
-            rows.append([n, best / members * 1e6, calls / members])
+            rows.append(
+                [
+                    n,
+                    best / FANOUT_ROUNDS * 1e6,
+                    calls / FANOUT_ROUNDS,
+                    events / FANOUT_ROUNDS,
+                    dissolved,
+                ]
+            )
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    header = ["nodes", "us_per_member", "calls_per_member"]
+    header = ["nodes", "us_per_fanout", "calls_per_fanout", "events_per_fanout", "dissolved"]
     print_table(
         "micro: admit + complete one CPU fan-out",
         header,
         rows,
         note=f"{FANOUT_ROUNDS} rounds, best of 5; calls counted by cProfile; "
-        f"n=1 before cohorts: {FANOUT_CALLS_N1_BEFORE_COHORTS} calls",
+        f"with one activity per member: {FANOUT_CALLS_WITH_MEMBERS} calls",
     )
     write_bench_json(
         "MICRO_FANOUT",
-        title="task fan-out cost per member",
+        title="task fan-out cost by width",
         header=header,
         rows=rows,
         extra={
             "rounds": FANOUT_ROUNDS,
             "python": sys.version.split()[0],
-            "calls_per_member_n1_before_cohorts": FANOUT_CALLS_N1_BEFORE_COHORTS,
+            "calls_per_fanout_with_members": FANOUT_CALLS_WITH_MEMBERS,
         },
     )
-    calls = [row[2] for row in rows]
-    assert calls == sorted(calls, reverse=True), calls  # never dearer when wider
-    assert calls[0] <= FANOUT_CALLS_N1_BEFORE_COHORTS
+    for n, _, calls, events, dissolved in rows:
+        # resolve, wake, n completions' worth, fire check, all-of (+ the
+        # process start, once)
+        assert round(events) == n + 4 and dissolved == 0
+        assert calls <= FANOUT_CALLS_WITH_MEMBERS[n]
+    widest, narrowest = rows[-1], rows[0]
+    per_member = (widest[2] - narrowest[2]) / (widest[0] - narrowest[0])
+    assert per_member < 0.5, f"{per_member:.2f} calls per added member"
 
 
 RING_SIZES = (2, 8, 64)

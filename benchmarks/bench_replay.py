@@ -12,7 +12,17 @@ per-row walls/speedups plus capture overhead and snapshot size, gated in
 CI against ``benchmarks/baselines/BENCH_replay.json``.  Two thresholds
 are hard-asserted here (not just tolerance-gated): resume-at-90% must be
 at least 5x faster than cold, and checkpointing every
-``_SNAPSHOT_EVERY`` events must cost under 10% wall-clock.
+``_SNAPSHOT_EVERY`` events must cost under ``_MAX_CAPTURE_MS`` of
+wall-clock per checkpoint.
+
+The capture budget is absolute, not a share of the run: what a checkpoint
+costs (job and monitor records, ROADMAP item 3, plus the collector's
+passes over what capture allocated) depends on the state it walks, not on
+how fast the engine gets between two of them.  25 ms is what the earlier
+"under 10 % of the cold run" budget allowed when it was set — 0.228 s of
+a 2.28 s run over nine checkpoints — so the gate binds exactly as it did
+then and does not loosen or tighten when the base run speeds up.  The
+share is still reported (``capture_overhead_pct``), as information.
 """
 
 import json
@@ -31,14 +41,16 @@ from benchmarks.common import (
 
 #: Checkpoint cadence in processed events.  ~320k events -> ~10 quiet
 #: boundaries: fine enough to land near any resume fraction, coarse
-#: enough that capture stays well under the 10% overhead budget.
+#: enough that capture stays a small share of the run.
 _SNAPSHOT_EVERY = 32_000
 
 _MIN_SPEEDUP_90 = 5.0
-_MAX_OVERHEAD_PCT = 10.0
+#: Wall-clock one checkpoint may add: 10 % of the 2.28 s cold run the
+#: budget was first set against, over its nine checkpoints.
+_MAX_CAPTURE_MS = 25.0
 
 #: Wall-clock repeats per mode (best-of).  Single-shot walls on shared CI
-#: runners jitter by ~10% — the same scale as the overhead budget — so
+#: runners jitter by ~10% — the same scale as the capture cost — so
 #: every timed mode takes the min over this many runs.
 _REPEATS = 3
 
@@ -116,8 +128,10 @@ def test_replay_capture_overhead(benchmark):
 
     sim, snapshots, wall = benchmark.pedantic(run, rounds=1, iterations=1)
     overhead_pct = 100.0 * (wall - _state["cold_wall"]) / _state["cold_wall"]
+    capture_ms = 1000.0 * (wall - _state["cold_wall"]) / len(snapshots)
     _state["snapshots"] = snapshots
     _state["overhead_pct"] = overhead_pct
+    _state["capture_ms"] = capture_ms
     # Size of the latest checkpoint as it would live on disk.
     _state["snapshot_size_mb"] = len(
         json.dumps(snapshots[-1].to_dict()).encode()
@@ -135,9 +149,10 @@ def test_replay_capture_overhead(benchmark):
     assert _fingerprint(sim) == _state["cold_record"]
     assert sim.env.processed_events == _state["cold_events"]
     assert len(snapshots) >= 8, "cadence too coarse to bisect resume points"
-    assert overhead_pct < _MAX_OVERHEAD_PCT, (
-        f"capture overhead {overhead_pct:.1f}% exceeds "
-        f"{_MAX_OVERHEAD_PCT:.0f}% budget"
+    assert capture_ms < _MAX_CAPTURE_MS, (
+        f"capture cost {capture_ms:.1f} ms per checkpoint "
+        f"({overhead_pct:.1f}% of the run) exceeds the "
+        f"{_MAX_CAPTURE_MS:.0f} ms budget"
     )
 
 
@@ -213,6 +228,7 @@ def test_replay_report(benchmark):
             "snapshot_count": len(_state["snapshots"]),
             "snapshot_size_mb": _state["snapshot_size_mb"],
             "capture_overhead_pct": _state["overhead_pct"],
+            "capture_ms_per_checkpoint": _state["capture_ms"],
             "cold_wall_s": _state["cold_wall"],
             "cold_events": _state["cold_events"],
             "speedup_50": _state["speedup_50"],

@@ -167,16 +167,27 @@ class Environment:
         — same processing order against every other entry, one processed
         event per member — but the queue holds a single
         :class:`~repro.des.events.EventRun` instead of ``len(events)``
-        tuples.  The caller hands over the list.
+        tuples.  An event that is itself a run (a memberless one stands
+        for ``width`` events) takes ``width`` of the ids.  The caller hands
+        over the list.
         """
+        if not events:
+            return
+        eid0 = eid = next(self._eid)
+        for event in events:
+            if type(event) is EventRun:
+                event.eid = eid
+                eid += event.width
+            else:
+                eid += 1
+        if eid != eid0 + 1:
+            self._eid = count(eid)  # the members own the ids in between
         if len(events) > 1:
-            eid0 = next(self._eid)
-            self._eid = count(eid0 + len(events))  # the members own these ids
-            run = EventRun(self, events, eid0)
+            run = EventRun(self, events, eid - eid0)
+            run.eid = eid0
             heappush(self._queue, (self._now, NORMAL, eid0, run))
         else:
-            for event in events:
-                heappush(self._queue, (self._now, NORMAL, next(self._eid), event))
+            heappush(self._queue, (self._now, NORMAL, eid0, events[0]))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -186,7 +197,10 @@ class Environment:
         """Process the next event.
 
         Raises :class:`EmptySchedule` if the queue is empty and propagates
-        failures of events nobody handled (defused is False).
+        failures of events nobody handled (defused is False).  A run with
+        members is stepped one member at a time; a memberless one (``width``
+        events nobody subscribed to, with nothing observable in between) is
+        one step that counts ``width`` processed events.
         """
         queue = self._queue
         while True:
@@ -194,13 +208,19 @@ class Environment:
                 now, _, eid, event = heappop(queue)
             except IndexError:
                 raise EmptySchedule() from None
-            if type(event) is EventRun:
+            if type(event) is EventRun and event.members is not None:
                 # One event per step: take the run's next member and put
                 # the rest back under the following member's id.
                 run, event = event, event.members[event.pos]
                 run.pos += 1
+                nested = type(event) is EventRun
                 if run.pos < len(run.members):
-                    heappush(queue, (now, NORMAL, eid + 1, run))
+                    run.eid = eid + (event.width if nested else 1)
+                    heappush(queue, (now, NORMAL, run.eid, run))
+                if nested and event.callbacks is not None:
+                    # A member that is a run steps as the entry it would be.
+                    heappush(queue, (now, NORMAL, eid, event))
+                    continue
             callbacks, event.callbacks = event.callbacks, None
             if callbacks is not None:
                 break

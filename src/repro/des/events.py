@@ -181,41 +181,69 @@ class PooledEvent(Event):
 
 
 class EventRun(Event):
-    """Several already-triggered events queued as *one* entry.
+    """Several events of one instant queued as *one* entry.
 
     Built by :meth:`Environment.schedule_run` for events triggered back to
-    back at one instant (the completions of a task fan-out): the members
-    own the consecutive insertion ids ``eid0 … eid0 + n - 1`` and the run
-    sits in the queue under the id of its next member, so every other
-    entry sorts exactly as if each member had its own.  Processing the run
-    processes the members in order — each counts as one processed event,
-    runs its callbacks and escalates an unhandled failure like any queue
-    entry.  Only an entry below ``NORMAL`` priority scheduled for the
-    current instant can sort before the next member (anything ``NORMAL``
-    scheduled meanwhile carries a larger id), so the walk checks the queue
-    head after each member and, on finding one — or when a callback raises
-    — re-queues the remainder and returns to the main loop.
+    back at one instant (the completions of one wake-up): the members own
+    consecutive insertion ids from ``eid`` on and the run sits in the queue
+    under the id of its next member, so every other entry sorts exactly as
+    if each member had its own.  Processing the run processes the members
+    in order — each counts as one processed event, runs its callbacks and
+    escalates an unhandled failure like any queue entry.  Only an entry
+    below ``NORMAL`` priority scheduled for the current instant can sort
+    before the next member (anything ``NORMAL`` scheduled meanwhile carries
+    a larger id), so the walk checks the queue head after each member and,
+    on finding one — or when a callback raises — re-queues the remainder
+    and returns to the main loop.
+
+    A run may be *memberless* (``members is None``): it stands for ``width``
+    events nobody subscribed to one by one — the completions of an intact
+    fan-out cohort.  Its entry owns ``width`` insertion ids and processing
+    it counts ``width`` processed events, then runs the callbacks
+    subscribed to the run itself, once; nothing observable can happen
+    between events without subscribers, so the count and the ids are all
+    there is to them.  Until it is processed the events can still be named
+    (:meth:`name_members`), which makes it an ordinary run.  A member may
+    itself be a run: it owns ``width`` of the enclosing run's ids.
     """
 
-    __slots__ = ("members", "eid0", "pos")
+    __slots__ = ("members", "width", "eid", "pos")
 
-    def __init__(self, env: "Environment", members: list[Event], eid0: int) -> None:
+    def __init__(
+        self, env: "Environment", members: Optional[list[Event]], width: int
+    ) -> None:
         super().__init__(env)
         self.callbacks = [self._walk]
         self._value = None  # triggered: the run itself carries nothing
         self.members = members
-        self.eid0 = eid0
+        #: Insertion ids owned: one per event the run stands for.
+        self.width = width
+        #: Insertion id of the next member; set when the run is queued.
+        self.eid = -1
         #: Index of the next member to process.
         self.pos = 0
 
+    def name_members(self, members: list[Event]) -> None:
+        """Give a memberless run, not yet processed, its ``width`` events.
+
+        Whoever subscribed to the run subscribes to the members instead:
+        the run's own subscriptions are dropped.
+        """
+        self.members = members
+        self.callbacks = [self._walk]
+
     def _walk(self, _run: Event) -> None:
         env = self.env
+        members = self.members
+        if members is None:
+            # Whoever processes the run counted the first of its events.
+            env.processed_events += self.width - 1
+            return
         queue = env._queue
         now = env._now
-        members = self.members
         n = len(members)
-        i = self.pos
-        # The main loop counted this entry; the members count themselves.
+        start = i = self.pos
+        # Whoever processes the run counted it; the members count themselves.
         env.processed_events -= 1
         try:
             while i < n:
@@ -234,9 +262,11 @@ class EventRun(Event):
                     break
         finally:
             if i < n:
+                for event in members[start:i]:
+                    self.eid += event.width if type(event) is EventRun else 1
                 self.pos = i
                 self.callbacks = [self._walk]
-                heappush(queue, (now, NORMAL, self.eid0 + i, self))
+                heappush(queue, (now, NORMAL, self.eid, self))
 
 
 class Timeout(Event):
@@ -334,6 +364,7 @@ class Condition(Event):
         env: "Environment",
         evaluate: Callable[[list[Event], int], bool],
         events: Iterable[Event],
+        expected: int = 0,
     ) -> None:
         super().__init__(env)
         self._evaluate = evaluate
@@ -342,9 +373,12 @@ class Condition(Event):
         self._build_scheduled = False
         # Fired-count threshold for the built-in combinators, so the hot
         # _check path compares two ints instead of calling back out.  -1
-        # falls through to the general evaluate callable.
+        # falls through to the general evaluate callable.  ``expected``
+        # more check-ins count towards an all-of (:meth:`AllOf.expecting`).
         if evaluate is Condition.all_events:
-            self._target = len(self._events)
+            self._target = len(self._events) + expected
+        elif expected:
+            raise ValueError("only an all-of can expect unnamed events")
         elif evaluate is Condition.any_events:
             self._target = 1 if self._events else 0
         else:
@@ -367,7 +401,7 @@ class Condition(Event):
                 event.callbacks.append(check)
 
         # An empty condition is immediately true.
-        if not self._events and self._value is PENDING:
+        if not self._events and not expected and self._value is PENDING:
             self.succeed(ConditionValue())
 
     def _populate_value(self, value: ConditionValue) -> None:
@@ -438,8 +472,48 @@ class Condition(Event):
 class AllOf(Condition):
     """Condition satisfied when every event in ``events`` has succeeded."""
 
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
+    def __init__(
+        self, env: "Environment", events: Iterable[Event], expected: int = 0
+    ) -> None:
+        super().__init__(env, Condition.all_events, events, expected)
+
+    @classmethod
+    def expecting(cls, env: "Environment", count: int) -> "AllOf":
+        """An all-of over ``count`` events that do not exist (yet).
+
+        For events nobody has subscribed to one by one — the completions
+        of an intact fan-out cohort.  They check in together, through the
+        memberless :class:`EventRun` that stands for them
+        (``run.callbacks.append(cond._check_run)``), or are named after the
+        fact (:meth:`adopt`), from where on this is the ordinary all-of
+        over them.  Same queue entries either way: the fire check queued
+        by the last check-in, then the condition.  The value lists adopted
+        events only.
+        """
+        return cls(env, (), count)
+
+    def adopt(self, events: list[Event]) -> None:
+        """Name the events an :meth:`expecting` all-of waits for.
+
+        Those already processed have checked in (as part of their run);
+        the others do so one by one from here on.
+        """
+        self._events = events
+        check = self._check
+        for event in events:
+            if event.callbacks is not None:
+                event.callbacks.append(check)
+
+    def _check_run(self, run: "EventRun") -> None:
+        """``run.width`` expected events succeeded: that many ``_check`` calls."""
+        if self._value is not PENDING:
+            return
+        self._count += run.width
+        if not self._build_scheduled and self._count >= self._target:
+            self._build_scheduled = True
+            check = self.env.pooled_event()
+            check.callbacks.append(lambda _e: self._build_value(run))
+            self.env.schedule(check, priority=NORMAL)
 
 
 class AnyOf(Condition):

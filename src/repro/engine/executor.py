@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Collection, Generator, List, Optional, Protocol, Sequence
+from typing import Any, Collection, Dict, Generator, List, Optional, Protocol, Sequence
 
 from repro.application import (
     BbReadTask,
@@ -20,7 +20,7 @@ from repro.application import (
 from repro.des import Environment, Event, Interrupt
 from repro.job import Job
 from repro.platform import Node, Platform, Route
-from repro.sharing import Activity, FairShareModel, SharedResource
+from repro.sharing import Activity, FairShareModel, Fanout, SharedResource
 
 
 class EngineError(Exception):
@@ -115,8 +115,14 @@ class JobExecutor:
         #: is off — every emission site guards on that, and test stubs
         #: without the attribute read as disabled).
         self.tracer = getattr(batch, "tracer", None)
-        self._outstanding: List[Activity] = []
+        #: The fan-out the generator is waiting for, if any.
+        self._outstanding: Optional[Fanout] = None
         self._current_wait: Optional[Event] = None
+        #: The allocation's resource lists as handed to ``execute_fanout``
+        #: ("cpu" / "gpu" → one per node), built once per allocation
+        #: generation: the model only reads them.
+        self._resources: Dict[str, List[SharedResource]] = {}
+        self._resources_generation: int = -1
         self._parallel_branches: List = []
         #: (branch event, branch executor) per task of an in-flight parallel
         #: phase, in task order.  Unlike ``_parallel_branches`` (live procs
@@ -324,31 +330,15 @@ class JobExecutor:
             gpus_per_node=nodes[0].gpus if nodes else 0,
         )
 
-        if isinstance(task, CpuTask):
+        if isinstance(task, (CpuTask, GpuTask)):
             flops = task.flops_per_node(variables, n)
             if flops <= 0:
                 return
-            yield from self._wait_started(
-                self.model.execute_fanout(
-                    flops, [node.cpu for node in nodes], (self.job.jid, task.name)
-                )
+            resources = self._node_resources(
+                nodes, "cpu" if isinstance(task, CpuTask) else "gpu", task
             )
-            return
-
-        if isinstance(task, GpuTask):
-            flops = task.flops_per_node(variables, n)
-            if flops <= 0:
-                return
-            for node in nodes:
-                if node.gpu is None:
-                    raise EngineError(
-                        f"Job {self.job.name}: task {task.name!r} needs GPUs, "
-                        f"but node {node.name} has none"
-                    )
             yield from self._wait_started(
-                self.model.execute_fanout(
-                    flops, [node.gpu for node in nodes], (self.job.jid, task.name)
-                )
+                self.model.execute_fanout(flops, resources, (self.job.jid, task.name))
             )
             return
 
@@ -426,9 +416,37 @@ class JobExecutor:
 
         raise EngineError(f"Unknown task type {type(task).__name__}")
 
+    def _node_resources(
+        self, nodes: List[Node], kind: str, task: Task
+    ) -> List[SharedResource]:
+        """The ``kind`` ("cpu" / "gpu") resource of every node, in order.
+
+        For the whole allocation — every task of a job without a placement
+        hook — the list is built once per allocation generation and shared
+        between the fan-outs that use it; a placed subset gets its own.
+        """
+        job = self.job
+        whole = nodes is job.assigned_nodes
+        if whole:
+            if self._resources_generation != job.allocation_generation:
+                self._resources_generation = job.allocation_generation
+                self._resources = {}
+            resources = self._resources.get(kind)
+            if resources is not None:
+                return resources
+        resources = [getattr(node, kind) for node in nodes]
+        if None in resources:  # every node has a CPU
+            raise EngineError(
+                f"Job {job.name}: task {task.name!r} needs GPUs, "
+                f"but node {nodes[resources.index(None)].name} has none"
+            )
+        if whole:
+            self._resources[kind] = resources
+        return resources
+
     def _start_flows(
         self, routes: List[Route], nbytes: float, payloads: List[tuple]
-    ) -> List[Activity]:
+    ) -> Fanout:
         """Start one flow of ``nbytes`` along each of ``routes``.
 
         Flows that are one activity but for their resources — equal hop
@@ -441,18 +459,19 @@ class JobExecutor:
         if hops and all([len(route.resources) == hops for route in routes]):
             works = [flow_work(nbytes, route.latency, route.resources) for route in routes]
             if works.count(works[0]) == len(works):
-                activities = self.model.execute_fanout(
+                return self.model.execute_fanout(
                     works[0],
                     [res for route in routes for res in route.resources],
-                    hops=hops,
+                    payloads,
+                    hops,
                 )
-                for activity, payload in zip(activities, payloads):
-                    activity.payload = payload
-                return activities
-        return [
-            transfer(self.env, self.model, route, nbytes, payload=payload)
-            for route, payload in zip(routes, payloads)
-        ]
+        return Fanout(
+            self.env,
+            [
+                transfer(self.env, self.model, route, nbytes, payload=payload)
+                for route, payload in zip(routes, payloads)
+            ],
+        )
 
     def _run_pfs_io(self, task, variables, *, read: bool) -> Generator[Event, Any, None]:
         pfs = self.platform.pfs
@@ -483,7 +502,7 @@ class JobExecutor:
                     payload=(self.job.jid, task.name, node.index),
                 )
             )
-        yield from self._wait_started(activities)
+        yield from self._wait_started(Fanout(self.env, activities))
 
     def _run_bb_io(self, task, variables, *, read: bool) -> Generator[Event, Any, None]:
         nodes = self._task_nodes(task)
@@ -506,7 +525,7 @@ class JobExecutor:
                 )
             )
         self.model.execute_many(activities)
-        yield from self._wait_started(activities)
+        yield from self._wait_started(Fanout(self.env, activities))
         if not read and getattr(task, "charge", False):
             for node in nodes:
                 node.bb.charge(nbytes)
@@ -597,7 +616,7 @@ class JobExecutor:
 
         job.redistribution_bytes_moved += moved
         start = self.env.now
-        yield from self._wait_started(activities)
+        yield from self._wait_started(Fanout(self.env, activities))
         tracer = self.tracer
         if tracer is not None and self.env.now > start:
             tracer.span(
@@ -614,26 +633,27 @@ class JobExecutor:
 
     # -- waiting helpers ----------------------------------------------------
 
-    def _wait_started(self, activities: List[Activity]) -> Generator[Event, Any, None]:
-        """Wait for already-started activities; cancellable via interrupt."""
-        if not activities:
-            return
-        self._outstanding = activities
-        condition = self.env.all_of([act.done for act in activities])
-        self._current_wait = condition
+    def _wait_started(self, fanout: Fanout) -> Generator[Event, Any, None]:
+        """Wait for an already-started fan-out; cancellable via interrupt.
+
+        An empty one is done already: the process carries straight on.
+        """
+        self._outstanding = fanout
+        done = fanout.done
+        self._current_wait = done
         self._wait_kind = "acts"
         # No try/finally: on an interrupt the state must survive so that
         # run()'s handler can cancel the in-flight activities.
-        yield condition
+        yield done
         self._wait_kind = None
         self._current_wait = None
-        self._outstanding = []
+        self._outstanding = None
 
     def _cancel_outstanding(self) -> None:
-        """Abort in-flight activities (and parallel branches) after an
+        """Abort the in-flight fan-out (and parallel branches) after an
         interrupt."""
-        for act in self._outstanding:
-            self.model.cancel(act)
+        if self._outstanding is not None:
+            self.model.cancel(self._outstanding)
         for proc in self._parallel_branches:
             if proc.is_alive:
                 proc.interrupt("parent-killed")
@@ -641,7 +661,7 @@ class JobExecutor:
             # The condition will fail when the cancelled activities fail;
             # nobody waits for it anymore, so mark the failure as handled.
             self._current_wait.defuse()
-        self._outstanding = []
+        self._outstanding = None
         self._parallel_branches = []
         self._branch_slots = []
         self._current_wait = None
@@ -660,9 +680,10 @@ class JobExecutor:
     def capture_state(self, registry, prefix: str) -> dict:
         """Record the resume cursor and the current wait as JSON-safe state.
 
-        ``registry`` is the snapshot's sid registry: running activities were
-        already claimed by the fair-share model's capture (``act.<seq>``);
-        a pending delay timeout is claimed here under ``<prefix>.delay``.
+        ``registry`` is the snapshot's sid registry: running activities and
+        intact cohorts were already claimed by the fair-share model's
+        capture (``act.<seq>`` / ``fan.<seq>``); a pending delay timeout is
+        claimed here under ``<prefix>.delay``.
         Must only be called at a quiet boundary while the executor's
         process is suspended on a wait.
         """
@@ -680,30 +701,7 @@ class JobExecutor:
             "reconfig_origin": self._reconfig_origin,
         }
         if self._wait_kind == "acts":
-            outstanding = []
-            for act in self._outstanding:
-                if act._model is not None:
-                    outstanding.append({"ref": registry.sid_of(act)})
-                else:
-                    # Already finished: its done event is processed, but the
-                    # AllOf still references it.  Record enough to rebuild a
-                    # behaviorally-equivalent placeholder.
-                    outstanding.append(
-                        {
-                            "done": {
-                                "work": act.work,
-                                "payload": (
-                                    list(act.payload)
-                                    if isinstance(act.payload, tuple)
-                                    else act.payload
-                                ),
-                                "seq": act._seq,
-                                "started_at": act.started_at,
-                                "finished_at": act.finished_at,
-                            }
-                        }
-                    )
-            state["outstanding"] = outstanding
+            state["outstanding"] = self._capture_outstanding(registry)
         elif self._wait_kind == "delay":
             sid = f"{prefix}.delay"
             registry.claim(sid, self._current_wait)
@@ -730,11 +728,43 @@ class JobExecutor:
         # pending (not queued) and is recreated fresh on resume.
         return state
 
+    def _capture_outstanding(self, registry) -> Any:
+        """The fan-out being waited for: the sid of an intact cohort (the
+        model captured it whole, memberless), else one record per member."""
+        fanout = self._outstanding
+        cohort = registry.sid_of(fanout)
+        if cohort is not None:
+            return {"fanout": cohort}
+        outstanding = []
+        for act in fanout.activities:
+            if act._model is not None:
+                outstanding.append({"ref": registry.sid_of(act)})
+            else:
+                # Already finished: its done event is processed, but the
+                # AllOf still references it.  Record enough to rebuild a
+                # behaviorally-equivalent placeholder.
+                outstanding.append(
+                    {
+                        "done": {
+                            "work": act.work,
+                            "payload": (
+                                list(act.payload)
+                                if isinstance(act.payload, tuple)
+                                else act.payload
+                            ),
+                            "seq": act._seq,
+                            "started_at": act.started_at,
+                            "finished_at": act.finished_at,
+                        }
+                    }
+                )
+        return outstanding
+
     def resume_run(self, cursor: dict, resolved: dict) -> Generator[Event, Any, str]:
         """Replacement for :meth:`run` when resuming from a snapshot.
 
         ``resolved`` carries the live objects the restore layer rebuilt for
-        the captured wait (activities, a raw timeout, or branch events).
+        the captured wait (a fan-out, a raw timeout, or branch events).
         """
         job = self.job
         try:
@@ -786,15 +816,7 @@ class JobExecutor:
         iteration = self._iteration
 
         if kind == "acts":
-            activities = resolved["acts"]
-            self._outstanding = activities
-            condition = self.env.all_of([act.done for act in activities])
-            self._current_wait = condition
-            self._wait_kind = "acts"
-            yield condition
-            self._wait_kind = None
-            self._current_wait = None
-            self._outstanding = []
+            yield from self._wait_started(resolved["fanout"])
             if cursor["wait_ctx"] == "reconfig":
                 yield from self._finish_reconfiguration(cursor)
             else:

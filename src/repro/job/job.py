@@ -353,6 +353,11 @@ class Job:
         self._assigned_nodes = nodes
         self._allocation_generation += 1
 
+    @property
+    def allocation_generation(self) -> int:
+        """Bumped on every allocation change: the key of per-allocation caches."""
+        return self._allocation_generation
+
     # -- expression context ----------------------------------------------------
 
     def expression_variables(self, **extra: float) -> Dict[str, float]:

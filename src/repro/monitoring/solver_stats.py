@@ -58,11 +58,14 @@ class SolverStats:
         ``Monitor.run_record()``.
     cohorts_admitted / cohort_members / cohorts_dissolved:
         Cohort rows the slot engine admitted (a task fan-out or a
-        communication exchange on private routes is one row, a lone simple
-        activity a row of one), the activities in them in total, and rows
-        split back into rows of one because a member was cancelled or got
-        a second user on one of its resources.  All zero on the object
-        engine: engine-dependent like ``slot_solves``, and outside
+        communication exchange on private routes is one memberless row, a
+        lone simple activity a row of one), the activities in them in
+        total, and cohorts *dissolved* — their members materialised as
+        objects because one was cancelled (or the whole fan-out killed),
+        got a second user on one of its resources, or was asked for
+        through ``Fanout.activities``; a run that never singles a member
+        out ends at zero.  All zero on the object engine:
+        engine-dependent like ``slot_solves``, and outside
         ``Monitor.run_record()`` for the same reason.  Counted since the
         model was built or restored — a resumed run does not carry the
         checkpoint's tallies.

@@ -16,13 +16,12 @@ therefore byte-identical to the cold run from the boundary onward.
 
 from __future__ import annotations
 
-from math import inf
 from typing import Any, List, Optional
 
 from repro.des import Process
 from repro.des.events import Event, Timeout
 from repro.replay.snapshot import ReplayError, SidRegistry, Snapshot
-from repro.sharing import Activity
+from repro.sharing import Activity, Fanout
 
 
 def rebuild_timeout(env, delay: float, value: Any = None) -> Timeout:
@@ -44,30 +43,29 @@ def rebuild_timeout(env, delay: float, value: Any = None) -> Timeout:
 
 def rebuild_finished_activity(env, rec: dict) -> Activity:
     """A placeholder for an activity that completed before the snapshot
-    but is still referenced by an executor's all-of wait.
+    but is still a member of the fan-out an executor waits for.
 
     Behaviorally inert: its done event is already processed (the restored
     condition counts it immediately), and ``model.cancel`` on it no-ops
     because it belongs to no model.
     """
-    act = Activity.__new__(Activity)
-    act.work = rec["work"]
-    act.remaining = 0.0
-    act.usages = {}
-    act.weight = 1.0
-    act.bound = inf
     payload = rec["payload"]
-    act.payload = tuple(payload) if isinstance(payload, list) else payload
-    act.rate = 0.0
     done = Event(env)
+    act = Activity._raw(
+        seq=rec["seq"],
+        work=rec["work"],
+        remaining=0.0,
+        usages={},
+        payload=tuple(payload) if isinstance(payload, list) else payload,
+        rate=0.0,
+        done=done,
+        started_at=rec["started_at"],
+        finished_at=rec["finished_at"],
+        model=None,
+    )
     done._ok = True
     done._value = act
     done.callbacks = None  # processed
-    act.done = done
-    act.started_at = rec["started_at"]
-    act.finished_at = rec["finished_at"]
-    act._model = None
-    act._seq = rec["seq"]
     return act
 
 
@@ -101,13 +99,17 @@ class RestoreContext:
         """
         kind = cursor["wait_kind"]
         if kind == "acts":
+            outstanding = cursor["outstanding"]
+            if isinstance(outstanding, dict):
+                # An intact cohort, rebuilt memberless by the model.
+                return {"fanout": self.registry.obj_of(outstanding["fanout"])}
             acts = []
-            for rec in cursor["outstanding"]:
+            for rec in outstanding:
                 if "ref" in rec:
                     acts.append(self.registry.obj_of(rec["ref"]))
                 else:
                     acts.append(rebuild_finished_activity(self.env, rec["done"]))
-            return {"acts": acts}
+            return {"fanout": Fanout(self.env, acts)}
         if kind == "delay":
             timer = self.rebuild_timeout(
                 cursor["delay"]["sid"], cursor["delay"]["delay"]

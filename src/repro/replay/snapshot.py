@@ -18,13 +18,14 @@ it means some state holder has no owner and would be silently dropped.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Union
 
 
 #: Bump whenever the snapshot document layout changes incompatibly.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ReplayError(Exception):
@@ -100,27 +101,56 @@ class Snapshot:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Snapshot":
+        if not isinstance(doc, dict):
+            raise ReplayError(f"snapshot document is a {type(doc).__name__}, not an object")
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ReplayError(
                 f"snapshot schema version {version!r} not supported "
                 f"(expected {SCHEMA_VERSION})"
             )
-        return cls(
-            schema_version=version,
-            time=doc["time"],
-            processed_events=doc["processed_events"],
-            spec=doc["spec"],
-            state=doc["state"],
-        )
+        try:
+            return cls(
+                schema_version=version,
+                time=doc["time"],
+                processed_events=doc["processed_events"],
+                spec=doc["spec"],
+                state=doc["state"],
+            )
+        except KeyError as exc:
+            raise ReplayError(f"snapshot document lacks the key {exc}") from None
 
     def save(self, path: Union[str, Path]) -> None:
-        """Write the snapshot as JSON (``inf`` round-trips as Infinity)."""
-        Path(path).write_text(json.dumps(self.to_dict()))
+        """Write the snapshot as JSON (``inf`` round-trips as Infinity).
+
+        Atomically: a reader of ``path`` sees the previous file or the
+        whole new one, never a prefix — the document goes to a temporary
+        file beside it, which then takes its name.  (Not ``fsync``ed: a
+        snapshot is a cache of a run that can be repeated, so surviving a
+        crashed *process* is the point, not a crashed machine.)
+        """
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(self.to_dict()))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Snapshot":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a snapshot file; anything but a whole, current-schema
+        document — truncated, not JSON, a key missing — is a
+        :class:`ReplayError`."""
+        try:
+            doc = json.loads(Path(path).read_text())
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8
+            raise ReplayError(f"{path}: not a snapshot file ({exc})") from None
+        try:
+            return cls.from_dict(doc)
+        except ReplayError as exc:
+            raise ReplayError(f"{path}: {exc}") from None
 
     def __repr__(self) -> str:
         return (

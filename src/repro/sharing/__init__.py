@@ -12,6 +12,8 @@ file-system servers).  This package reimplements that model:
 * :class:`FairShareModel` — solves weighted max-min fair rate allocation
   (progressive filling) each time the activity set changes and drives
   activity completion events on a DES :class:`~repro.des.Environment`.
+* :class:`Fanout` — the handle of a task fan-out: many identical
+  activities started, waited for and cancelled as one.
 
 The solver guarantees two invariants that the property-based tests pin down:
 
@@ -26,6 +28,7 @@ from repro.sharing.model import (
     Activity,
     ActivityCancelled,
     FairShareModel,
+    Fanout,
     SharedResource,
     array_engine_enabled,
     set_array_engine_enabled,
@@ -36,6 +39,7 @@ __all__ = [
     "Activity",
     "ActivityCancelled",
     "FairShareModel",
+    "Fanout",
     "SharedResource",
     "array_engine_enabled",
     "set_array_engine_enabled",

@@ -30,10 +30,18 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 from math import inf
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.des.environment import Environment
-from repro.des.events import PENDING, Event, PooledEvent, URGENT
+from repro.des.events import (
+    PENDING,
+    URGENT,
+    AllOf,
+    ConditionValue,
+    Event,
+    EventRun,
+    PooledEvent,
+)
 from repro.des.exceptions import SimulationError
 
 
@@ -177,6 +185,43 @@ class Activity:
         #: Creation-order id; fixes processing order for determinism.
         self._seq: int = next(Activity._counter)
 
+    @classmethod
+    def _raw(
+        cls,
+        *,
+        seq: int,
+        work: float,
+        remaining: float,
+        usages: Dict[SharedResource, float],
+        payload: Any,
+        rate: float,
+        done: Event,
+        started_at: Optional[float],
+        finished_at: Optional[float],
+        model: Optional["FairShareModel"],
+        weight: float = 1.0,
+        bound: float = inf,
+    ) -> "Activity":
+        """An activity in a given state: every slot as passed, nothing
+        validated, copied or drawn from the id counter.  For the engine's
+        own use — materialising cohort members, restoring a snapshot —
+        and, beside ``__init__``, the only place that lists the slots.
+        """
+        act = cls.__new__(cls)
+        act.work = work
+        act.remaining = remaining
+        act.usages = usages
+        act.weight = weight
+        act.bound = bound
+        act.payload = payload
+        act.rate = rate
+        act.done = done
+        act.started_at = started_at
+        act.finished_at = finished_at
+        act._model = model
+        act._seq = seq
+        return act
+
     def __repr__(self) -> str:
         return (
             f"<Activity work={self.work:g} remaining={self.remaining:g} "
@@ -267,6 +312,22 @@ def _single_rate(act: Activity) -> float:
         rate = bound
     if limited_by_bound:
         rate = bound
+    return rate
+
+
+def _unit_rate(route: List[SharedResource]) -> float:
+    """:func:`_single_rate` of a unit-usage, unit-weight, unbounded activity
+    on ``route``, without the activity: the bottleneck capacity.
+
+    Equivalent bit for bit, capacities being positive: every demand is
+    ``1.0 * 1.0``, so each ratio is ``capacity / 1.0 == capacity``, theta
+    their minimum, and ``0.0 + theta * 1.0 == theta`` (``inf`` when every
+    capacity is).  ``tests/sharing/test_cohorts.py`` holds the two together.
+    """
+    rate = inf
+    for res in route:
+        if res.capacity < rate:
+            rate = res.capacity
     return rate
 
 
@@ -536,6 +597,192 @@ class Component:
         return f"<Component #{self.id} acts={len(self.acts)}>"
 
 
+class Fanout:
+    """Handle of one fan-out: ``len(fanout)`` activities, waited for as one.
+
+    What :meth:`FairShareModel.execute_fanout` returns.  ``done`` fires
+    once every member has completed — the all-of over the members'
+    ``done`` events — and :meth:`FairShareModel.cancel` takes the handle
+    like an activity.
+
+    An *intact cohort* (see :class:`_SlotTable`) has no member objects:
+    the handle records what the members share (work, start time, the flat
+    route list, one payload or one per member), the ``_seq`` range reserved
+    for them, and ``done`` expects ``len(fanout)`` check-ins, which arrive
+    together.  Whatever singles a member out — reading :attr:`activities`
+    included — *materialises* them: real :class:`Activity` objects under
+    the reserved ids, in exactly the state per-member bookkeeping would
+    have left them in; from there on the handle is the list of them and
+    ``done`` the ordinary all-of.  A fan-out the cohort table cannot hold
+    (object engine, shared or unequal resources, zero work) is
+    materialised from birth: ``Fanout(env, activities)``.
+    """
+
+    __slots__ = (
+        "done",
+        "_activities",
+        "_n",
+        "_seq",
+        "_work",
+        "_resources",
+        "_hops",
+        "_payloads",
+        "_started_at",
+        "_finished_at",
+        "_model",
+        "_run",
+    )
+
+    def __init__(self, env: Environment, activities: List[Activity]) -> None:
+        """The handle of already-started ``activities``."""
+        self._activities: Optional[List[Activity]] = activities
+        self._n = len(activities)
+        if activities:
+            self.done: Event = AllOf(env, [act.done for act in activities])
+        else:
+            # Nothing to wait for and nothing to queue: already processed.
+            done = self.done = Event(env)
+            done._value = ConditionValue()
+            done.callbacks = None
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __repr__(self) -> str:
+        state = "intact" if self._activities is None else "materialised"
+        return f"<Fanout of {self._n} {state}>"
+
+    @property
+    def activities(self) -> List[Activity]:
+        """The members, in route order.  Materialises an intact cohort."""
+        if self._activities is None:
+            model = self._model
+            if model is not None:
+                model._dissolve(model._res_slot[self._resources[0]])
+            else:
+                self._materialise(0.0, 0.0)
+        return self._activities  # type: ignore[return-value]
+
+    def _materialise(self, rate: float, remaining: float) -> List[Activity]:
+        """Create an intact cohort's members, as they would stand now.
+
+        Running (``_model`` set): ``rate`` and ``remaining`` are what the
+        last solve flush and integration would have written; the caller
+        gives them rows.  Completed: finished activities whose ``done``
+        events are the members of the completion run if that is still
+        queued, processed otherwise.
+        """
+        model = self._model
+        env = self.done.env
+        n = self._n
+        seq0 = self._seq
+        work = self._work
+        resources = self._resources
+        hops = self._hops
+        payloads = self._payloads
+        per_member = type(payloads) is list
+        started_at = self._started_at
+        finished_at = None if model is not None else self._finished_at
+        run = self._run
+        queued = run is not None and run.callbacks is not None
+        acts: List[Activity] = []
+        events: List[Event] = []
+        for k in range(n):
+            done = Event(env)
+            act = Activity._raw(
+                seq=seq0 + k,
+                work=work,
+                remaining=remaining,
+                usages=dict.fromkeys(resources[k * hops : (k + 1) * hops], 1.0),
+                payload=payloads[k] if per_member else payloads,
+                rate=rate,
+                done=done,
+                started_at=started_at,
+                finished_at=finished_at,
+                model=model,
+            )
+            if model is None:
+                done._value = act
+                if not queued:
+                    done.callbacks = None
+            acts.append(act)
+            events.append(done)
+        if queued:
+            run.name_members(events)  # type: ignore[union-attr]
+        self.done.adopt(events)  # type: ignore[attr-defined]
+        self._activities = acts
+        self._model = None
+        return acts
+
+    def _capture(self) -> dict:
+        """Snapshot record of an intact, running cohort (JSON-safe; the
+        routes are the row's)."""
+        payloads = self._payloads
+        shared = type(payloads) is not list
+        if not shared:
+            payloads = [list(p) if p is not None else None for p in payloads]
+        elif payloads is not None:
+            payloads = list(payloads)
+        return {
+            "seq": self._seq,
+            "n": self._n,
+            "work": self._work,
+            "hops": self._hops,
+            "shared_payload": shared,
+            "payloads": payloads,
+            "started_at": self._started_at,
+        }
+
+    @classmethod
+    def _restore(
+        cls, model: "FairShareModel", rec: dict, resources: List[SharedResource]
+    ) -> "Fanout":
+        """Rebuild an intact, running cohort's handle from :meth:`_capture`."""
+        payloads = rec["payloads"]
+        if not rec["shared_payload"]:
+            payloads = [tuple(p) if p is not None else None for p in payloads]
+        elif payloads is not None:
+            payloads = tuple(payloads)
+        return cls._cohort(
+            model,
+            rec["seq"],
+            rec["n"],
+            rec["work"],
+            resources,
+            rec["hops"],
+            payloads,
+            rec["started_at"],
+        )
+
+    @classmethod
+    def _cohort(
+        cls,
+        model: "FairShareModel",
+        seq0: int,
+        n: int,
+        work: float,
+        resources: List[SharedResource],
+        hops: int,
+        payloads: Any,
+        started_at: float,
+    ) -> "Fanout":
+        """The handle of a memberless cohort running on ``model``."""
+        fanout = cls.__new__(cls)
+        fanout.done = AllOf.expecting(model.env, n)
+        fanout._activities = None
+        fanout._n = n
+        fanout._seq = seq0
+        fanout._work = work
+        fanout._resources = resources
+        fanout._hops = hops
+        fanout._payloads = payloads
+        fanout._started_at = started_at
+        fanout._finished_at = None
+        fanout._model = model
+        fanout._run = None
+        return fanout
+
+
 class _SlotTable:
     """Struct-of-arrays store of *cohorts* of simple activities (array engine).
 
@@ -548,44 +795,52 @@ class _SlotTable:
     identical work and unit usage on ``n`` pairwise-disjoint routes of
     equal per-hop capacity: identical rate, remaining work, finish
     threshold and completion horizon, by construction.  One row of the
-    table therefore serves a whole *cohort* (a lone simple activity is a
-    cohort of one): the member list ``acts``, the flat list ``ress`` of
-    their routes (``len(ress) // len(acts)`` resources each, in member
-    order) plus scalar ``rate``, ``thresh``, ``remaining``, ``last``,
-    ``version`` and absolute ``horizon`` — one rate computation, one dirty
-    mark, one horizon-heap entry, one integration and one finished-check
-    for all members, the float operations a singleton component gets,
-    executed once.  Columns are plain Python lists indexed by an integer
-    slot (they beat numpy arrays for this per-row scalar traffic).
+    table therefore serves a whole *cohort*, and an intact cohort has no
+    members at all, only its :class:`Fanout` handle: ``owner`` is that
+    handle, ``n`` the member count, ``ress`` the flat list of the routes
+    (``len(ress) // n`` resources each, in member order), plus scalar
+    ``rate``, ``thresh``, ``remaining``, ``last``, ``version`` and absolute
+    ``horizon`` — one rate computation, one dirty mark, one horizon-heap
+    entry, one integration and one finished-check for all members, the
+    float operations a singleton component gets, executed once, and no
+    per-member write anywhere between admission and completion.  The other
+    kind of row is a *row of one*, whose ``owner`` is the
+    :class:`Activity` itself: a lone simple activity passed to
+    ``execute``, or a member of a dissolved cohort.  Columns are plain
+    Python lists indexed by an integer slot (they beat numpy arrays for
+    this per-row scalar traffic).
 
     The table is an engine-internal mirror: ``Activity.rate`` and
-    ``Activity.remaining`` of every member are written at exactly the
+    ``Activity.remaining`` of a row of one are written at exactly the
     observation points the object engine writes them (solve, integrate),
-    so external behaviour — including ``run_record`` — is byte-identical.
-    Member ``k`` owns component id ``cid + k``: a cohort consumes one id
-    per member from the model's counter, keeping id sequences (and thus
-    split/merge determinism) identical across engines.  A row's
-    ``version`` is bumped on every solve *and* on release, so horizon-heap
-    entries referencing a recycled slot lazily invalidate, exactly like
-    ``Component.version``.
+    and a cohort's members are created with the values those writes would
+    have left, so external behaviour — including ``run_record`` — is
+    byte-identical.  Member ``k`` owns ``_seq`` ``seq0 + k`` and component
+    id ``cid + k``: a cohort reserves one of each per member from the
+    counters, keeping id sequences (and thus split/merge determinism)
+    identical across engines.  A row's ``version`` is bumped on every
+    solve *and* on release, so horizon-heap entries referencing a recycled
+    slot lazily invalidate, exactly like ``Component.version``.
 
     A row's max-min rate depends only on quantities that are immutable
     after ``execute`` (resource capacity, usage factor, weight, bound), so
-    it is solved once at admission — by :func:`_single_rate`, what a
-    singleton component's solve computes — and every re-solve
-    thereafter is just a horizon division against the integrated remaining
-    work.  The finish threshold ``_FINISH_TOL * (1 + work)`` is likewise
-    constant and precomputed.
+    it is solved once at admission — what a singleton component's solve
+    computes (:func:`_single_rate`) — and every re-solve thereafter is
+    just a horizon division against the integrated remaining work.  The
+    finish threshold ``_FINISH_TOL * (1 + work)`` is likewise constant and
+    precomputed.
 
     Whatever singles a member out — its cancellation, a second user on one
-    of its resources — first *dissolves* the cohort into rows of one that keep its
-    scalars and are queued under the **same absolute horizon**: no
-    integration step happens, so no float drifts, and from there the
+    of its resources, a read of ``Fanout.activities`` — first *dissolves*
+    the cohort: its members are materialised and given rows of one that
+    keep its scalars and are queued under the **same absolute horizon**:
+    no integration step happens, so no float drifts, and from there the
     single-member code runs unchanged.
     """
 
     __slots__ = (
-        "acts",
+        "owner",
+        "n",
         "ress",
         "rate",
         "thresh",
@@ -602,8 +857,10 @@ class _SlotTable:
     )
 
     def __init__(self) -> None:
-        #: Members in creation (``_seq``) order, and their routes, flat.
-        self.acts: List[Optional[List[Activity]]] = []
+        #: The intact cohort's handle, or the activity of a row of one.
+        self.owner: List[Any] = []
+        #: Members in the row, and their routes, flat, in ``_seq`` order.
+        self.n: List[int] = []
         self.ress: List[Optional[List[SharedResource]]] = []
         #: Precomputed solved rate (:func:`_single_rate`).
         self.rate: List[float] = []
@@ -621,14 +878,15 @@ class _SlotTable:
         #: Number of live member activities (each a singleton component).
         self.live: int = 0
         #: Diagnostics (``SolverStats.cohorts_*``): rows admitted, their
-        #: members in total, rows dissolved.
+        #: members in total, cohorts dissolved (members materialised).
         self.admitted: int = 0
         self.members: int = 0
         self.dissolved: int = 0
 
     def add(
         self,
-        acts: List[Activity],
+        owner: Any,
+        n: int,
         ress: List[SharedResource],
         rate: float,
         thresh: float,
@@ -636,10 +894,11 @@ class _SlotTable:
         last: float,
         cid: int,
     ) -> int:
-        """Occupy a slot with one cohort row; returns the slot index."""
+        """Occupy a slot with one row; returns the slot index."""
         if self.free:
             s = self.free.pop()
-            self.acts[s] = acts
+            self.owner[s] = owner
+            self.n[s] = n
             self.ress[s] = ress
             self.rate[s] = rate
             self.thresh[s] = thresh
@@ -647,8 +906,9 @@ class _SlotTable:
             self.last[s] = last
             self.cid[s] = cid
         else:
-            s = len(self.acts)
-            self.acts.append(acts)
+            s = len(self.owner)
+            self.owner.append(owner)
+            self.n.append(n)
             self.ress.append(ress)
             self.rate.append(rate)
             self.thresh.append(thresh)
@@ -661,7 +921,7 @@ class _SlotTable:
 
     def release(self, s: int) -> None:
         """Vacate a slot; bump its version so heap entries lazily die."""
-        self.acts[s] = None
+        self.owner[s] = None
         self.ress[s] = None
         self.version[s] += 1
         self.free.append(s)
@@ -730,10 +990,8 @@ class FairShareModel:
         self._array: Optional[_SlotTable] = (
             _SlotTable() if (use_array and partition) else None
         )
-        #: activity → slot of its cohort row (array engine's running-activity
-        #: registry).
-        self._slot_of: Dict[Activity, int] = {}
-        #: resource → slot of the cohort row its sole (simple) user is in.
+        #: resource → slot of the row its sole (simple) user is in — also how
+        #: a row is found from its owner: through any of its resources.
         self._res_slot: Dict[SharedResource, int] = {}
         #: slot indices awaiting a re-solve at the current instant.
         self._dirty_slots: Dict[int, None] = {}
@@ -790,12 +1048,21 @@ class FairShareModel:
 
     # -- public API -------------------------------------------------------
 
-    @property
-    def activities(self) -> frozenset[Activity]:
-        """Snapshot of the running activities."""
-        if self._slot_of:
-            return frozenset(self._comp_of) | frozenset(self._slot_of)
-        return frozenset(self._comp_of)
+    def materialise(self) -> frozenset[Activity]:
+        """The running activities, as objects: dissolves every intact cohort.
+
+        A method, not a property, because it changes how the rest of the
+        run is executed (never what it computes).  To count, use
+        :attr:`component_count` / :meth:`component_sizes`, which do not.
+        """
+        running = list(self._comp_of)
+        table = self._array
+        if table is not None and table.live:
+            for owner in list(table.owner):
+                if type(owner) is Fanout:
+                    self._dissolve(self._res_slot[owner._resources[0]])
+            running += [owner for owner in table.owner if owner is not None]
+        return frozenset(running)
 
     @property
     def component_count(self) -> int:
@@ -812,9 +1079,9 @@ class FairShareModel:
         entries = [(comp.id, len(comp.acts)) for comp in self._components]
         table = self._array
         if table is not None:
-            for acts, cid in zip(table.acts, table.cid):
-                if acts is not None:
-                    entries.extend((cid + k, 1) for k in range(len(acts)))
+            for owner, n, cid in zip(table.owner, table.n, table.cid):
+                if owner is not None:
+                    entries.extend((cid + k, 1) for k in range(n))
         # By id, not by position: a promoted member re-enters
         # ``_components`` late, under the id it has had all along.
         entries.sort()
@@ -826,12 +1093,13 @@ class FairShareModel:
         for comp in self._components:
             size = len(comp.acts)
             histogram[size] = histogram.get(size, 0) + 1
-        if self._slot_of:
-            histogram[1] = histogram.get(1, 0) + len(self._slot_of)
+        table = self._array
+        if table is not None and table.live:
+            histogram[1] = histogram.get(1, 0) + table.live
         return dict(sorted(histogram.items()))
 
     def cohort_counts(self) -> Tuple[int, int, int]:
-        """Cohort rows admitted, the members in them, and rows dissolved.
+        """Cohort rows admitted, the members in them, and cohorts dissolved.
 
         Diagnostics of the array engine (all zero on the object engine),
         snapshotted into :class:`repro.monitoring.SolverStats`.
@@ -863,8 +1131,15 @@ class FairShareModel:
             (res,) = usages
             if res not in self._res_users and res not in self._res_slot:
                 # Simple activity: sole user of its one resource — a
-                # singleton component, admitted as a cohort of one.
-                self._admit([activity], [res])
+                # singleton component, admitted as a row of one.
+                self._admit(
+                    activity,
+                    1,
+                    [res],
+                    _single_rate(activity),
+                    activity.work,
+                    activity.remaining,
+                )
                 self._request_resolve()
                 return activity
 
@@ -886,29 +1161,36 @@ class FairShareModel:
         self,
         work: float,
         resources: List[SharedResource],
-        payload: Any = None,
+        payloads: Any = None,
         hops: int = 1,
-    ) -> List[Activity]:
+    ) -> Fanout:
         """Start one unit-usage activity of ``work`` per route in ``resources``.
 
         What a compute task does across its nodes (``hops=1``: one CPU
         each) and a communication step across its flows (``hops=2`` on a
         star: ``up[src]``, ``down[dst]``), said once: ``resources`` lists
-        the members' routes back to back, ``hops`` resources each.
-        Observably ``acts = [Activity(work, {res: 1.0, ...},
-        payload=payload) for each route]`` followed by
-        ``execute_many(acts)`` — same ``_seq`` and component ids, same
-        events, same results on either engine.  With the array engine,
-        free and pairwise-distinct resources whose capacities repeat from
-        route to route make the activities a single cohort row (see
-        :class:`_SlotTable`); anything else takes the ordinary admission
-        above.  The model keeps ``resources`` (pass a list it may own);
-        the activities are returned in route order.
+        the members' routes back to back, ``hops`` resources each, and
+        ``payloads`` is one payload per member when a list, every member's
+        payload otherwise.  Observably ``acts = [Activity(work, {res: 1.0,
+        ...}, payload=...) for each route]``, ``execute_many(acts)`` and an
+        all-of over their ``done`` events — same ``_seq`` and component
+        ids, same events, same results on either engine — returned as one
+        :class:`Fanout` handle.  With the array engine, free and
+        pairwise-distinct resources whose capacities repeat from route to
+        route make the fan-out a single memberless cohort row (see
+        :class:`_SlotTable`): no activity exists unless one is singled out.
+        Anything else takes the ordinary admission above.  ``resources``
+        and ``payloads`` are kept by reference and never written: the
+        caller may share them between calls but must not change them
+        while the fan-out runs.
         """
         total = len(resources)
         if hops < 1 or total % hops:
             raise ValueError(f"{total} resources do not make routes of {hops} hops")
         n = total // hops
+        per_member = type(payloads) is list
+        if per_member and len(payloads) != n:
+            raise ValueError(f"{len(payloads)} payloads for {n} routes")
         cohort = self._array is not None and n > 0 and work > 0
         if cohort:
             res_users = self._res_users
@@ -932,57 +1214,68 @@ class FairShareModel:
             acts = [
                 Activity(
                     work,
-                    dict.fromkeys(resources[k : k + hops], 1.0),
-                    payload=payload,
+                    dict.fromkeys(resources[k * hops : (k + 1) * hops], 1.0),
+                    payload=payloads[k] if per_member else payloads,
                 )
-                for k in range(0, total, hops)
+                for k in range(n)
             ]
             self.execute_many(acts)
-            return acts
+            return Fanout(self.env, acts)
 
-        env = self.env
-        now = env.now
-        counter = Activity._counter
+        # The members' ``_seq`` range, reserved; nobody draws them one by one.
+        seq0 = next(Activity._counter)
+        if n > 1:
+            Activity._counter = count(seq0 + n)
         work = float(work)
-        acts: List[Activity] = [None] * n  # type: ignore[list-item]
-        for k in range(n):
-            act = Activity.__new__(Activity)
-            act.work = work
-            act.remaining = work
-            act.usages = (
-                {resources[k]: 1.0}
-                if hops == 1
-                else dict.fromkeys(resources[k * hops : (k + 1) * hops], 1.0)
-            )
-            act.weight = 1.0
-            act.bound = inf
-            act.payload = payload
-            act.rate = 0.0
-            act.done = Event(env)
-            act.started_at = now
-            act.finished_at = None
-            act._model = self
-            act._seq = next(counter)
-            acts[k] = act
-        self._admit(acts, resources)
+        # Every route has the first one's capacities, hop for hop.
+        rate = _unit_rate(resources[:hops])
+        fanout = Fanout._cohort(
+            self, seq0, n, work, resources, hops, payloads, self.env.now
+        )
+        self._admit(fanout, n, resources, rate, work, work)
         self._request_resolve()
-        return acts
+        return fanout
 
-    def cancel(self, activity: Activity) -> None:
+    def cancel(self, activity: Union[Activity, Fanout]) -> None:
         """Abort a running activity; fails its ``done`` with a defused error.
 
         Cancelling an activity that already finished (or was never started)
-        is a no-op, which simplifies engine teardown paths.
+        is a no-op, which simplifies engine teardown paths.  A
+        :class:`Fanout` cancels member by member, in order — an intact
+        cohort in one pass: its members are materialised as cancelled
+        (same ``ActivityCancelled``, same failed ``done`` events as a loop
+        over them) without ever getting rows of their own.
         """
+        if type(activity) is Fanout:
+            members = activity._activities
+            if members is not None:
+                for member in members:
+                    self.cancel(member)
+            elif activity._model is self:
+                table = self._array
+                assert table is not None
+                s = self._res_slot[activity._resources[0]]
+                self._integrate_slot(s, self.env.now)
+                members = activity._materialise(0.0, table.remaining[s])
+                self._free_slot(s)
+                table.dissolved += 1
+                for member in members:
+                    self._cancelled(member)
+            return
         if activity._model is not self:
             return
-        if activity in self._slot_of:
-            slot = self._single_slot(activity, self._slot_of)
+        comp = self._comp_of.get(activity)
+        if comp is not None:
+            self._integrate(comp)
+            self._remove(activity)
+        else:
+            slot = self._single_slot(next(iter(activity.usages)))
             self._integrate_slot(slot, self.env.now)
             self._free_slot(slot)
-        else:
-            self._integrate(self._comp_of[activity])
-            self._remove(activity)
+        self._cancelled(activity)
+
+    def _cancelled(self, activity: Activity) -> None:
+        """Mark a just-deregistered activity cancelled and fail its ``done``."""
         activity._model = None
         activity.rate = 0.0
         if activity.done is not None and not activity.done.triggered:
@@ -1004,8 +1297,8 @@ class FairShareModel:
         table = self._array
         if table is not None:
             now = self.env.now
-            for slot, acts in enumerate(table.acts):
-                if acts is not None:
+            for slot, owner in enumerate(table.owner):
+                if owner is not None:
                     self._integrate_slot(slot, now)
 
     # -- component maintenance --------------------------------------------
@@ -1019,7 +1312,7 @@ class FairShareModel:
             # ordinary merge machinery below see it as `involved`.
             for res in activity.usages:
                 if res in self._res_slot:
-                    self._promote_slot(self._single_slot(res, self._res_slot))
+                    self._promote_slot(self._single_slot(res))
         involved: List[Component] = []
         if self._partition:
             seen: set[int] = set()
@@ -1158,35 +1451,39 @@ class FairShareModel:
 
     # -- cohort engine (struct-of-arrays) -----------------------------------
 
-    def _admit(self, acts: List[Activity], ress: List[SharedResource]) -> None:
-        """Enter simple activities, started this instant, as one cohort row.
+    def _admit(
+        self,
+        owner: Union[Activity, Fanout],
+        n: int,
+        ress: List[SharedResource],
+        rate: float,
+        work: float,
+        remaining: float,
+    ) -> None:
+        """Enter ``n`` simple activities, started this instant, as one row.
 
-        ``acts`` are identical but for their routes (``ress``, flat: free,
-        pairwise distinct, the same capacities hop for hop).  The row's
-        rate is solved here, once: its
-        inputs are immutable, so the per-resolve work shrinks to a horizon
-        division.  ``Activity.rate`` is *not* written yet — the object
-        engine only writes it at solve flushes, and the first flush
-        happens at this same instant anyway.
+        They are identical but for their routes (``ress``, flat: free,
+        pairwise distinct, the same capacities hop for hop) and ``rate``
+        is their solved rate: its inputs are immutable, so it is computed
+        once and the per-resolve work shrinks to a horizon division.
+        ``Activity.rate`` is *not* written yet — the object engine only
+        writes it at solve flushes, and the first flush happens at this
+        same instant anyway.
         """
-        first = acts[0]
         table = self._array
         assert table is not None
-        n = len(acts)
         s = table.add(
-            acts,
+            owner,
+            n,
             ress,
-            _single_rate(first),
-            _FINISH_TOL * (1 + first.work),
-            first.remaining,
-            first.started_at,  # type: ignore[arg-type]
+            rate,
+            _FINISH_TOL * (1 + work),
+            remaining,
+            self.env.now,
             self._next_cid,
         )
         self._next_cid += n
         table.live += n
-        slot_of = self._slot_of
-        for act in acts:
-            slot_of[act] = s
         res_slot = self._res_slot
         for res in ress:
             res_slot[res] = s
@@ -1199,30 +1496,27 @@ class FairShareModel:
             self.peak_components = total
 
     def _free_slot(self, s: int) -> None:
-        """Release a row and deregister its members."""
+        """Release a row and deregister its resources."""
         table = self._array
         assert table is not None
-        acts = table.acts[s]
-        assert acts is not None
-        for act in acts:
-            del self._slot_of[act]
+        res_slot = self._res_slot
         for res in table.ress[s]:  # type: ignore[union-attr]
-            del self._res_slot[res]
-        table.live -= len(acts)
+            del res_slot[res]
+        table.live -= table.n[s]
         table.release(s)
         self._dirty_slots.pop(s, None)
 
-    def _single_slot(self, key: Any, index: Dict[Any, int]) -> int:
-        """Slot of the row of one holding ``key`` — a member in ``_slot_of``
-        or its resource in ``_res_slot`` — dissolving its cohort first."""
-        s = index[key]
-        if len(self._array.acts[s]) > 1:  # type: ignore[union-attr,arg-type]
+    def _single_slot(self, res: SharedResource) -> int:
+        """Slot of the row of one using ``res``, dissolving its cohort first."""
+        s = self._res_slot[res]
+        if type(self._array.owner[s]) is Fanout:  # type: ignore[union-attr]
             self._dissolve(s)
-            s = index[key]
+            s = self._res_slot[res]
         return s
 
     def _dissolve(self, s: int) -> None:
-        """Split a cohort into rows of one that carry on unchanged.
+        """Materialise a cohort's members into rows of one that carry on
+        unchanged.
 
         Each member keeps the cohort's rate, remaining work, integration
         time and — unless a solve is pending anyway — its *absolute*
@@ -1231,9 +1525,9 @@ class FairShareModel:
         """
         table = self._array
         assert table is not None
-        acts = table.acts[s]
+        fanout = table.owner[s]
         ress = table.ress[s]
-        assert acts is not None and ress is not None
+        assert ress is not None
         rate = table.rate[s]
         thresh = table.thresh[s]
         remaining = table.remaining[s]
@@ -1243,13 +1537,16 @@ class FairShareModel:
         dirty = s in self._dirty_slots
         self._dirty_slots.pop(s, None)
         table.release(s)
-        hops = len(ress) // len(acts)
-        for k, act in enumerate(acts):
+        hops = fanout._hops
+        res_slot = self._res_slot
+        # A dirty row is one admitted this instant: no solve flush has
+        # written ``Activity.rate`` yet.
+        members = fanout._materialise(0.0 if dirty else rate, remaining)
+        for k, act in enumerate(members):
             route = ress[k * hops : (k + 1) * hops]
-            r = table.add([act], route, rate, thresh, remaining, last, cid + k)
-            self._slot_of[act] = r
+            r = table.add(act, 1, route, rate, thresh, remaining, last, cid + k)
             for res in route:
-                self._res_slot[res] = r
+                res_slot[res] = r
             if dirty:
                 self._dirty_slots[r] = None
             else:
@@ -1275,7 +1572,7 @@ class FairShareModel:
         table = self._array
         assert table is not None
         self._integrate_slot(s, self.env.now)
-        (act,) = table.acts[s]  # type: ignore[misc]
+        act = table.owner[s]
         comp = Component(table.cid[s], table.last[s])
         comp.acts[act] = None
         self._components[comp] = None
@@ -1307,8 +1604,9 @@ class FairShareModel:
                 if rem < 0.0:
                     rem = 0.0
             table.remaining[s] = rem
-            for act in table.acts[s]:  # type: ignore[union-attr]
-                act.remaining = rem
+            owner = table.owner[s]
+            if type(owner) is not Fanout:
+                owner.remaining = rem
         table.last[s] = now
 
     # -- lazy progress ------------------------------------------------------
@@ -1431,7 +1729,8 @@ class FairShareModel:
         started = perf_counter()
         heap = self._horizon_heap
         entry_ids = self._entry_ids
-        t_acts = table.acts
+        t_owner = table.owner
+        t_n = table.n
         t_rate = table.rate
         version = table.version
         remaining = table.remaining
@@ -1439,12 +1738,12 @@ class FairShareModel:
         t_horizon = table.horizon
         count_solved = 0
         for s in slots:
-            acts = t_acts[s]
-            if acts is None:
+            owner = t_owner[s]
+            if owner is None:
                 continue
             rate = t_rate[s]
-            for act in acts:
-                act.rate = rate
+            if type(owner) is not Fanout:
+                owner.rate = rate
             rem = remaining[s]
             if rate == inf or rem <= thresh[s]:
                 horizon = now
@@ -1458,7 +1757,7 @@ class FairShareModel:
             version[s] = v
             t_horizon[s] = horizon
             heappush(heap, (horizon, next(entry_ids), s, v))
-            count_solved += len(acts)
+            count_solved += t_n[s]
         self.solver_time += perf_counter() - started
         self.resolves += count_solved
         self.fast_solves += count_solved
@@ -1482,12 +1781,12 @@ class FairShareModel:
                 ]
             else:
                 version = table.version
-                acts = table.acts
+                owner = table.owner
                 fresh = []
                 for entry in heap:
                     ref = entry[2]
                     if type(ref) is int:
-                        if entry[3] == version[ref] and acts[ref] is not None:
+                        if entry[3] == version[ref] and owner[ref] is not None:
                             fresh.append(entry)
                     elif entry[3] == ref.version and ref.alive:
                         fresh.append(entry)
@@ -1504,7 +1803,7 @@ class FairShareModel:
         while heap:
             _, _, ref, version = heap[0]
             if type(ref) is int:
-                if version != table.version[ref] or table.acts[ref] is None:  # type: ignore[union-attr]
+                if version != table.version[ref] or table.owner[ref] is None:  # type: ignore[union-attr]
                     heappop(heap)
                     continue
             elif version != ref.version or not ref.alive or not ref.acts:
@@ -1541,7 +1840,7 @@ class FairShareModel:
         while heap:
             horizon, _, ref, entry_version = heap[0]
             if type(ref) is int:
-                if entry_version != table.version[ref] or table.acts[ref] is None:  # type: ignore[union-attr]
+                if entry_version != table.version[ref] or table.owner[ref] is None:  # type: ignore[union-attr]
                     heappop(heap)
                     continue
                 if horizon > now:
@@ -1564,7 +1863,7 @@ class FairShareModel:
         # ``now`` — ``remaining / rate`` below the float spacing at ``now``
         # — would re-arm this wake with ``dt == 0`` forever: what time can
         # no longer resolve is complete.
-        finished: List[Activity] = []
+        finished: List[Any] = []  # activities, and intact cohorts whole
         for comp in due:
             self._integrate(comp)
             done = [
@@ -1594,20 +1893,32 @@ class FairShareModel:
                 or rem <= table.thresh[s]  # type: ignore[union-attr]
                 or (rate > 0 and now + rem / rate == now)
             ):
-                finished += table.acts[s]  # type: ignore[union-attr,arg-type]
+                finished.append(table.owner[s])  # type: ignore[union-attr]
                 finished_rows += 1
                 self._free_slot(s)
             else:
                 self._dirty_slots[s] = None  # re-solve, like a component
 
         if due or finished_rows > 1:
-            # Deterministic completion order; one cohort alone is in it.
+            # Deterministic completion order (a cohort sorts by its first
+            # member: the ``_seq`` range is its own); one row alone is in it.
             finished.sort(key=lambda a: a._seq)
-            for act in finished:
-                if act in self._comp_of:
-                    self._remove(act)
+            if due:
+                comp_of = self._comp_of
+                for act in finished:
+                    if act in comp_of:
+                        self._remove(act)
+        env = self.env
         for act in finished:
             act._model = None
+            if type(act) is Fanout:
+                # No member to write to, no event per member: one
+                # memberless run stands for their completions and checks
+                # all of them in at once.
+                act._finished_at = now
+                run = act._run = EventRun(env, None, act._n)
+                run.callbacks.append(act.done._check_run)
+                continue
             act.remaining = 0.0
             act.rate = 0.0
             act.finished_at = now
@@ -1616,7 +1927,9 @@ class FairShareModel:
                 raise SimulationError(f"{done!r} has already been triggered")
             done._value = act  # type: ignore[union-attr]
         # Every completion of this wake, in order, as one queue entry.
-        self.env.schedule_run([act.done for act in finished])
+        env.schedule_run(
+            [act._run if type(act) is Fanout else act.done for act in finished]
+        )
         self._flush()
 
     # -- snapshot/restore ---------------------------------------------------
@@ -1626,8 +1939,9 @@ class FairShareModel:
 
         ``registry`` receives a claim for every model-owned object another
         module (or the environment's queue walk) may reference: running
-        activities under ``act.<seq>`` and queued completion wake-ups under
-        ``model.wake.<k>``.  ``res_index`` maps every shared resource to its
+        activities under ``act.<seq>``, intact cohorts (their handles —
+        nothing is materialised) under ``fan.<seq>`` and queued completion
+        wake-ups under ``model.wake.<k>``.  ``res_index`` maps every shared resource to its
         positional index in the platform's deterministic resource walk
         (:meth:`repro.platform.topology` — names are user-controlled and may
         collide, positions cannot).
@@ -1645,9 +1959,15 @@ class FairShareModel:
         if self.tracer is not None:
             raise RuntimeError("Cannot snapshot: a tracer is attached to the model")
 
-        acts = sorted(
-            list(self._comp_of) + list(self._slot_of), key=lambda a: a._seq
-        )
+        table = self._array
+        acts = list(self._comp_of)
+        if table is not None:
+            acts += [
+                owner
+                for owner in table.owner
+                if owner is not None and type(owner) is not Fanout
+            ]
+        acts.sort(key=lambda a: a._seq)
         act_records = []
         for act in acts:
             sid = f"act.{act._seq}"
@@ -1690,16 +2010,22 @@ class FairShareModel:
             for res, users in self._res_users.items()
         ]
 
-        table = self._array
         slots = None
         if table is not None:
-            # One record per row, members listed: a cohort in flight is
-            # captured — and resumed — as the cohort it is.
+            # One record per row: a cohort in flight is captured — and
+            # resumed — as the memberless row it is, a row of one by the
+            # sid of its activity.
+            owners: List[Any] = []
+            for owner in table.owner:
+                if type(owner) is Fanout:
+                    registry.claim(f"fan.{owner._seq}", owner)
+                    owners.append(owner._capture())
+                elif owner is not None:
+                    owners.append(f"act.{owner._seq}")
+                else:
+                    owners.append(None)
             slots = {
-                "acts": [
-                    [f"act.{a._seq}" for a in acts] if acts is not None else None
-                    for acts in table.acts
-                ],
+                "owner": owners,
                 "ress": [
                     [res_index[r] for r in ress] if ress is not None else None
                     for ress in table.ress
@@ -1721,7 +2047,7 @@ class FairShareModel:
         heap_records = []
         for time, entry_id, ref, version in sorted(self._horizon_heap):
             if type(ref) is int:
-                if table is None or version != table.version[ref] or table.acts[ref] is None:
+                if table is None or version != table.version[ref] or table.owner[ref] is None:
                     continue
                 heap_records.append([time, entry_id, ["slot", ref], version])
             else:
@@ -1791,20 +2117,21 @@ class FairShareModel:
 
         acts_by_sid: Dict[str, Activity] = {}
         for rec in state["activities"]:
-            act = Activity.__new__(Activity)
-            act.work = rec["work"]
-            act.remaining = rec["remaining"]
-            act.usages = {resources[i]: factor for i, factor in rec["usages"]}
-            act.weight = rec["weight"]
-            act.bound = rec["bound"]
             payload = rec["payload"]
-            act.payload = tuple(payload) if payload is not None else None
-            act.rate = rec["rate"]
-            act.done = Event(env)
-            act.started_at = rec["started_at"]
-            act.finished_at = None
-            act._model = self
-            act._seq = rec["seq"]
+            act = Activity._raw(
+                seq=rec["seq"],
+                work=rec["work"],
+                remaining=rec["remaining"],
+                usages={resources[i]: factor for i, factor in rec["usages"]},
+                payload=tuple(payload) if payload is not None else None,
+                rate=rec["rate"],
+                done=Event(env),
+                started_at=rec["started_at"],
+                finished_at=None,
+                model=self,
+                weight=rec["weight"],
+                bound=rec["bound"],
+            )
             acts_by_sid[rec["sid"]] = act
             registry.claim(rec["sid"], act)
 
@@ -1827,14 +2154,19 @@ class FairShareModel:
         table = self._array
         if table is not None:
             slots = state["slots"]
-            table.acts = [
-                [acts_by_sid[sid] for sid in sids] if sids is not None else None
-                for sids in slots["acts"]
-            ]
             table.ress = [
                 [resources[i] for i in idxs] if idxs is not None else None
                 for idxs in slots["ress"]
             ]
+            for rec, ress in zip(slots["owner"], table.ress):
+                if type(rec) is dict:
+                    owner = Fanout._restore(self, rec, ress)
+                    registry.claim(f"fan.{owner._seq}", owner)
+                    table.owner.append(owner)
+                    table.n.append(len(owner))
+                else:
+                    table.owner.append(acts_by_sid[rec] if rec is not None else None)
+                    table.n.append(1)
             table.rate = list(slots["rate"])
             table.thresh = list(slots["thresh"])
             table.remaining = list(slots["remaining"])
@@ -1843,10 +2175,9 @@ class FairShareModel:
             table.cid = list(slots["cid"])
             table.horizon = list(slots["horizon"])
             table.free = list(slots["free"])
-            for s, acts in enumerate(table.acts):
-                if acts is not None:
-                    table.live += len(acts)
-                    self._slot_of.update(dict.fromkeys(acts, s))
+            for s, owner in enumerate(table.owner):
+                if owner is not None:
+                    table.live += table.n[s]
                     self._res_slot.update(dict.fromkeys(table.ress[s], s))
 
         heap: List[tuple] = []

@@ -136,21 +136,72 @@ def test_shared_links_fall_back_to_one_component_per_flow(topology, pattern):
     assert _observed(sim) == _observed(_run(spec, False))
 
 
+def _running_ids(sim):
+    """``_seq`` (relative to the oldest) → component id of everything
+    running, read off the model without asking a handle for its members."""
+    model = sim.batch.model
+    ids = {act._seq: comp.id for act, comp in model._comp_of.items()}
+    table = model._array
+    if table is not None:
+        for owner, n, cid in zip(table.owner, table.n, table.cid):
+            if owner is not None:
+                ids.update((owner._seq + k, cid + k) for k in range(n))
+    first = min(ids, default=0)
+    return {seq - first: cid for seq, cid in sorted(ids.items())}, model._next_cid
+
+
+def _stopped_at(spec, array, until):
+    old = array_engine_enabled()
+    set_array_engine_enabled(array)
+    try:
+        sim = Simulation.from_spec(json.loads(json.dumps(spec)))
+        sim.run(until=until)
+    finally:
+        set_array_engine_enabled(old)
+    return sim
+
+
+def _killed_mid_flight(spec, kill_at):
+    """A walltime kill that lands inside a cohort: the one-pass cancel of
+    the handle must leave what the object engine's member loop leaves."""
+    sim = _run(spec, True)
+    assert sim.monitor.run_record()["summary"]["killed_jobs"] == 1
+    assert SolverStats.from_model(sim.batch.model).cohorts_dissolved == 1
+    assert _observed(sim) == _observed(_run(spec, False))
+    for until in (kill_at - 0.25, kill_at + 0.25):
+        array, reference = (_stopped_at(spec, flag, until) for flag in (True, False))
+        assert array.env.processed_events == reference.env.processed_events
+        ids, next_cid = _running_ids(array)
+        assert (ids, next_cid) == _running_ids(reference) and ids
+        dissolved = SolverStats.from_model(array.batch.model).cohorts_dissolved
+        assert dissolved == (until > kill_at)  # intact until the kill
+
+
 def test_job_killed_mid_exchange_dissolves_its_row():
     # 1 s of compute, then a 1 s ring step the walltime cuts in half.
     spec = _spec(
         "star",
         [
             _job(1, 8, [_exchange("ring", 1e9, iterations=1)], walltime=5.5),
-            _job(2, 4, [_exchange("ring", 1e9, iterations=2)]),
+            _job(2, 4, [_exchange("ring", 1e9, iterations=4)]),  # still going at the kill
         ],
     )
     spec["workload"]["inline"]["jobs"][0]["application"]["phases"][0]["tasks"][0]["flops"] = 4e13
-    sim = _run(spec, True)
-    record = sim.monitor.run_record()
-    assert record["summary"]["killed_jobs"] == 1
-    assert SolverStats.from_model(sim.batch.model).cohorts_dissolved == 1
-    assert _observed(sim) == _observed(_run(spec, False))
+    _killed_mid_flight(spec, kill_at=5.5)
+
+
+def test_job_killed_mid_compute_cohort_matches_the_member_loop():
+    # Job 1's 8-wide compute fan-out would take 10 s; job 2 keeps iterating
+    # beside it, so ids keep being drawn on both engines.
+    spec = _spec(
+        "star",
+        [
+            _job(1, 8, [_exchange("ring", 1e9, iterations=1)], walltime=4.5),
+            _job(2, 4, [_exchange("ring", 1e9, iterations=12)]),
+        ],
+    )
+    spec["workload"]["inline"]["jobs"][0]["application"]["phases"][0]["tasks"][0]["flops"] = 8e13
+    _killed_mid_flight(spec, kill_at=4.5)
 
 
 def test_second_user_on_one_members_link_dissolves_and_promotes():

@@ -212,7 +212,7 @@ class TestKill:
         assert job.kill_reason == "walltime"
         assert env.now == pytest.approx(1.0)
         # All in-flight activities were cancelled.
-        assert len(model.activities) == 0
+        assert model.component_count == 0
 
     def test_interrupt_mid_delay(self, env, start_job):
         job, proc = start_job(app_of(DelayTask("100")))
@@ -237,4 +237,4 @@ class TestKill:
         env.process(killer(env, proc))
         env.run(until=proc)
         # The node CPUs must be free again: a new activity gets full rate.
-        assert len(model.activities) == 0
+        assert model.component_count == 0

@@ -101,7 +101,7 @@ class TestParallelKill:
         assert job.state is JobState.KILLED
         assert job.end_time == pytest.approx(2.0)
         # No leaked activities in the fair-share model.
-        assert len(sim.batch.model.activities) == 0
+        assert sim.batch.model.component_count == 0
 
 
 class TestValidationAndJson:

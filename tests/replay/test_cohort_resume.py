@@ -1,10 +1,12 @@
 """Checkpoints that land while fan-out cohorts are in flight.
 
-A cohort row is captured as the row it is (member lists, the members'
-routes as one flat resource list, one set of scalars) and a dissolved
-one as its rows of one / promoted components;
-resuming either must reproduce the uninterrupted run byte for byte, in
-every engine mode, and ``whatif`` must still take the warm path.
+A cohort row is captured as the memberless row it is (one compact handle
+record, the members' routes as one flat resource list, one set of
+scalars — no member is materialised to take the snapshot) and a
+dissolved one as its rows of one / promoted components; resuming either
+must reproduce the uninterrupted run byte for byte, in every engine mode,
+and ``whatif`` must still take the warm path.  The snapshot *file* is
+written atomically and a damaged one is a ``ReplayError``.
 """
 
 import json
@@ -83,14 +85,23 @@ def engine_mode(request):
     set_compiled_enabled(old[1])
 
 
-def _rows(snapshot):
+def _cohort_rows(snapshot):
+    """(members, resources) of every memberless cohort row in a snapshot."""
     slots = snapshot.state["model"]["slots"]
-    return [acts for acts in slots["acts"] if acts is not None]
+    return [
+        (owner["n"], len(ress))
+        for owner, ress in zip(slots["owner"], slots["ress"])
+        if isinstance(owner, dict)
+    ]
 
 
 def test_the_scenario_checkpoints_cohorts_whole_and_dissolved():
     _, _, snapshots = snapshot_run(_spec(), 40)
-    assert any(len(acts) == 64 for snap in snapshots for acts in _rows(snap))
+    wide = [snap for snap in snapshots if (64, 64) in _cohort_rows(snap)]
+    assert wide
+    # One compact record: job 1's 64 members have no activity records.
+    for snap in wide:
+        assert not [r for r in snap.state["model"]["activities"] if r["payload"][0] == 1]
     # Job 2's members, promoted out of their dissolved cohort, as pairs.
     assert any(
         sum(len(comp["acts"]) == 2 for comp in snap.state["model"]["components"]) == 48
@@ -142,13 +153,7 @@ def _exchange_spec():
 
 def test_the_exchange_scenario_checkpoints_two_link_members():
     _, _, snapshots = snapshot_run(_exchange_spec(), 25)
-    slots = [snap.state["model"]["slots"] for snap in snapshots]
-    shapes = {
-        (len(acts), len(ress))
-        for table in slots
-        for acts, ress in zip(table["acts"], table["ress"])
-        if acts is not None
-    }
+    shapes = {shape for snap in snapshots for shape in _cohort_rows(snap)}
     assert {(32, 64), (16, 32)} <= shapes  # the rings of jobs 1 and 3, whole
     sim = Simulation.from_spec(_exchange_spec())
     sim.run()
@@ -180,7 +185,7 @@ def test_whatif_stays_warm_across_cohorts():
         (s for s in snapshots if s.processed_events == result.snapshot_events),
         key=lambda s: s.processed_events,
     )
-    assert any(len(acts) > 1 for acts in _rows(used))
+    assert any(n > 1 for n, _ in _cohort_rows(used))
 
 
 def _dissolved_rows_survive_capture_and_restore(hops):
@@ -195,12 +200,14 @@ def _dissolved_rows_survive_capture_and_restore(hops):
         return env, model, resources
 
     env, model, resources = build()
-    acts = model.execute_fanout(1000.0, list(resources), ("job", "task"), hops=hops)
+    handle = model.execute_fanout(1000.0, list(resources), ("job", "task"), hops=hops)
+    handle.done.defuse()  # the cancellation below fails the all-of
     env.run(until=100.0)
+    acts = handle.activities
     model.cancel(acts[5])
     env.run(until=101.0)
     assert _cohorts(model).cohorts_dissolved == 1
-    assert sum(a is not None for a in model._array.acts) == 15
+    assert sum(a is not None for a in model._array.owner) == 15
     assert {len(r) for r in model._array.ress if r is not None} == {hops}
 
     registry = SidRegistry()
@@ -212,7 +219,7 @@ def _dissolved_rows_survive_capture_and_restore(hops):
     registry2 = SidRegistry()
     model2.restore_state(state, registry2, resources2)
     env2.restore_state(queue, registry2)
-    restored = sorted(model2.activities, key=lambda a: a._seq)
+    restored = sorted(model2.materialise(), key=lambda a: a._seq)
     order = []
     for act in restored:
         act.done.callbacks.append(lambda e: order.append(e.value._seq))
@@ -238,7 +245,148 @@ def test_rows_of_a_dissolved_exchange_keep_both_links_across_restore():
 def test_version_1_snapshots_are_refused_cleanly():
     _, _, snapshots = snapshot_run(_spec(), 200)
     doc = snapshots[0].to_dict()
-    assert doc["schema_version"] == SCHEMA_VERSION == 2
+    assert doc["schema_version"] == SCHEMA_VERSION == 3
     doc["schema_version"] = 1  # the per-activity slot layout of older builds
     with pytest.raises(ReplayError, match="schema version 1 not supported"):
         Snapshot.from_dict(doc)
+
+
+def test_schema_2_files_are_refused_with_the_one_line_message(tmp_path):
+    _, _, snapshots = snapshot_run(_spec(), 200)
+    doc = snapshots[0].to_dict()
+    doc["schema_version"] = 2  # rows listing their members, one record each
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ReplayError) as caught:
+        Snapshot.load(path)
+    message = str(caught.value)
+    assert message.endswith("snapshot schema version 2 not supported (expected 3)")
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
+        pytest.param(lambda text: "", id="empty"),
+        pytest.param(lambda text: "snapshot? no.", id="not-json"),
+        pytest.param(lambda text: "[1, 2, 3]", id="not-an-object"),
+        pytest.param(
+            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "state"}),
+            id="key-missing",
+        ),
+    ],
+)
+def test_a_damaged_snapshot_file_is_a_replay_error(tmp_path, damage):
+    _, _, snapshots = snapshot_run(_spec(), 200)
+    path = tmp_path / "snap.json"
+    snapshots[0].save(path)
+    path.write_text(damage(path.read_text()))
+    with pytest.raises(ReplayError, match="snap.json"):
+        Snapshot.load(path)
+
+
+def test_save_replaces_the_file_atomically(tmp_path, monkeypatch):
+    _, _, snapshots = snapshot_run(_spec(), 200)
+    first, second = snapshots[0], snapshots[1]
+    path = tmp_path / "snap.json"
+    first.save(path)
+    assert Snapshot.load(path).processed_events == first.processed_events
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
+
+    # A writer that dies mid-document leaves the old file whole and no
+    # debris behind.
+    import repro.replay.snapshot as module
+
+    def dying_dumps(doc):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(module.json, "dumps", dying_dumps)
+    with pytest.raises(OSError, match="disk full"):
+        second.save(path)
+    monkeypatch.undo()
+    assert Snapshot.load(path).processed_events == first.processed_events
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
+
+    # The rename is the commit point: until it happens readers see `first`.
+    seen = []
+    real_replace = module.os.replace
+
+    def watching_replace(src, dst):
+        seen.append(Snapshot.load(dst).processed_events)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(module.os, "replace", watching_replace)
+    second.save(path)
+    assert seen == [first.processed_events]
+    assert Snapshot.load(path).processed_events == second.processed_events
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
+
+
+def _wide_spec():
+    """A 64-wide compute cohort and a 16-member ring in flight at once."""
+    ring = {"type": "comm", "bytes": 2e10, "pattern": "ring"}
+    jobs = [
+        {"id": 1, "submit_time": 0.0, "num_nodes": 64,
+         "application": {"name": "wide", "phases": [_cpu(64 * 2e13, 4)]}},
+        {"id": 2, "submit_time": 0.0, "num_nodes": 16,
+         "application": {"name": "halo", "phases": [
+             {"iterations": 6, "tasks": [{"type": "cpu", "flops": 16e12}, ring]}]}},
+        *({"id": 10 + k, "submit_time": 1.3 * k, "num_nodes": 1 + k % 2,
+           "application": {"name": "small", "phases": [_cpu(1e12, 3)]}}
+          for k in range(14)),
+    ]
+    return {
+        "name": "wide-resume",
+        "platform": {
+            "name": "wide-resume",
+            "nodes": {"count": 96, "flops": 1e12},
+            "network": {"topology": "star", "bandwidth": 1e10, "latency": 1e-6},
+        },
+        "workload": {"inline": {"jobs": jobs}},
+        "algorithm": "easy",
+    }
+
+
+def test_the_wide_scenario_checkpoints_inside_both_cohorts():
+    _, _, snapshots = snapshot_run(_wide_spec(), 15)
+    shapes = [set(_cohort_rows(snap)) for snap in snapshots]
+    assert any((64, 64) in rows for rows in shapes)
+    assert any((16, 32) in rows for rows in shapes)
+
+
+@pytest.mark.parametrize("engine_mode", MODES, indirect=True)
+def test_resume_inside_wide_cohort_and_exchange_is_byte_identical(engine_mode):
+    assert assert_resume_identical(_wide_spec(), snapshot_every=15) >= 5
+
+
+@pytest.mark.parametrize("spec", [_spec, _wide_spec], ids=["twin", "wide"])
+def test_taking_snapshots_materialises_nothing(spec):
+    """Capture reads the handle, never the members."""
+    plain = Simulation.from_spec(json.loads(json.dumps(spec())))
+    plain.run()
+    dissolved = _cohorts(plain.batch.model).cohorts_dissolved
+    snapshots = []
+    sim = Simulation.from_spec(json.loads(json.dumps(spec())))
+    sim.run(snapshot_every=15, snapshot_callback=snapshots.append)
+    assert len(snapshots) >= 5
+    assert _cohorts(sim.batch.model).cohorts_dissolved == dissolved
+    if spec is _wide_spec:
+        assert dissolved == 0
+
+
+def test_run_with_snapshots_leaves_cohorts_dissolved_at_zero(monkeypatch):
+    from repro.batch import Simulation as simulation_class
+
+    sims = []
+    original = simulation_class.from_spec.__func__
+    monkeypatch.setattr(
+        simulation_class,
+        "from_spec",
+        classmethod(lambda cls, spec, **kw: sims.append(original(cls, spec, **kw)) or sims[-1]),
+    )
+    record, snapshots = run_with_snapshots(deepcopy(_wide_spec()), 15)
+    assert len(snapshots) >= 5 and record["summary"]["completed_jobs"] == 16
+    (sim,) = sims
+    stats = _cohorts(sim.batch.model)
+    assert stats.cohorts_admitted > 0 and stats.cohorts_dissolved == 0

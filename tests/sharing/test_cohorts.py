@@ -1,10 +1,13 @@
-"""Fan-out cohorts: one table row for n identical simple activities.
+"""Fan-out cohorts: one memberless table row for n identical simple activities.
 
 The array engine admits a task fan-out — or an exchange of flows over
-private routes — as a single cohort row and dissolves it the moment one
-member is singled out; the object engine (``array_engine=False``) runs
-every member as its own component and is the reference.  Both must agree
-on everything observable, step by step.
+private routes — as a single cohort row behind one ``Fanout`` handle and
+creates its members only when one is singled out; the object engine
+(``array_engine=False``) runs every member as its own component from
+birth and is the reference.  Both must agree on everything observable,
+step by step.  Members are told apart by their place in the reserved
+``_seq`` range, never by object identity: on the array side the objects
+may not exist.
 """
 
 import json
@@ -16,16 +19,22 @@ from hypothesis import given, settings, strategies as st
 from repro.batch import Simulation
 from repro.des import EmptySchedule, Environment
 from repro.monitoring import SolverStats
-from repro.sharing import Activity, ActivityCancelled, FairShareModel, SharedResource
+from repro.sharing import (
+    Activity,
+    ActivityCancelled,
+    FairShareModel,
+    Fanout,
+    SharedResource,
+)
 
 
-COUNTERS = (
-    "resolves",
-    "solve_events",
-    "solved_activities",
-    "max_solve_scope",
-    "merges",
-    "splits",
+#: ``SolverStats`` fields that describe the engine, not the simulation.
+ENGINE_STATS = (
+    "solver_time",
+    "slot_solves",
+    "cohorts_admitted",
+    "cohort_members",
+    "cohorts_dissolved",
 )
 
 
@@ -33,41 +42,129 @@ COUNTERS = (
 _cohorts = SolverStats.from_model
 
 
+def _member_state(act):
+    return (
+        act.done.triggered,
+        act.done.processed,
+        act.done._ok,
+        act.running,
+        act.finished_at,
+        act.rate,
+        act.remaining,
+        act.payload,
+    )
+
+
 class _World:
-    """One engine's model, the activities it started and what completed."""
+    """One engine's model, what it started and what completed.
+
+    Every activity has a global index: a single its own, member ``k`` of a
+    fan-out ``base + k``.  ``seq_index`` maps ``_seq`` to it — for a
+    memberless cohort through the reserved range on its handle.
+    """
 
     def __init__(self, array, capacities):
         self.env = Environment()
         self.model = FairShareModel(self.env, array_engine=array)
         self.pool = [SharedResource(f"r{i}", c) for i, c in enumerate(capacities)]
-        self.acts = []
-        self.index = {}
+        self.count = 0
+        self.singles = {}  # index → activity
+        self.handles = []  # (base index, handle)
+        self.watched = set()  # bases of handles whose members log completions
+        self.seq_index = {}
         self.completed = []
 
-    def _track(self, acts):
-        for act in acts:
-            index = self.index[act] = len(self.acts)
-            self.acts.append(act)
-            act.done.callbacks.append(lambda e, i=index: self.completed.append(i))
+    def fanout(self, handle):
+        base = self.count
+        self.count += len(handle)
+        self.handles.append((base, handle))
+        first = handle._seq if handle._activities is None else None
+        for k in range(len(handle)):
+            seq = first + k if first is not None else handle._activities[k]._seq
+            self.seq_index[seq] = base + k
+        # Like the executor after a kill: a member's cancellation fails
+        # the all-of, and that is handled.
+        handle.done.defuse()
+        if not handle.done.processed:  # an empty one is done from birth
+            handle.done.callbacks.append(
+                lambda e, base=base: self.completed.append(("all", base))
+            )
+        return handle
+
+    def single(self, act):
+        index = self.count
+        self.count += 1
+        self.singles[index] = act
+        self.seq_index[act._seq] = index
+        act.done.callbacks.append(lambda e: self.completed.append(index))
+        return act
+
+    def members(self, position):
+        """Members of the ``position``-th fan-out: materialises it."""
+        base, handle = self.handles[position]
+        return base, handle.activities
+
+    def watch(self, bases):
+        """Log member completions of these fan-outs from here on."""
+        for base, handle in self.handles:
+            if base in bases and base not in self.watched:
+                self.watched.add(base)
+                for k, act in enumerate(handle.activities):
+                    if not act.done.processed:
+                        act.done.callbacks.append(
+                            lambda e, i=base + k: self.completed.append(i)
+                        )
+
+    def materialised(self):
+        return {base for base, handle in self.handles if handle._activities is not None}
+
+    def running(self):
+        """Indices and component ids of the running activities, read
+        without asking any handle for its members."""
+        model = self.model
+        cids = {self.seq_index[a._seq]: comp.id for a, comp in model._comp_of.items()}
+        table = model._array
+        if table is not None:
+            for owner, n, cid in zip(table.owner, table.n, table.cid):
+                if owner is not None:
+                    for k in range(n):
+                        cids[self.seq_index[owner._seq + k]] = cid + k
+        return dict(sorted(cids.items()))
 
     def apply(self, op):
         kind = op[0]
+        model = self.model
         if kind == "fanout":
-            _, indices, work, hops = op
+            _, indices, work, hops, per_member = op
             resources = [self.pool[i] for i in indices]
-            self._track(
-                self.model.execute_fanout(work, resources, ("job", "task"), hops=hops)
-            )
+            payloads = ("job", "task")
+            if per_member:
+                payloads = [("job", "task", k) for k in range(len(indices) // hops)]
+            self.fanout(model.execute_fanout(work, resources, payloads, hops=hops))
         elif kind == "single":
             _, indices, work = op
             usages = {self.pool[i]: 1.0 for i in indices}
-            self._track([self.model.execute(Activity(work, usages))])
+            self.single(model.execute(Activity(work, usages)))
         elif kind == "cancel":
-            running = [a for a in self.acts if a.running]
+            running = list(self.running())
             if running:
-                self.model.cancel(running[op[1] % len(running)])
+                index = running[op[1] % len(running)]
+                if index in self.singles:
+                    model.cancel(self.singles[index])
+                else:
+                    position = max(
+                        p for p, (base, _) in enumerate(self.handles) if base <= index
+                    )
+                    base, members = self.members(position)
+                    model.cancel(members[index - base])
+        elif kind == "cancel_fanout":
+            if self.handles:
+                model.cancel(self.handles[op[1] % len(self.handles)][1])
+        elif kind == "peek":
+            if self.handles:
+                self.members(op[1] % len(self.handles))
         elif kind == "sync":
-            self.model.sync_progress()
+            model.sync_progress()
         elif kind == "step":
             for _ in range(op[1]):
                 try:
@@ -79,34 +176,62 @@ class _World:
         else:  # drain
             self.env.run()
 
-    def state(self):
+    def state(self, members_of):
+        """Everything observable; per-member state only for the fan-outs
+        in ``members_of`` (those the array engine has materialised)."""
         model = self.model
-        return {
-            "acts": [
-                (
-                    a.done.triggered,
-                    a.done.processed,
-                    a.done._ok,
-                    a.running,
-                    a.finished_at,
-                    a.rate,
-                    a.remaining,
-                )
-                for a in self.acts
-            ],
-            "completed": list(self.completed),
-            "now": self.env.now,
-            "events": self.env.processed_events,
-            "counters": [getattr(model, name) for name in COUNTERS],
+        stats = SolverStats.from_model(model).as_dict()
+        for name in ENGINE_STATS:
+            del stats[name]
+        if model.splits:
             # Within one wake the array engine frees finished rows before
             # it splits a finished member's component, the object engine
             # goes by ``_seq``: the transient peak may differ after a split.
-            "peak": model.peak_components if not model.splits else None,
-            "running": sorted(self.index[a] for a in model.activities),
+            del stats["peak_components"]
+        return {
+            "singles": {i: _member_state(a) for i, a in self.singles.items()},
+            "handles": [
+                (base, len(h), h.done.triggered, h.done.processed, h.done._ok)
+                for base, h in self.handles
+            ],
+            "members": {
+                base: [(_member_state(a), a._seq - h.activities[0]._seq) for a in h.activities]
+                for base, h in self.handles
+                if base in members_of
+            },
+            "completed": list(self.completed),
+            "now": self.env.now,
+            "events": self.env.processed_events,
+            "stats": stats,
+            "running": self.running(),
             "component_count": model.component_count,
             "component_sizes": model.component_sizes(),
-            "histogram": model.component_size_histogram(),
         }
+
+
+class _Pair:
+    """The array engine and its reference, driven in lockstep."""
+
+    def __init__(self, capacities):
+        self.array = _World(True, capacities)
+        self.reference = _World(False, capacities)
+
+    def apply(self, op):
+        self.array.apply(op)
+        if op[0] == "step":
+            # A step of the array engine may be a whole memberless run —
+            # several events' worth: the reference steps to the same count.
+            target = self.array.env.processed_events
+            while self.reference.env.processed_events < target:
+                self.reference.env.step()
+        else:
+            self.reference.apply(op)
+        # Whatever the array engine materialised — asked to or on its own
+        # — is compared member by member from here on.
+        materialised = self.array.materialised()
+        self.array.watch(materialised)
+        self.reference.watch(materialised)
+        assert self.array.state(materialised) == self.reference.state(materialised), op
 
 
 @st.composite
@@ -130,29 +255,32 @@ def _scripts(draw):
     ops = []
     for _ in range(draw(st.integers(min_value=1, max_value=25))):
         kind = draw(
-            st.sampled_from(["fanout", "fanout", "single", "cancel", "sync", "step", "run"])
+            st.sampled_from(
+                ["fanout", "fanout", "fanout", "single", "cancel", "cancel_fanout",
+                 "peek", "sync", "step", "step", "run"]
+            )
         )
         if kind == "fanout":
             # Members on routes of `hops` resources each, back to back.
             hops = draw(st.sampled_from([1, 1, 2, 3]))
             hops = min(hops, pool_size)
-            n = draw(st.integers(min_value=1, max_value=min(64, pool_size // hops)))
+            n = draw(st.integers(min_value=0, max_value=min(64, pool_size // hops)))
             start = draw(st.integers(min_value=0, max_value=pool_size - n * hops))
             indices = list(range(start, start + n * hops))
-            if draw(st.booleans()) and draw(st.booleans()):
+            if n and draw(st.booleans()) and draw(st.booleans()):
                 indices[-1] = indices[0]  # a resource listed twice
-            ops.append(("fanout", indices, draw(work), hops))
+            ops.append(("fanout", indices, draw(work), hops, draw(st.booleans())))
         elif kind == "single":
             indices = draw(
                 st.lists(st.integers(0, pool_size - 1), min_size=1, max_size=2, unique=True)
             )
             ops.append(("single", indices, draw(work)))
-        elif kind == "cancel":
-            ops.append(("cancel", draw(st.integers(0, 500))))
+        elif kind in ("cancel", "cancel_fanout", "peek"):
+            ops.append((kind, draw(st.integers(0, 500))))
         elif kind == "sync":
             ops.append(("sync",))
         elif kind == "step":
-            ops.append(("step", draw(st.integers(1, 70))))
+            ops.append(("step", draw(st.integers(1, 5))))
         else:
             ops.append(("run", draw(st.sampled_from([0.0, 0.5, 3.0, 1e3, 1e9]))))
     ops.append(("drain",))
@@ -160,134 +288,260 @@ def _scripts(draw):
 
 
 @given(_scripts())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_property_cohort_engine_matches_object_engine(script):
     capacities, ops = script
-    array = _World(True, capacities)
-    reference = _World(False, capacities)
+    pair = _Pair(capacities)
     for op in ops:
-        array.apply(op)
-        reference.apply(op)
-        assert array.state() == reference.state(), op
-    assert not array.model.activities and array.model.component_count == 0
+        pair.apply(op)
+    assert pair.array.model.component_count == 0 and not pair.array.running()
+    # Afterwards every member can be asked for: finished stand-ins where
+    # none ever existed, equal to the reference's real ones.
+    everything = {base for base, _ in pair.array.handles}
+    assert pair.array.state(everything) == pair.reference.state(everything)
 
 
-def _fanout_world(n, capacity=4.0, array=True):
-    return _World(array, [capacity] * n)
+def _fanout_pair(n, capacity=4.0, hops=1):
+    return _Pair([capacity] * (n * hops))
+
+
+def _rows(model):
+    return [s for s, owner in enumerate(model._array.owner) if owner is not None]
 
 
 def test_cohort_is_one_row_one_heap_entry_and_n_components():
-    world = _fanout_world(64)
-    world.apply(("fanout", list(range(64)), 1024.0, 1))
-    world.env.run(until=1.0)
-    model = world.model
+    pair = _fanout_pair(64)
+    pair.apply(("fanout", list(range(64)), 1024.0, 1, False))
+    pair.apply(("run", 1.0))
+    model = pair.array.model
     stats = _cohorts(model)
     assert stats.cohorts_admitted == 1 and stats.cohort_members == 64
     assert len(model._horizon_heap) == 1
-    assert sum(acts is not None for acts in model._array.acts) == 1
+    (row,) = _rows(model)
+    (_, handle), = pair.array.handles
+    assert model._array.owner[row] is handle and model._array.n[row] == 64
     # Observability: members are the singleton components they are.
-    reference = _fanout_world(64, array=False)
-    reference.apply(("fanout", list(range(64)), 1024.0, 1))
-    reference.env.run(until=1.0)
-    assert len(model.activities) == 64
-    assert model.component_count == reference.model.component_count == 64
-    assert model.component_sizes() == reference.model.component_sizes() == [1] * 64
+    reference = pair.reference.model
+    assert model.component_count == reference.component_count == 64
+    assert model.component_sizes() == reference.component_sizes() == [1] * 64
     assert model.component_size_histogram() == {1: 64}
-    assert reference.model.component_size_histogram() == {1: 64}
-    world.env.run()
-    assert world.completed == list(range(64))
-    assert {a.finished_at for a in world.acts} == {256.0}
+    assert reference.component_size_histogram() == {1: 64}
+    pair.apply(("drain",))
+    assert pair.array.completed == [("all", 0)]
+    assert pair.array.env.now == 256.0
     assert model.slot_solves == model.resolves == 64
+    # Admitted, solved, woken and finished without one member existing.
+    assert handle._activities is None and _cohorts(model).cohorts_dissolved == 0
+
+
+def test_happy_path_creates_no_activity_and_no_member_event(monkeypatch):
+    materialised = []
+    original = Fanout._materialise
+
+    def spy(self, rate, remaining):
+        materialised.append(self)
+        return original(self, rate, remaining)
+
+    monkeypatch.setattr(Fanout, "_materialise", spy)
+    env = Environment()
+    model = FairShareModel(env)
+    resources = [SharedResource(f"r{i}", 4.0) for i in range(32)]
+    handle = model.execute_fanout(64.0, resources, [("j", "t", k) for k in range(32)])
+    assert isinstance(handle, Fanout) and len(handle) == 32
+    env.run(until=handle.done)
+    assert env.now == 16.0 and not materialised and handle._activities is None
+    # resolve, wake, 32 members' worth of completions, fire check, all-of
+    assert env.processed_events == 2 + 32 + 2
+    # Asked afterwards, the members are finished stand-ins under their ids.
+    members = handle.activities
+    assert materialised == [handle]
+    assert [a.payload for a in members] == [("j", "t", k) for k in range(32)]
+    assert [a._seq - members[0]._seq for a in members] == list(range(32))
+    assert all(
+        a.finished_at == 16.0 and a.remaining == 0.0 and a.done.processed and not a.running
+        for a in members
+    )
 
 
 def test_member_cancelled_mid_flight_leaves_siblings_at_their_instant():
-    untouched = _fanout_world(16, capacity=3.0)
-    untouched.apply(("fanout", list(range(16)), 1000.0, 1))
+    untouched = _fanout_pair(16, capacity=3.0)
+    untouched.apply(("fanout", list(range(16)), 1000.0, 1, False))
     untouched.apply(("drain",))
-    instant = untouched.acts[0].finished_at
+    instant = untouched.array.env.now
 
-    world = _fanout_world(16, capacity=3.0)
-    world.apply(("fanout", list(range(16)), 1000.0, 1))
-    world.env.run(until=100.0)
-    victim = world.acts[5]
-    world.model.cancel(victim)
+    pair = _fanout_pair(16, capacity=3.0)
+    pair.apply(("fanout", list(range(16)), 1000.0, 1, False))
+    pair.apply(("run", 100.0))
+    pair.apply(("cancel", 5))
+    world = pair.array
     assert _cohorts(world.model).cohorts_dissolved == 1
+    _, members = world.members(0)
+    victim = members[5]
     assert isinstance(victim.done.value, ActivityCancelled)
     assert victim.remaining == 1000.0 - 3.0 * 100.0
-    world.env.run()
-    siblings = [a for a in world.acts if a is not victim]
+    pair.apply(("drain",))
+    siblings = [a for a in members if a is not victim]
     assert [a.finished_at.hex() for a in siblings] == [instant.hex()] * 15
-    assert world.completed == [5] + [i for i in range(16) if i != 5]
+    # The all-of fails with the victim; the siblings complete regardless.
+    assert world.completed == [5, ("all", 0)] + [i for i in range(16) if i != 5]
 
 
 def test_second_user_promotes_one_member_under_its_own_component_id():
-    world = _fanout_world(8)
-    world.apply(("fanout", list(range(8)), 1024.0, 1))
-    world.env.run(until=64.0)
+    pair = _fanout_pair(8)
+    pair.apply(("fanout", list(range(8)), 1024.0, 1, False))
+    pair.apply(("run", 64.0))
+    world = pair.array
     model = world.model
-    world.apply(("single", [3], 512.0))
+    pair.apply(("single", [3], 512.0))
     assert _cohorts(model).cohorts_dissolved == 1
-    promoted = world.acts[3]
+    _, members = world.members(0)
+    promoted, newcomer = members[3], world.singles[8]
     assert model._comp_of[promoted].id == 3  # the row's first id + k
-    assert model._comp_of[promoted] is model._comp_of[world.acts[8]]
+    assert model._comp_of[promoted] is model._comp_of[newcomer]
     assert promoted.remaining == 1024.0 - 4.0 * 64.0
-    siblings = [a for i, a in enumerate(world.acts[:8]) if i != 3]
-    assert all(a in model._slot_of for a in siblings)
+    siblings = [a for i, a in enumerate(members) if i != 3]
+    assert sorted(model._array.owner[s]._seq for s in _rows(model)) == [a._seq for a in siblings]
     assert all(a.remaining == 1024.0 for a in siblings)  # still lazy, untouched
     assert model.component_sizes() == [1, 1, 1, 2, 1, 1, 1, 1]
-    world.env.run()
+    pair.apply(("drain",))
     assert {a.finished_at for a in siblings} == {256.0}
     # 768 left at rate 2 while the newcomer runs (512 at rate 2 → t=320),
     # then 256 at rate 4.
-    assert world.acts[8].finished_at == 320.0 and promoted.finished_at == 384.0
+    assert newcomer.finished_at == 320.0 and promoted.finished_at == 384.0
 
 
 def test_two_cohorts_and_a_component_due_in_one_wake_complete_in_seq_order():
-    for array in (True, False):
-        world = _World(array, [4.0] * 3 + [8.0] + [4.0] * 3)
-        world.apply(("fanout", [0, 1, 2], 1024.0, 1))
-        world.apply(("single", [3], 1024.0))
-        world.apply(("single", [3], 1024.0))  # two users at rate 4 each
-        world.apply(("fanout", [4, 5, 6], 1024.0, 1))
-        world.env.run()
-        assert {a.finished_at for a in world.acts} == {256.0}
-        assert world.completed == list(range(8))
-        assert [a._seq for a in world.acts] == sorted(a._seq for a in world.acts)
-        if array:
-            assert _cohorts(world.model).cohorts_dissolved == 0
+    pair = _Pair([4.0] * 3 + [8.0] + [4.0] * 3)
+    pair.apply(("fanout", [0, 1, 2], 1024.0, 1, False))
+    pair.apply(("single", [3], 1024.0))
+    pair.apply(("single", [3], 1024.0))  # two users at rate 4 each
+    pair.apply(("fanout", [4, 5, 6], 1024.0, 1, True))
+    pair.apply(("run", 300.0))  # one wake at t = 256: everything is due at once
+    for world in (pair.array, pair.reference):
+        # Completions first, in ``_seq`` order; the all-ofs fire after them.
+        assert world.completed == [3, 4, ("all", 0), ("all", 5)]
+    assert pair.array.env.processed_events == pair.reference.env.processed_events
+    assert _cohorts(pair.array.model).cohorts_dissolved == 0
+    assert not pair.array.materialised()
+
+
+def test_members_named_while_their_completion_is_queued_match_the_reference():
+    """Between the wake and the completion run a cohort has finished but
+    nothing has been processed: members asked for then are the run's."""
+    pair = _Pair([4.0] * 8)
+    pair.apply(("fanout", list(range(4)), 64.0, 1, False))
+    pair.apply(("fanout", list(range(4, 8)), 64.0, 1, True))
+    pair.apply(("step", 2))  # resolve, wake
+    assert not pair.array.running() and pair.array.env.now == 16.0
+    pair.apply(("peek", 1))
+    _, members = pair.array.members(1)
+    assert all(a.done.triggered and not a.done.processed for a in members)
+    for _ in range(12):
+        pair.apply(("step", 1))
+    assert pair.array.completed == [4, 5, 6, 7, ("all", 0), ("all", 4)]
+    assert _cohorts(pair.array.model).cohorts_dissolved == 0  # nothing was running
+
+
+def test_cancelling_the_handle_fails_every_member_without_giving_them_rows():
+    pair = _fanout_pair(16, hops=2)
+    pair.apply(("fanout", list(range(32)), 1000.0, 2, True))
+    pair.apply(("run", 10.0))
+    model = pair.array.model
+    heap_before = list(model._horizon_heap)
+    pair.apply(("cancel_fanout", 0))
+    assert model._horizon_heap == heap_before  # no entry per freed member
+    assert not _rows(model) and not model._res_slot and model.component_count == 0
+    assert _cohorts(model).cohorts_dissolved == 1
+    for world in (pair.array, pair.reference):
+        _, members = world.members(0)
+        assert all(isinstance(a.done.value, ActivityCancelled) for a in members)
+        assert [a.done.value.activity for a in members] == members
+        assert {a.remaining for a in members} == {1000.0 - 4.0 * 10.0}
+    pair.apply(("drain",))
+    # The all-of failed with the first member's cancellation, defused by no
+    # one here: the handles' own callbacks saw it.
+    assert pair.array.completed == pair.reference.completed
+    assert pair.array.handles[0][1].done.ok is False
+    pair.apply(("cancel_fanout", 0))  # again: nothing left to cancel
+
+
+@pytest.mark.parametrize(
+    "capacities",
+    [
+        [3.0],
+        [0.1, 0.3],
+        [1e12, 1e9, 2.5e10],
+        [5e-324, 1.0],  # smallest positive float
+        [1.7976931348623157e308, math.inf],
+        [math.inf],
+        [math.inf, math.inf],
+        [math.inf, 7.0, math.inf],
+        [],  # no resources: limited by the (infinite) bound alone
+    ],
+)
+def test_unit_rate_is_the_single_rate_of_a_unit_activity(capacities):
+    """The cohort's rate shortcut against the kernel it stands in for,
+    bit for bit — and both against the scalar loop itself."""
+    from repro.sharing.model import _single_rate, _solve_scalar, _unit_rate
+
+    route = [SharedResource(f"r{i}", cap) for i, cap in enumerate(capacities)]
+    act = Activity(1.0, dict.fromkeys(route, 1.0))
+    expected = _single_rate(act)
+    _solve_scalar([act])
+    assert act.rate.hex() == expected.hex()
+    assert _unit_rate(route).hex() == expected.hex()
 
 
 def test_unequal_capacities_fall_back_to_rows_of_one():
-    states = []
-    for array in (True, False):
-        world = _World(array, [4.0, 4.0, 8.0, 4.0])
-        world.apply(("fanout", [0, 1, 2, 3], 64.0, 1))
-        world.apply(("drain",))
-        states.append(world.state())
-        assert [a.finished_at for a in world.acts] == [16.0, 16.0, 8.0, 16.0]
-        if array:
-            stats = _cohorts(world.model)
-            assert stats.cohorts_admitted == 4 == stats.cohort_members
-    assert states[0] == states[1]
+    pair = _Pair([4.0, 4.0, 8.0, 4.0])
+    pair.apply(("fanout", [0, 1, 2, 3], 64.0, 1, False))
+    stats = _cohorts(pair.array.model)
+    assert stats.cohorts_admitted == 4 == stats.cohort_members
+    pair.apply(("drain",))
+    for world in (pair.array, pair.reference):
+        _, members = world.members(0)
+        assert [a.finished_at for a in members] == [16.0, 16.0, 8.0, 16.0]
 
 
 def test_zero_work_and_infinite_capacity_fanouts():
-    for array in (True, False):
-        world = _World(array, [math.inf] * 4)
-        world.apply(("fanout", [0, 1, 2, 3], 0.0, 1))
-        assert all(a.done.triggered and a.finished_at == 0.0 for a in world.acts)
-        world.apply(("fanout", [0, 1, 2, 3], 5.0, 1))
-        world.apply(("drain",))
-        assert world.completed == list(range(8))
-        assert world.env.now == 0.0 and world.env.processed_events == 10  # resolve, wake, 8 members
-        assert all(a.finished_at == 0.0 and a.remaining == 0.0 for a in world.acts)
+    pair = _Pair([math.inf] * 4)
+    pair.apply(("fanout", [0, 1, 2, 3], 0.0, 1, False))
+    for world in (pair.array, pair.reference):
+        _, members = world.members(0)
+        assert all(a.done.triggered and a.finished_at == 0.0 for a in members)
+    pair.apply(("fanout", [0, 1, 2, 3], 5.0, 1, False))
+    pair.apply(("drain",))
+    for world in (pair.array, pair.reference):
+        # The zero-work fan-out has had members from birth: watched.
+        assert world.completed == [0, 1, 2, 3, ("all", 0), ("all", 4)]
+        # 4 zero-work members + their all-of (2), then resolve, wake, 4
+        # members and their all-of
+        assert world.env.now == 0.0 and world.env.processed_events == 6 + 8
+        assert all(
+            a.finished_at == 0.0 and a.remaining == 0.0
+            for position in (0, 1)
+            for a in world.members(position)[1]
+        )
+
+
+@pytest.mark.parametrize("array", [True, False])
+def test_an_empty_fanout_is_done_without_an_event(array):
+    world = _World(array, [4.0])
+    handle = world.model.execute_fanout(1.0, [])
+    assert len(handle) == 0 and handle.activities == []
+    assert handle.done.processed and handle.done.ok
+    world.env.run()
+    assert world.env.processed_events == 0
+    world.model.cancel(handle)  # nothing to cancel
 
 
 def test_fanout_validates_like_the_activity_constructor():
-    world = _fanout_world(2)
+    world = _World(True, [4.0, 4.0])
     with pytest.raises(ValueError, match="work must be >= 0"):
         world.model.execute_fanout(-1.0, list(world.pool))
-    assert world.model.execute_fanout(1.0, []) == []
+    with pytest.raises(ValueError, match="3 payloads for 2 routes"):
+        world.model.execute_fanout(1.0, list(world.pool), [("a",), ("b",), ("c",)])
+    assert world.model.component_count == 0
 
 
 def test_wide_rigid_job_keeps_the_horizon_heap_tiny():
@@ -335,6 +589,7 @@ def test_wide_rigid_job_keeps_the_horizon_heap_tiny():
     assert sim.monitor.run_record()["summary"]["completed_jobs"] == 1
     stats = _cohorts(model)
     assert stats.cohorts_admitted == 20 and stats.cohort_members == 20 * 4096
+    assert stats.cohorts_dissolved == 0
     assert model.resolves == 20 * 4096
     assert peaks and max(peaks) <= 8
 
@@ -345,23 +600,38 @@ def test_resources_must_divide_into_routes(array, count, hops):
     world = _World(array, [4.0] * 8)
     with pytest.raises(ValueError, match="do not make routes"):
         world.model.execute_fanout(1.0, world.pool[:count], hops=hops)
-    assert not world.model.activities
+    assert world.model.component_count == 0
 
 
 def test_exchange_on_private_routes_is_one_row_with_a_flat_route_list():
-    world = _World(True, [8.0, 4.0] * 6)
-    world.apply(("fanout", list(range(12)), 64.0, 2))  # rate: the 4.0 hop's
+    pair = _Pair([8.0, 4.0] * 6)
+    pair.apply(("fanout", list(range(12)), 64.0, 2, True))  # rate: the 4.0 hop's
+    world = pair.array
     model = world.model
-    (row,) = [s for s, acts in enumerate(model._array.acts) if acts is not None]
-    assert len(model._array.acts[row]) == 6 and model._array.ress[row] == world.pool
+    (row,) = _rows(model)
+    assert model._array.n[row] == 6 and model._array.ress[row] == world.pool
     assert _cohorts(model).cohort_members == 6 and len(model._horizon_heap) == 0
     # A second user on member 2's *second* link singles that member out.
-    world.apply(("single", [5], 8.0))  # halves it until t = 4
+    pair.apply(("single", [5], 8.0))  # halves it until t = 4
     assert _cohorts(model).cohorts_dissolved == 1
-    promoted = world.acts[2]
+    _, members = world.members(0)
+    promoted = members[2]
     assert set(model._res_users) == {world.pool[4], world.pool[5]}
-    assert model._comp_of[promoted] is model._comp_of[world.acts[6]]
+    assert model._comp_of[promoted] is model._comp_of[world.singles[6]]
     assert {len(r) for r in model._array.ress if r is not None} == {2}
-    world.apply(("drain",))
-    assert [a.finished_at for a in world.acts[:3]] == [16.0, 16.0, 18.0]
-    assert world.completed[-1] == 2
+    assert [a.payload for a in members] == [("job", "task", k) for k in range(6)]
+    pair.apply(("drain",))
+    assert [a.finished_at for a in members[:3]] == [16.0, 16.0, 18.0]
+    assert world.completed[-2:] == [2, ("all", 0)]
+
+
+def test_model_materialise_dissolves_every_intact_cohort():
+    pair = _fanout_pair(4)
+    pair.apply(("fanout", [0, 1, 2, 3], 64.0, 1, False))
+    pair.apply(("run", 1.0))
+    model = pair.array.model
+    assert model.component_count == 4 and not pair.array.materialised()
+    running = sorted(model.materialise(), key=lambda a: a._seq)
+    assert running == pair.array.handles[0][1].activities
+    assert _cohorts(model).cohorts_dissolved == 1
+    pair.apply(("drain",))

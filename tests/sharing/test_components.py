@@ -138,7 +138,7 @@ def test_property_partition_matches_scratch_components(system):
     # The array engine keeps simple (single-resource, sole-user) activities
     # in slot rows rather than Component objects; both are components.
     actual = {frozenset(comp.acts) for comp in model._components}
-    actual.update(frozenset([act]) for act in model._slot_of)
+    actual.update(frozenset([act]) for act in model._array.owner if act is not None)
     assert actual == expected
     assert model.component_count == len(expected)
 
@@ -200,7 +200,7 @@ def test_property_invariants_under_churn(schedule):
         # NORMAL event anyway.
         for k in range(1, 40):
             yield env.timeout(1.37 + 0.0003 * k)
-            running = sorted(model.activities, key=lambda a: a._seq)
+            running = sorted(model.materialise(), key=lambda a: a._seq)
             for res in resources:
                 used = sum(a.usages.get(res, 0.0) * a.rate for a in running)
                 if used > res.capacity * (1 + 1e-6):
@@ -223,7 +223,6 @@ def test_property_invariants_under_churn(schedule):
 
     assert violations == []
     # Every non-cancelled activity completed with its work fully accounted.
-    assert len(model.activities) == 0
     assert model.component_count == 0
 
 
@@ -276,7 +275,7 @@ def _partition_state(model, index):
     """(component id, member order) of every component, plus the counters."""
     comps = [(c.id, [index[a] for a in c.acts]) for c in model._components]
     table = model._array
-    comps.extend((table.cid[s], [index[a]]) for a, s in model._slot_of.items())
+    comps.extend((cid, [index[a]]) for a, cid in zip(table.owner, table.cid) if a is not None)
     return sorted(comps), (model.splits, model.merges, model.peak_components)
 
 

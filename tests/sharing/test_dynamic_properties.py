@@ -56,7 +56,7 @@ def test_property_all_activities_complete(schedule):
         assert act.done.triggered and act.done.ok
         assert act.remaining == 0.0
         assert act.finished_at is not None
-    assert len(model.activities) == 0
+    assert model.component_count == 0
 
 
 @given(_schedules())

@@ -5,22 +5,25 @@ calls a fixed run makes can — in a fresh process it repeats exactly from run t
 scenario is E5's shape (rigid jobs under EASY on 128 nodes), where the
 engine's per-event bookkeeping is the whole cost: ~30 calls per event
 when every node of a task fan-out had its own solver row, horizon entry
-and queue entry, ~16 with one cohort row and one event run per fan-out.
-The budget leaves room for interpreter-version differences in which C
-calls cProfile sees, not for a per-node loop coming back.
+and queue entry, 13.3 with one cohort row and one event run per fan-out
+but an ``Activity``, a ``done`` event and an all-of check per member, 8.8
+with memberless cohorts (budget: that plus an eighth).  The budget leaves
+room for interpreter-version differences in which C calls cProfile sees,
+not for a per-member loop coming back.
 
 The second scenario is the small-campaign shape: six jobs iterating
 compute + ring exchange on a 16-node star, where every flow used to be
-its own component (30.8 calls per event) and an exchange on private
-routes is now one cohort row (22.4; the budget is that plus a quarter).
+its own component (30.8 calls per event), then one cohort row of member
+objects per exchange (22.4), now a memberless one (19.2; the budget is
+that plus a fifth).
 """
 
 from repro import Simulation
 
 from benchmarks.common import evaluation_workload, profiled_calls, reference_platform
 
-BUDGET = 20.0
-RING_BUDGET = 28.0
+BUDGET = 9.9
+RING_BUDGET = 23.4
 
 
 def _simulation():
@@ -42,6 +45,9 @@ def test_rigid_easy_run_stays_within_its_call_budget():
     assert sim.monitor.run_record()["summary"]["completed_jobs"] == 60
     assert events > 10_000
     assert calls / events <= BUDGET, f"{calls / events:.2f} calls per event"
+    # The happy path is fully lazy: no fan-out ever got member objects.
+    stats = sim.monitor.solver
+    assert stats.cohorts_admitted > 500 and stats.cohorts_dissolved == 0
 
 
 def _ring_spec():
@@ -82,3 +88,4 @@ def test_ring_exchange_run_stays_within_its_call_budget():
     assert sim.monitor.run_record()["summary"]["completed_jobs"] == 6
     assert events > 3_000
     assert calls / events <= RING_BUDGET, f"{calls / events:.2f} calls per event"
+    assert sim.monitor.solver.cohorts_dissolved == 0
