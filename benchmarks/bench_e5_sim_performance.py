@@ -30,8 +30,11 @@ from benchmarks.common import (
 _rows = []
 
 
-def _simulation(num_jobs: int, num_nodes: int) -> Simulation:
+def _simulation(num_jobs: int, num_nodes: int):
+    """The simulation, and how long its platform took to build."""
+    start = time.perf_counter()
     platform = reference_platform(num_nodes=num_nodes)
+    build = time.perf_counter() - start
     jobs = evaluation_workload(
         num_jobs=num_jobs,
         seed=3,
@@ -40,11 +43,11 @@ def _simulation(num_jobs: int, num_nodes: int) -> Simulation:
         comm_bytes=0.0,  # keep event counts dominated by scheduling
         mean_interarrival=10.0,
     )
-    return Simulation(platform, jobs, algorithm="easy")
+    return Simulation(platform, jobs, algorithm="easy"), build
 
 
 def _simulate(num_jobs: int, num_nodes: int):
-    sim = _simulation(num_jobs, num_nodes)
+    sim, build = _simulation(num_jobs, num_nodes)
     start = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - start
@@ -58,6 +61,10 @@ def _simulate(num_jobs: int, num_nodes: int):
         model.solved_activities,
         model.peak_components,
         model.solver_time,
+        build,
+        # Nodes that exist as objects after the run: the ones the
+        # workload was ever given, however large the machine.
+        sim.batch.platform.nodes.built,
     )
     # The same run once more under cProfile: function calls per event, the
     # cost figure that repeats exactly and is therefore gated in CI.  The
@@ -65,13 +72,15 @@ def _simulate(num_jobs: int, num_nodes: int):
     # peak RSS column stays one run's.
     del sim, model
     gc.collect()
-    profiled = _simulation(num_jobs, num_nodes)
+    profiled, _ = _simulation(num_jobs, num_nodes)
     calls = profiled_calls(profiled.run)
     assert profiled.env.processed_events == events
     return result + (calls / events,)
 
 
-def _record(label, wall, events, invocations, resolves, scope, peak, solver_time, pycalls):
+def _record(
+    label, wall, events, invocations, resolves, scope, peak, solver_time, build, built, pycalls
+):
     _rows.append(
         [
             label,
@@ -87,6 +96,8 @@ def _record(label, wall, events, invocations, resolves, scope, peak, solver_time
             # run smallest-first, so the last row's value bounds the run.
             peak_rss_mb(),
             pycalls,
+            build,
+            built,
         ]
     )
 
@@ -118,10 +129,10 @@ def test_e5_scaling_nodes(benchmark, num_nodes):
 def test_e5_scaling_extreme(benchmark, num_jobs, num_nodes):
     """10k/100k-node machines (fewer jobs at the top end).
 
-    Exercises the struct-of-arrays node state and the incremental
-    free-node index at machine sizes where any O(num_nodes) per-event
-    scan would dominate; the CI ``scale-smoke`` job runs the 10k-node
-    row under a hard timeout against the committed baseline.
+    Exercises the lazily built fleet and the incremental free-node index
+    at machine sizes where any O(num_nodes) build or per-event scan would
+    dominate; the CI ``scale-smoke`` job runs these rows under a hard
+    timeout against the committed baseline (``nodes_built`` included).
     """
 
     def run():
@@ -144,6 +155,8 @@ _HEADER = [
     "solver_time_s",
     "peak_rss_mb",
     "pycalls_per_event",
+    "build_s",
+    "nodes_built",
 ]
 
 

@@ -6,6 +6,8 @@ numbers decompose into.  Run with real repetition (these are fast), so the
 pytest-benchmark statistics are meaningful here.
 """
 
+import json
+import subprocess
 import sys
 import time
 
@@ -541,3 +543,82 @@ def test_micro_ring_exchange(benchmark):
         assert tree[3] == 0 and tree[4] == 0
     star_calls = [by_label[f"star/n={n}"][2] for n in RING_SIZES]
     assert star_calls == sorted(star_calls, reverse=True), star_calls
+
+
+PLATFORM_SIZES = (128, 10_000, 100_000)
+
+#: ``_platform_probe`` at the parent of the lazy-fleet change (68dcfdc,
+#: CPython 3.11, this host): every node, CPU and star link built up front.
+#: ``(build_ms, rss_growth_mb, objects_built)`` by node count.
+PLATFORM_AT_PARENT = {
+    128: (0.35, 0.05, 516),
+    10_000: (24.51, 6.79, 40_004),
+    100_000: (252.51, 63.47, 400_004),
+}
+
+_PLATFORM_PROBE = """
+import gc, json, resource, sys, time
+from repro import platform_from_dict
+from repro.platform import Node
+from repro.sharing import SharedResource
+
+def rss():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * resource.getpagesize() / 2**20
+
+spec = json.loads(sys.argv[1])
+before = rss()
+start = time.perf_counter()
+platform = platform_from_dict(spec)
+build = time.perf_counter() - start
+grown = rss() - before
+objects = sum(isinstance(o, (Node, SharedResource)) for o in gc.get_objects())
+print(json.dumps([1e3 * build, grown, objects]))
+"""
+
+
+def _platform_probe(num_nodes: int):
+    """Build the reference platform in a fresh process: wall, resident-set
+    growth across the call, and the ``Node`` / ``SharedResource`` objects
+    that exist afterwards.  Best wall of three processes."""
+    spec = json.dumps(reference_platform_dict(num_nodes))
+    runs = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", _PLATFORM_PROBE, spec],
+                check=True, capture_output=True, text=True,
+            ).stdout
+        )
+        for _ in range(3)
+    ]  # fmt: skip
+    return min(runs)
+
+
+@pytest.mark.benchmark(group="micro-platform")
+def test_micro_platform_build(benchmark):
+    """What a machine costs before the workload touches it: nothing that
+    grows with the node count but three pointer-sized slots per node."""
+
+    def sweep():
+        return [[n, *_platform_probe(n), *PLATFORM_AT_PARENT[n]] for n in PLATFORM_SIZES]
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    header = [
+        "nodes", "build_ms", "rss_growth_mb", "objects_built",
+        "parent_build_ms", "parent_rss_growth_mb", "parent_objects_built",
+    ]  # fmt: skip
+    print_table(
+        "micro: platform_from_dict on a star machine",
+        header,
+        rows,
+        note="fresh process per row, best wall of 3; objects = Node + SharedResource instances",
+    )
+    write_bench_json(
+        "MICRO_PLATFORM",
+        title="platform construction cost by machine size",
+        header=header,
+        rows=rows,
+        extra={"python": sys.version.split()[0]},
+    )
+    # Only the PFS service pair and its two switch links exist up front.
+    assert [row[3] for row in rows] == [4] * len(PLATFORM_SIZES)

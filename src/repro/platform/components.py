@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
 from math import inf
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.sharing import SharedResource
 
 
 class PlatformError(Exception):
     """Raised for invalid platform descriptions or illegal state changes."""
+
+
+def _node_name(index: int) -> str:
+    """Default name of node ``index``; its CPU, NIC and burst buffer derive theirs from it."""
+    return f"node{index:04d}"
 
 
 class NodeState(Enum):
@@ -35,15 +41,19 @@ class BurstBuffer:
         write_bw: float,
         capacity: float = inf,
     ) -> None:
-        if read_bw <= 0 or write_bw <= 0:
-            raise PlatformError(f"BurstBuffer {name!r}: bandwidths must be > 0")
-        if capacity <= 0:
-            raise PlatformError(f"BurstBuffer {name!r}: capacity must be > 0")
+        self._check(name, read_bw, write_bw, capacity)
         self.name = name
         self.read = SharedResource(f"{name}.read", read_bw)
         self.write = SharedResource(f"{name}.write", write_bw)
         self.capacity = float(capacity)
         self.used = 0.0
+
+    @staticmethod
+    def _check(name: str, read_bw: float, write_bw: float, capacity: float) -> None:
+        if read_bw <= 0 or write_bw <= 0:
+            raise PlatformError(f"BurstBuffer {name!r}: bandwidths must be > 0")
+        if capacity <= 0:
+            raise PlatformError(f"BurstBuffer {name!r}: capacity must be > 0")
 
     def charge(self, nbytes: float) -> None:
         """Account ``nbytes`` of occupancy (called when a BB write finishes)."""
@@ -124,18 +134,24 @@ class Node:
         burst_buffer: Optional[Tuple[float, float, float]] = None,
         idle_watts: float = 0.0,
         peak_watts: float = 0.0,
-    ) -> List["Node"]:
-        """``count`` identical nodes indexed from 0, their parameters checked once.
+    ) -> "Fleet":
+        """``count`` identical nodes indexed from 0, each built on first access.
 
-        ``burst_buffer`` is the ``(read_bw, write_bw, capacity)`` of the
-        :class:`BurstBuffer` each node gets.
+        The parameters are checked here, once; ``burst_buffer`` is the
+        ``(read_bw, write_bw, capacity)`` of the :class:`BurstBuffer` each
+        node gets.
         """
         cls._check(0, flops, cores, gpus, gpu_flops, idle_watts, peak_watts)
-        nodes = [cls.__new__(cls) for _ in range(count)]
-        for index, node in enumerate(nodes):
-            bb = BurstBuffer(f"node{index:04d}.bb", *burst_buffer) if burst_buffer else None
+        if burst_buffer:
+            BurstBuffer._check(_node_name(0) + ".bb", *burst_buffer)
+
+        def make(index: int) -> "Node":
+            node = cls.__new__(cls)
+            bb = BurstBuffer(_node_name(index) + ".bb", *burst_buffer) if burst_buffer else None
             node._setup(index, None, flops, cores, gpus, gpu_flops, bb, idle_watts, peak_watts)
-        return nodes
+            return node
+
+        return Fleet([None] * count, make, (float(idle_watts), float(peak_watts)))
 
     @staticmethod
     def _check(index, flops, cores, gpus, gpu_flops, idle_watts, peak_watts) -> None:
@@ -161,7 +177,7 @@ class Node:
 
     def _setup(self, index, name, flops, cores, gpus, gpu_flops, bb, idle_watts, peak_watts):
         self.index = index
-        self.name = name or f"node{index:04d}"
+        self.name = name or _node_name(index)
         self.flops = float(flops)
         self.cores = cores
         self.cpu = SharedResource(f"{self.name}.cpu", flops)
@@ -209,11 +225,6 @@ class Node:
             return self.peak_watts
         return self.idle_watts
 
-    def _notify_pool(self) -> None:
-        pool = self._pool
-        if pool is not None:
-            pool._node_changed(self)
-
     def fail(self) -> None:
         """Mark the node as down; it stops being schedulable immediately.
 
@@ -222,12 +233,14 @@ class Node:
         pool afterwards.
         """
         self.failed = True
-        self._notify_pool()
+        if self._pool is not None:
+            self._pool._node_changed(self)
 
     def repair(self) -> None:
         """Bring the node back into service."""
         self.failed = False
-        self._notify_pool()
+        if self._pool is not None:
+            self._pool._node_changed(self)
 
     def allocate(self, job) -> None:
         """Mark the node as held by ``job``; double allocation is an error."""
@@ -238,7 +251,8 @@ class Node:
             )
         self.state = NodeState.ALLOCATED
         self.assigned_job = job
-        self._notify_pool()
+        if self._pool is not None:
+            self._pool._node_changed(self)
 
     def deallocate(self) -> None:
         """Return the node to the free pool."""
@@ -246,10 +260,68 @@ class Node:
             raise PlatformError(f"Node {self.name} is not allocated")
         self.state = NodeState.FREE
         self.assigned_job = None
-        self._notify_pool()
+        if self._pool is not None:
+            self._pool._node_changed(self)
 
     def __repr__(self) -> str:
         return f"<Node {self.name} {self.state.value} flops={self.flops:g}>"
+
+
+class Fleet(Sequence):
+    """Read-only node sequence whose members are built on first access.
+
+    ``len``, int / negative / slice indexing (slices are plain lists) and
+    in-order iteration behave like the list of all nodes; reaching an
+    unbuilt member builds it, hands it to the owning platform (back-pointer,
+    NIC links) and keeps it, so ``fleet[i] is fleet[i]``.  A machine thus
+    costs what the workload touches (contract: docs/INTERNALS.md, "The
+    fleet").
+    """
+
+    __slots__ = ("_nodes", "_make", "_pool", "built", "uniform_watts")
+
+    def __init__(
+        self,
+        nodes: List[Optional[Node]],
+        make: Optional[Callable[[int], Node]] = None,
+        uniform_watts: Optional[Tuple[float, float]] = None,
+    ) -> None:
+        #: One slot per node, ``None`` until built.
+        self._nodes = nodes
+        self._make = make
+        #: The :class:`~repro.platform.platform.Platform` that owns the
+        #: members, once there is one.
+        self._pool = None
+        #: How many members exist as objects.
+        self.built = len(nodes) - nodes.count(None)
+        #: ``(idle_watts, peak_watts)`` every member shares; None when the
+        #: members were built by hand and may differ.
+        self.uniform_watts = uniform_watts
+
+    def _build(self, index: int) -> Node:
+        node = self._nodes[index] = self._make(index)
+        self.built += 1
+        pool = self._pool
+        if pool is not None:
+            node._pool = pool
+            pool.topology.attach_node(node)
+        return node
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __getitem__(self, item):
+        nodes = self._nodes
+        if isinstance(item, slice):
+            build = self._build
+            return [nodes[i] or build(i) for i in range(len(nodes))[item]]
+        return nodes[item] or self._build(range(len(nodes))[item])
+
+    def __iter__(self):
+        nodes = self._nodes
+        if self.built == len(nodes):
+            return iter(nodes)
+        return (node or self._build(index) for index, node in enumerate(nodes))
 
 
 class Pfs:

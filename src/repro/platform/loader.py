@@ -23,7 +23,6 @@ platform files with equal information content.
 
 from __future__ import annotations
 
-import gc
 import json
 from pathlib import Path
 from typing import Any, Dict, Union
@@ -110,19 +109,6 @@ def _build_topology(spec: Dict[str, Any], num_nodes: int) -> Topology:
 
 def platform_from_dict(spec: Dict[str, Any]) -> Platform:
     """Build a :class:`Platform` from a parsed JSON description."""
-    # Bulk construction allocates four tracked objects per node and frees
-    # none, so the cyclic collector's ever longer generation scans find
-    # nothing: a third of the build at 40 000 nodes.  It sits this out.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _build_platform(spec)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _build_platform(spec: Dict[str, Any]) -> Platform:
     if not isinstance(spec, dict):
         raise PlatformError(f"Platform spec must be an object, got {type(spec).__name__}")
     name = spec.get("name", "cluster")

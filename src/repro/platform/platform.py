@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
+from heapq import nlargest
 from typing import List, Optional, Set
 
-from repro.platform.components import Node, NodeState, Pfs, PlatformError
+from repro.platform.components import Fleet, Node, NodeState, Pfs, PlatformError
 from repro.platform.topology import PFS, Route, Topology
 
 
@@ -15,27 +16,33 @@ class FreeNodes(Sequence):
 
     Wraps a private copy of the platform's sorted free-id list and resolves
     ids to :class:`Node` objects only for the entries a caller touches, so
-    ``free[:need]`` costs O(need) however large the machine.  Slices are
-    plain lists (contract: docs/INTERNALS.md, "The free-node view").
+    ``free[:need]`` costs O(need) however large the machine — and builds
+    only those nodes.  It reads the fleet's slots directly: a node that
+    exists costs an index, not a call.  Slices are plain lists (contract:
+    docs/INTERNALS.md, "The free-node view").
     """
 
-    __slots__ = ("_ids", "_nodes")
+    __slots__ = ("_ids", "_fleet")
 
-    def __init__(self, ids: List[int], nodes: List[Node]) -> None:
+    def __init__(self, ids: List[int], fleet: Fleet) -> None:
         self._ids = ids
-        self._nodes = nodes
+        self._fleet = fleet
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def __getitem__(self, item):
+        fleet = self._fleet
+        nodes = fleet._nodes
         if isinstance(item, slice):
-            nodes = self._nodes
-            return [nodes[i] for i in self._ids[item]]
-        return self._nodes[self._ids[item]]
+            return [nodes[i] or fleet._build(i) for i in self._ids[item]]
+        index = self._ids[item]
+        return nodes[index] or fleet._build(index)
 
     def __iter__(self):
-        return map(self._nodes.__getitem__, self._ids)
+        fleet = self._fleet
+        nodes = fleet._nodes
+        return (nodes[i] or fleet._build(i) for i in self._ids)
 
 
 class Platform:
@@ -44,7 +51,8 @@ class Platform:
     Parameters
     ----------
     nodes:
-        The compute nodes, densely indexed 0..n-1.
+        The compute nodes, densely indexed 0..n-1: a :meth:`Node.fleet`
+        (built on first use) or any sequence of nodes built by hand.
     topology:
         Provides routes between nodes and to the PFS.
     pfs:
@@ -69,18 +77,19 @@ class Platform:
     ) -> None:
         if not nodes:
             raise PlatformError("Platform needs at least one node")
-        for expected, node in enumerate(nodes):
-            if node.index != expected:
-                raise PlatformError(
-                    f"Node indices must be dense: expected {expected}, "
-                    f"got {node.index}"
-                )
         if power_corridor is not None and power_corridor <= 0:
             raise PlatformError(
                 f"power_corridor must be > 0, got {power_corridor}"
             )
+        if topology.num_nodes != len(nodes):
+            raise PlatformError(
+                f"Topology sized for {topology.num_nodes} nodes, got {len(nodes)}"
+            )
         self.name = name
-        self.nodes: List[Node] = list(nodes)
+        #: Size of the machine (read on every scheduler invocation).
+        self.num_nodes: int = len(nodes)
+        #: Every node, as a read-only sequence (see :class:`Fleet`).
+        self.nodes: Fleet = nodes if isinstance(nodes, Fleet) else Fleet(list(nodes))
         self.topology = topology
         self.pfs = pfs
         self.power_corridor: Optional[float] = (
@@ -91,7 +100,6 @@ class Platform:
         #: :meth:`_node_changed`, which is the single funnel all
         #: allocate/deallocate/fail/repair transitions pass through.
         self._power_listener = None
-        topology.attach_nodes(self.nodes)
 
         # Incremental allocation indices.  Schedulers poll free_nodes() /
         # num_free_nodes() on every invocation; an O(n) node scan per call
@@ -99,23 +107,27 @@ class Platform:
         # platform on every state transition (allocate/deallocate/fail/
         # repair), which keeps a sorted free-index list and an allocated
         # set current at O(log n + shift) per *change* instead of O(n) per
-        # *query*.  A node can belong to one platform at a time.
-        self._free_ids: List[int] = []
+        # *query*.  A node can belong to one platform at a time.  A node
+        # not built yet is free, so an unbuilt fleet is never walked.
+        self._free_ids: List[int] = list(range(self.num_nodes))
         self._allocated_ids: Set[int] = set()
         #: The free_nodes() snapshot, retaken only after a change.
         self._free_cache: Optional[FreeNodes] = None
-        for node in self.nodes:
-            node._pool = self
-            if node.free:
-                self._free_ids.append(node.index)
-            if node.assigned_job is not None:
-                self._allocated_ids.add(node.index)
+        self.nodes._pool = self
+        if self.nodes.built:
+            for expected, node in enumerate(self.nodes._nodes):
+                if node is None:
+                    continue
+                if node.index != expected:
+                    raise PlatformError(
+                        f"Node indices must be dense: expected {expected}, "
+                        f"got {node.index}"
+                    )
+                node._pool = self
+                topology.attach_node(node)
+                self._node_changed(node)
 
     # -- sizing -----------------------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
 
     @property
     def total_flops(self) -> float:
@@ -164,13 +176,16 @@ class Platform:
 
     def utilization(self) -> float:
         """Fraction of nodes currently allocated."""
-        return 1.0 - self.num_free_nodes() / self.num_nodes
+        return self.num_allocated_nodes() / self.num_nodes
 
     # -- power --------------------------------------------------------------
 
     @property
     def power_enabled(self) -> bool:
         """True when any node declares a non-zero draw."""
+        uniform = self.nodes.uniform_watts
+        if uniform is not None:
+            return uniform[1] > 0
         return any(node.peak_watts > 0 for node in self.nodes)
 
     def power_profile(self) -> Optional[dict]:
@@ -184,14 +199,30 @@ class Platform:
         """
         if not self.power_enabled:
             return None
-        idles = [node.idle_watts for node in self.nodes]
-        peaks = [node.peak_watts for node in self.nodes]
-        uniform = len(set(idles)) == 1 and len(set(peaks)) == 1
-        return {
-            "idle": idles[0] if uniform else idles,
-            "peak": peaks[0] if uniform else peaks,
-            "corridor": self.power_corridor,
-        }
+        uniform = self.nodes.uniform_watts
+        if uniform is not None:
+            idle, peak = uniform
+        else:
+            idle = [node.idle_watts for node in self.nodes]
+            peak = [node.peak_watts for node in self.nodes]
+            if len(set(idle)) == 1 and len(set(peak)) == 1:
+                idle, peak = idle[0], peak[0]
+        return {"idle": idle, "peak": peak, "corridor": self.power_corridor}
+
+    def max_start_power(self, count: int) -> float:
+        """Most that starting a job on any ``count`` nodes can add to the draw.
+
+        The idle-to-peak steps of the ``count`` hungriest nodes, summed
+        largest first.
+        """
+        uniform = self.nodes.uniform_watts
+        if uniform is not None:
+            steps = [uniform[1] - uniform[0]] * min(count, self.num_nodes)
+        else:
+            steps = nlargest(
+                count, (node.peak_watts - node.idle_watts for node in self.nodes)
+            )
+        return sum(steps)
 
     def current_power(self) -> float:
         """Aggregate instantaneous draw in watts (exact recomputation).

@@ -21,9 +21,9 @@ Two families are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple, Union
 
-from repro.platform.components import PlatformError
+from repro.platform.components import PlatformError, _node_name
 from repro.sharing import SharedResource
 
 if TYPE_CHECKING:  # pragma: no cover - networkx loads with the first graph topology
@@ -72,13 +72,29 @@ class Route:
 class Topology:
     """Interface: map endpoint pairs to routes."""
 
+    #: Number of compute nodes the topology is sized for.
+    num_nodes: int
+
     def route(self, src: Endpoint, dst: Endpoint) -> Route:
         """Route from ``src`` to ``dst``; loopback returns an empty route."""
         raise NotImplementedError
 
     def attach_nodes(self, nodes) -> None:
-        """Give nodes their ``up``/``down`` NIC resources (topology-owned)."""
-        raise NotImplementedError
+        """:meth:`attach_node` every one of ``nodes``, which must be all of them."""
+        if len(nodes) != self.num_nodes:
+            raise PlatformError(
+                f"Topology sized for {self.num_nodes} nodes, got {len(nodes)}"
+            )
+        for node in nodes:
+            self.attach_node(node)
+
+    def attach_node(self, node) -> None:
+        """Give ``node`` its ``up``/``down`` NIC resources (topology-owned).
+
+        The platform calls this once per node, when the node is built.
+        Nothing to do where the first/last edges of a route already model
+        the NIC: ``up``/``down`` stay ``None``.
+        """
 
     def shared_resources(self) -> List[SharedResource]:
         """Every topology-owned shared resource, in a deterministic order.
@@ -117,50 +133,53 @@ class StarTopology(Topology):
     ) -> None:
         if num_nodes < 1:
             raise PlatformError("StarTopology needs at least one node")
+        if bandwidth <= 0:
+            raise PlatformError(f"StarTopology: bandwidth must be > 0, got {bandwidth}")
         self.num_nodes = num_nodes
+        self.bandwidth = bandwidth
         self.latency = latency
-        names = [f"node{i:04d}" for i in range(num_nodes)]
-        self._up = [SharedResource(name + ".up", bandwidth) for name in names]
-        self._down = [SharedResource(name + ".down", bandwidth) for name in names]
+        #: Each node's private ``(up, down)`` pair, ``None`` until a route
+        #: or the node itself first needs it.
+        self._links: List[Optional[Tuple[SharedResource, SharedResource]]] = [None] * num_nodes
         pfs_bw = pfs_bandwidth if pfs_bandwidth is not None else bandwidth
         self._pfs_in = SharedResource("pfs.link.in", pfs_bw)
         self._pfs_out = SharedResource("pfs.link.out", pfs_bw)
 
-    def attach_nodes(self, nodes) -> None:
-        if len(nodes) != self.num_nodes:
-            raise PlatformError(
-                f"Topology sized for {self.num_nodes} nodes, got {len(nodes)}"
+    def _link(self, idx: int) -> Tuple[SharedResource, SharedResource]:
+        """Node ``idx``'s ``(up, down)`` pair, built on first use."""
+        if not 0 <= idx < self.num_nodes:
+            raise PlatformError(f"Node index {idx} out of range 0..{self.num_nodes-1}")
+        pair = self._links[idx]
+        if pair is None:
+            name = _node_name(idx)
+            pair = self._links[idx] = (
+                SharedResource(name + ".up", self.bandwidth),
+                SharedResource(name + ".down", self.bandwidth),
             )
-        for node, up, down in zip(nodes, self._up, self._down):
-            node.up = up
-            node.down = down
+        return pair
+
+    def attach_node(self, node) -> None:
+        node.up, node.down = self._link(node.index)
 
     def shared_resources(self) -> List[SharedResource]:
         resources: List[SharedResource] = []
-        for up, down in zip(self._up, self._down):
-            resources.append(up)
-            resources.append(down)
+        for idx, pair in enumerate(self._links):
+            resources.extend(pair or self._link(idx))
         resources.append(self._pfs_in)
         resources.append(self._pfs_out)
         return resources
-
-    def _check_index(self, idx: int) -> None:
-        if not 0 <= idx < self.num_nodes:
-            raise PlatformError(f"Node index {idx} out of range 0..{self.num_nodes-1}")
 
     def route(self, src: Endpoint, dst: Endpoint) -> Route:
         if src == dst:
             return Route((), 0.0)
         if src == PFS:
             # PFS → node: PFS egress + node ingress.
-            self._check_index(dst)  # type: ignore[arg-type]
-            return Route((self._pfs_out, self._down[dst]), 2 * self.latency)
-        if dst == PFS:
-            self._check_index(src)  # type: ignore[arg-type]
-            return Route((self._up[src], self._pfs_in), 2 * self.latency)
-        self._check_index(src)  # type: ignore[arg-type]
-        self._check_index(dst)  # type: ignore[arg-type]
-        return Route((self._up[src], self._down[dst]), 2 * self.latency)
+            resources = (self._pfs_out, self._link(dst)[1])  # type: ignore[arg-type]
+        elif dst == PFS:
+            resources = (self._link(src)[0], self._pfs_in)  # type: ignore[arg-type]
+        else:
+            resources = (self._link(src)[0], self._link(dst)[1])  # type: ignore[arg-type]
+        return Route(resources, 2 * self.latency)
 
 
 class GraphTopology(Topology):
@@ -182,16 +201,6 @@ class GraphTopology(Topology):
         self.graph = graph
         self.num_nodes = num_nodes
         self._cache: Dict[Tuple[Hashable, Hashable], Route] = {}
-
-    def attach_nodes(self, nodes) -> None:
-        if len(nodes) != self.num_nodes:
-            raise PlatformError(
-                f"Topology sized for {self.num_nodes} nodes, got {len(nodes)}"
-            )
-        # In a graph topology the first/last edges already model the NIC.
-        for node in nodes:
-            node.up = None
-            node.down = None
 
     def shared_resources(self) -> List[SharedResource]:
         # networkx preserves edge insertion order, and the builders add
@@ -272,7 +281,7 @@ def build_fat_tree(
         graph.add_edge(
             ("node", i),
             ("leaf", leaf),
-            link=Link(f"node{i:04d}-leaf{leaf}", leaf_bandwidth, latency),
+            link=Link(f"{_node_name(i)}-leaf{leaf}", leaf_bandwidth, latency),
         )
     pfs_bw = pfs_bandwidth if pfs_bandwidth is not None else spine_bw
     graph.add_edge(PFS, "spine", link=Link("pfs-spine", pfs_bw, latency))
@@ -361,7 +370,7 @@ def build_dragonfly(
         graph.add_edge(
             ("node", i),
             ("router", router),
-            link=Link(f"node{i:04d}-r{router}", node_bandwidth, latency),
+            link=Link(f"{_node_name(i)}-r{router}", node_bandwidth, latency),
         )
     # Intra-group all-to-all.
     for g in range(groups):

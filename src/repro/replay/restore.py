@@ -169,7 +169,9 @@ def restore_simulation(snapshot: Snapshot):
     #    through the same clone call the live run used (the source's state
     #    is restored first, so trimmed applications come out identical).
     jobs_by_jid = {job.jid: job for job in batch.jobs}
-    nodes = batch.platform.nodes
+    # Every node is restored below, so build them all now: jobs then pick
+    # theirs out of a plain list.
+    nodes = list(batch.platform.nodes)
     for rec in state["jobs"]:
         jid = rec["jid"]
         job = jobs_by_jid.get(jid)

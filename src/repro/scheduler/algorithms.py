@@ -897,11 +897,7 @@ class HybridCorridorScheduler(Algorithm):
         node_deficit = need - ctx.num_free_nodes()
         # Worst-case start cost: the job may land on any nodes once the
         # victims release, so budget for the `need` hungriest ones.
-        costs = sorted(
-            (node.peak_watts - node.idle_watts for node in ctx.platform.nodes),
-            reverse=True,
-        )
-        power_deficit = sum(costs[:need]) - ctx.power_headroom()
+        power_deficit = ctx.platform.max_start_power(need) - ctx.power_headroom()
         victims = sorted(
             (
                 j

@@ -136,3 +136,12 @@ class TestPlatformAggregate:
         assert p.num_free_nodes() == 6
         assert p.utilization() == pytest.approx(0.25)
         assert [n.index for n in p.free_nodes()] == [2, 3, 4, 5, 6, 7]
+
+    def test_failed_idle_node_is_not_utilization(self):
+        p = platform_from_dict({**BASE_SPEC, "nodes": {"count": 4, "flops": 1e12}})
+        p.nodes[3].fail()
+        assert p.num_free_nodes() == 3
+        assert p.num_allocated_nodes() == 0
+        assert p.utilization() == 0.0
+        p.nodes[0].allocate("job")
+        assert p.utilization() == pytest.approx(0.25)

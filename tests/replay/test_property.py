@@ -29,12 +29,19 @@ MODES = [
 ]
 
 
-def _check(seed, pick, array, compiled):
+def _check(seed, pick, array, compiled, widen=None):
+    """Cold / snapshot / resume comparison; True when a checkpoint was resumed.
+
+    ``widen`` sets the scenario's node count (star scenarios only) so the
+    same comparison runs on a machine the workload touches a corner of.
+    """
     old_array, old_compiled = array_engine_enabled(), compiled_enabled()
     set_array_engine_enabled(array)
     set_compiled_enabled(compiled)
     try:
         scenario = generate_scenario(seed, algorithm="easy")
+        if widen is not None:
+            scenario["platform"]["nodes"]["count"] = widen
         cold = Simulation.from_spec(json.loads(json.dumps(scenario)))
         cold.run()
         cold_fp, cold_events = fingerprint(cold), cold.env.processed_events
@@ -44,13 +51,14 @@ def _check(seed, pick, array, compiled):
         snapped.run(snapshot_every=40, snapshot_callback=snapshots.append)
         assert fingerprint(snapped) == cold_fp
         if not snapshots:
-            return  # run too short for a quiet boundary at this cadence
+            return False  # run too short for a quiet boundary at this cadence
 
         snap = snapshots[int(pick * len(snapshots)) % len(snapshots)]
         resumed = Simulation.resume(json_roundtrip(snap))
         resumed.run()
         assert fingerprint(resumed) == cold_fp
         assert resumed.env.processed_events == cold_events
+        return True
     finally:
         set_array_engine_enabled(old_array)
         set_compiled_enabled(old_compiled)
