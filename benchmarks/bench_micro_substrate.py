@@ -403,11 +403,13 @@ def _fanout_round_trips(n: int):
     return env.processed_events, SolverStats.from_model(model).cohorts_dissolved
 
 
-@pytest.mark.benchmark(group="micro-model")
-def test_micro_fanout_width(benchmark):
-    """Cost of one task fan-out by width: admit, solve, wake, finish and
-    resume the waiting process.  A cohort has no members unless one is
-    singled out, so the calls must not grow with the width."""
+def _fanout_width_report(
+    benchmark, round_trips, bench_id, title, table_title, calls_with_members, **extra
+):
+    """Time and profile ``round_trips(n)`` at every width of
+    ``FANOUT_SIZES``, print and write the table, and hold it to the
+    contract of a memberless fan-out: the events of its members, nothing
+    dissolved, and calls that do not grow with the width."""
 
     def sweep():
         rows = []
@@ -415,9 +417,9 @@ def test_micro_fanout_width(benchmark):
             best = float("inf")
             for _ in range(5):
                 start = time.perf_counter()
-                events, dissolved = _fanout_round_trips(n)
+                events, dissolved = round_trips(n)
                 best = min(best, time.perf_counter() - start)
-            calls = profiled_calls(lambda: _fanout_round_trips(n))
+            calls = profiled_calls(lambda: round_trips(n))
             rows.append(
                 [
                     n,
@@ -432,31 +434,99 @@ def test_micro_fanout_width(benchmark):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     header = ["nodes", "us_per_fanout", "calls_per_fanout", "events_per_fanout", "dissolved"]
     print_table(
-        "micro: admit + complete one CPU fan-out",
+        table_title,
         header,
         rows,
         note=f"{FANOUT_ROUNDS} rounds, best of 5; calls counted by cProfile; "
-        f"with one activity per member: {FANOUT_CALLS_WITH_MEMBERS} calls",
+        f"with one activity per member: {calls_with_members} calls",
     )
     write_bench_json(
-        "MICRO_FANOUT",
-        title="task fan-out cost by width",
+        bench_id,
+        title=title,
         header=header,
         rows=rows,
         extra={
             "rounds": FANOUT_ROUNDS,
+            **extra,
             "python": sys.version.split()[0],
-            "calls_per_fanout_with_members": FANOUT_CALLS_WITH_MEMBERS,
+            "calls_per_fanout_with_members": calls_with_members,
         },
     )
     for n, _, calls, events, dissolved in rows:
         # resolve, wake, n completions' worth, fire check, all-of (+ the
         # process start, once)
         assert round(events) == n + 4 and dissolved == 0
-        assert calls <= FANOUT_CALLS_WITH_MEMBERS[n]
+        assert calls <= calls_with_members[n]
     widest, narrowest = rows[-1], rows[0]
     per_member = (widest[2] - narrowest[2]) / (widest[0] - narrowest[0])
     assert per_member < 0.5, f"{per_member:.2f} calls per added member"
+
+
+@pytest.mark.benchmark(group="micro-model")
+def test_micro_fanout_width(benchmark):
+    """Cost of one task fan-out by width: admit, solve, wake, finish and
+    resume the waiting process.  A cohort has no members unless one is
+    singled out, so the calls must not grow with the width."""
+    _fanout_width_report(
+        benchmark,
+        _fanout_round_trips,
+        "MICRO_FANOUT",
+        "task fan-out cost by width",
+        "micro: admit + complete one CPU fan-out",
+        FANOUT_CALLS_WITH_MEMBERS,
+    )
+
+
+HUB_CONTENDERS = 8
+
+#: Calls per fan-out of ``_hub_round_trips(n)`` at the parent of the
+#: hub-cohort change (2dc116f, CPython 3.11), where a fan-out with a shared
+#: hop was one ``Activity`` per member in the hub's component: admitted,
+#: solved, integrated and removed one by one.
+HUB_CALLS_WITH_MEMBERS = {1: 288.5, 8: 684.5, 21: 1412.6, 64: 3820.8, 128: 7405.1}
+
+
+def _hub_round_trips(n: int):
+    """Admit and complete one n-node file-system read — every route
+    through the same link and service, and one node link of its own —
+    ``FANOUT_ROUNDS`` times, beside ``HUB_CONTENDERS`` standing readers;
+    returns the events processed and the cohorts that got members."""
+    env = Environment()
+    model = FairShareModel(env)
+    link = SharedResource("pfs.link.out", 40e9)
+    service = SharedResource("pfs.read", 20e9)
+    downs = [SharedResource(f"down{i}", 10e9) for i in range(HUB_CONTENDERS + n)]
+    for down in downs[:HUB_CONTENDERS]:
+        model.execute_fanout(1e18, [link, down, service], ("standing", "read"), hops=3)
+    routes = [res for down in downs[HUB_CONTENDERS:] for res in (link, down, service)]
+    payloads = [("job", "read", k) for k in range(n)]
+
+    def job():
+        for _ in range(FANOUT_ROUNDS):
+            yield model.execute_fanout(1e9, routes, payloads, hops=3).done
+
+    done = env.process(job())
+    env.run(until=done)
+    stats = SolverStats.from_model(model)
+    assert stats.max_solve_scope == HUB_CONTENDERS + n
+    return env.processed_events, stats.cohorts_dissolved
+
+
+@pytest.mark.benchmark(group="micro-model")
+def test_micro_hub_fanout_width(benchmark):
+    """Cost of one file-system I/O fan-out by width, on a busy hub: join
+    the hub's component, two solves of it (arrival, departure), wake,
+    finish, resume the waiting process.  A fan-out is one row of the
+    component whatever its width, so the calls must not grow with it."""
+    _fanout_width_report(
+        benchmark,
+        _hub_round_trips,
+        "MICRO_HUB",
+        "file-system I/O fan-out cost by width, on a busy hub",
+        f"micro: admit + complete one file-system read beside {HUB_CONTENDERS} standing readers",
+        HUB_CALLS_WITH_MEMBERS,
+        contenders=HUB_CONTENDERS,
+    )
 
 
 RING_SIZES = (2, 8, 64)

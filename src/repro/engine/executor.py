@@ -72,14 +72,10 @@ def transfer(
     route: Route,
     nbytes: float,
     *,
-    extra_usages: Optional[dict] = None,
     payload: Any = None,
 ) -> Activity:
     """Create (and start) a flow activity along ``route`` (see :func:`flow_work`)."""
     usages = {res: 1.0 for res in route.resources}
-    if extra_usages:
-        for res, factor in extra_usages.items():
-            usages[res] = max(usages.get(res, 0.0), factor)
     activity = Activity(flow_work(nbytes, route.latency, usages), usages, payload=payload)
     model.execute(activity)
     return activity
@@ -452,8 +448,10 @@ class JobExecutor:
         Flows that are one activity but for their resources — equal hop
         count, equal latency-inflated work, as in any exchange on a star —
         are handed to the model in one call, which makes them one cohort
-        row when the routes are private; routes of unequal length or
-        bottleneck (fat tree, torus) start one :func:`transfer` each.
+        row when each hop is private to its flow or common to all of them
+        (a gather's root, the file system's side of I/O); routes of
+        unequal length or bottleneck (fat tree, torus) start one
+        :func:`transfer` each.
         """
         hops = len(routes[0].resources) if routes else 0
         if hops and all([len(route.resources) == hops for route in routes]):
@@ -474,58 +472,51 @@ class JobExecutor:
         )
 
     def _run_pfs_io(self, task, variables, *, read: bool) -> Generator[Event, Any, None]:
-        pfs = self.platform.pfs
+        platform = self.platform
+        pfs = platform.pfs
         if pfs is None:
             raise EngineError(
                 f"Job {self.job.name}: task {task.name!r} needs a PFS, "
-                f"but platform {self.platform.name!r} has none"
+                f"but platform {platform.name!r} has none"
             )
         nodes = self._task_nodes(task)
         nbytes = task.bytes_per_node(variables, len(nodes))
         if nbytes <= 0:
             return
-        service = pfs.read if read else pfs.write
-        activities = []
+        # A flow to or from the file system also draws on its service
+        # capacity, behind its link: one more hop, the same for every node.
+        service = (pfs.read if read else pfs.write,)
+        route_of = platform.route_from_pfs if read else platform.route_to_pfs
+        routes = []
         for node in nodes:
-            route = (
-                self.platform.route_from_pfs(node.index)
-                if read
-                else self.platform.route_to_pfs(node.index)
+            route = route_of(node.index)
+            routes.append(Route(route.resources + service, route.latency))
+        jid = self.job.jid
+        yield from self._wait_started(
+            self._start_flows(
+                routes, nbytes, [(jid, task.name, node.index) for node in nodes]
             )
-            activities.append(
-                transfer(
-                    self.env,
-                    self.model,
-                    route,
-                    nbytes,
-                    extra_usages={service: 1.0},
-                    payload=(self.job.jid, task.name, node.index),
-                )
-            )
-        yield from self._wait_started(Fanout(self.env, activities))
+        )
 
     def _run_bb_io(self, task, variables, *, read: bool) -> Generator[Event, Any, None]:
         nodes = self._task_nodes(task)
         nbytes = task.bytes_per_node(variables, len(nodes))
         if nbytes <= 0:
             return
-        activities = []
         for node in nodes:
             if node.bb is None:
                 raise EngineError(
                     f"Job {self.job.name}: task {task.name!r} needs burst "
                     f"buffers, but node {node.name} has none"
                 )
-            resource = node.bb.read if read else node.bb.write
-            activities.append(
-                Activity(
-                    nbytes,
-                    {resource: 1.0},
-                    payload=(self.job.jid, task.name, node.index),
-                )
+        jid = self.job.jid
+        yield from self._wait_started(
+            self.model.execute_fanout(
+                nbytes,
+                [node.bb.read if read else node.bb.write for node in nodes],
+                [(jid, task.name, node.index) for node in nodes],
             )
-        self.model.execute_many(activities)
-        yield from self._wait_started(Fanout(self.env, activities))
+        )
         if not read and getattr(task, "charge", False):
             for node in nodes:
                 node.bb.charge(nbytes)

@@ -57,18 +57,28 @@ class SolverStats:
         dispatch counts, this depends on the engine switch and stays out of
         ``Monitor.run_record()``.
     cohorts_admitted / cohort_members / cohorts_dissolved:
-        Cohort rows the slot engine admitted (a task fan-out or a
-        communication exchange on private routes is one memberless row, a
-        lone simple activity a row of one), the activities in them in
-        total, and cohorts *dissolved* — their members materialised as
-        objects because one was cancelled (or the whole fan-out killed),
-        got a second user on one of its resources, or was asked for
-        through ``Fanout.activities``; a run that never singles a member
-        out ends at zero.  All zero on the object engine:
-        engine-dependent like ``slot_solves``, and outside
-        ``Monitor.run_record()`` for the same reason.  Counted since the
-        model was built or restored — a resumed run does not carry the
-        checkpoint's tallies.
+        Cohort rows the array engine admitted, the activities in them in
+        total, and cohorts *dissolved*.  A row lives in one of two places.
+        In the slot table: a fan-out whose every hop is private to its
+        member — a compute task, burst-buffer I/O, a ring or pairwise
+        exchange on a star — and a lone simple activity, a row of one;
+        these are the ``slot_solves``.  In a shared component, beside its
+        other activities and rows: a fan-out with a hop every member
+        goes through — file-system I/O (the file system's link and
+        service), a gather (the root's link); these are solved with their
+        component and counted, member for member, in ``resolves``,
+        ``solved_activities``, ``max_solve_scope`` and ``size_histogram``
+        exactly as the object engine counts the members themselves.  A
+        cohort *dissolves* — its members are materialised as objects —
+        when one is cancelled (or the whole fan-out killed), gets a
+        second user on a hop private to it, is asked for through
+        ``Fanout.activities``, or when its component really splits; a
+        second user on a *shared* hop is just another member of the
+        component.  A run that never singles a member out ends at zero.
+        All zero on the object engine: engine-dependent like
+        ``slot_solves``, and outside ``Monitor.run_record()`` for the
+        same reason.  Counted since the model was built or restored — a
+        resumed run does not carry the checkpoint's tallies.
     """
 
     resolves: int = 0

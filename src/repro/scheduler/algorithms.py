@@ -8,6 +8,7 @@ run arbitrarily long, which disables backfilling around them.
 from __future__ import annotations
 
 import random
+from heapq import heapify, heappop, heapreplace
 from math import inf
 from typing import Dict, List, Optional, Type
 
@@ -393,6 +394,23 @@ class AdaptiveMoldableScheduler(Algorithm):
         return None
 
 
+def _water_fill(targets: Dict[int, int], caps: Dict[int, int], spare: int) -> None:
+    """Hand ``spare`` nodes out, in place: one at a time to the smallest
+    of ``targets`` (jid → size) still below its cap, ties to the lowest
+    jid for determinism."""
+    growable = [(target, jid) for jid, target in targets.items() if target < caps[jid]]
+    heapify(growable)
+    while spare > 0 and growable:
+        target, jid = growable[0]
+        target += 1
+        spare -= 1
+        targets[jid] = target
+        if target < caps[jid]:
+            heapreplace(growable, (target, jid))
+        else:
+            heappop(growable)
+
+
 class MalleableScheduler(Algorithm):
     """Fair-share malleable scheduling (the paper's showcase policy).
 
@@ -467,17 +485,7 @@ class MalleableScheduler(Algorithm):
 
         targets = {job.jid: mn for job, mn, _ in claimants}
         caps = {job.jid: mx for job, _, mx in claimants}
-        spare = budget - sum(targets.values())
-        # Water-fill: one node at a time to the smallest target below cap;
-        # ties broken by jid for determinism.
-        growable = [job for job, _, _ in claimants if targets[job.jid] < caps[job.jid]]
-        while spare > 0 and growable:
-            growable.sort(key=lambda j: (targets[j.jid], j.jid))
-            job = growable[0]
-            targets[job.jid] += 1
-            spare -= 1
-            if targets[job.jid] >= caps[job.jid]:
-                growable.remove(job)
+        _water_fill(targets, caps, budget - sum(targets.values()))
         return targets, admitted
 
     # -- passes ------------------------------------------------------------------

@@ -235,13 +235,16 @@ class Activity:
 
 
 def solve_max_min(
-    activities: Iterable[Activity], *, vectorize: Optional[bool] = None
+    activities: Iterable[Union[Activity, "Fanout"]], *, vectorize: Optional[bool] = None
 ) -> str:
     """Assign weighted max-min fair rates to ``activities`` in place.
 
     Implements progressive filling.  Activities with no resource usages are
     only limited by their ``bound`` (infinite bound → infinite rate, which
     the model treats as instantaneous completion of their remaining work).
+    An entry may be a *row* — the :class:`Fanout` handle of an intact
+    cohort in a shared component — which gets the one rate each of its
+    ``len(row)`` unit members would get (see :func:`_solve_scalar`).
 
     ``vectorize`` selects the kernel: ``True`` runs the numpy kernel, kept
     as a second implementation for the differential tests (the scalar loop
@@ -261,13 +264,30 @@ def solve_max_min(
     if not acts:
         return "scalar"
     if len(acts) == 1:  # dominant case: skip the sort machinery entirely
-        _solve_single(acts[0])
-        return "fast"
-    acts.sort(key=lambda a: a._seq)
+        act = acts[0]
+        if type(act) is not Fanout:
+            _solve_single(act)
+            return "fast"
+        if act._n == 1:
+            act.rate = _unit_rate(act.usages)
+            return "fast"
+    else:
+        acts.sort(key=lambda a: a._seq)
     if vectorize is None:
         vectorize = DEFAULT_VECTORIZE
     if vectorize:
-        _solve_vector(acts)
+        # The numpy kernel knows no rows: it solves their members.
+        members: List[Activity] = []
+        rows: Dict[Fanout, int] = {}
+        for act in acts:
+            if type(act) is Fanout:
+                rows[act] = len(members)
+                members += act._stand_ins()
+            else:
+                members.append(act)
+        _solve_vector(members)
+        for row, first in rows.items():
+            row.rate = members[first].rate
         return "vector"
     _solve_scalar(acts)
     return "scalar"
@@ -315,7 +335,7 @@ def _single_rate(act: Activity) -> float:
     return rate
 
 
-def _unit_rate(route: List[SharedResource]) -> float:
+def _unit_rate(route: Iterable[SharedResource]) -> float:
     """:func:`_single_rate` of a unit-usage, unit-weight, unbounded activity
     on ``route``, without the activity: the bottleneck capacity.
 
@@ -331,14 +351,46 @@ def _unit_rate(route: List[SharedResource]) -> float:
     return rate
 
 
-def _solve_scalar(acts: List[Activity]) -> None:
-    """Reference progressive-filling loop over dicts (creation-ordered)."""
+#: Below this, integer-valued floats add and subtract exactly.
+_EXACT = 2.0**52
+
+
+def _add_units(value: float, units: int) -> float:
+    """``value`` plus (minus, for negative ``units``) 1.0, ``abs(units)``
+    times over, rounded as that loop rounds.
+
+    An integer-valued float below ``2**52`` takes them all at once: every
+    partial sum is an integer below ``2**53``, hence exact either way.
+    """
+    if value % 1.0 == 0.0 and -_EXACT < value < _EXACT:
+        return value + units
+    step = 1.0 if units > 0 else -1.0
+    for _ in range(abs(units)):
+        value += step
+    return value
+
+
+def _solve_scalar(acts: List[Union[Activity, "Fanout"]]) -> None:
+    """Reference progressive-filling loop over dicts (creation-ordered).
+
+    A *row* (a :class:`Fanout`: ``n`` unit-weight, unbounded members with
+    unit usage on routes that differ in their private hops only) is solved
+    as its first member — that is what its ``usages``, ``weight`` and
+    ``bound`` describe — plus the other members' unit demand on each shared
+    hop, added and withdrawn where theirs would be: the members sit back
+    to back in creation order and among each resource's users, their
+    private hops have equal capacity and one user each, so they see the
+    same increments, freeze in the same round and end at one rate, and the
+    first member's private hop wins every tie against its siblings' (it
+    comes first).  Same float operations on every value that outlives the
+    call as with the members spelled out.
+    """
     for act in acts:
         act.rate = 0.0
 
     # Unconstrained activities progress at their bound.  Ordered dicts
     # stand in for sets to keep iteration deterministic under deletion.
-    unfrozen: Dict[Activity, None] = {}
+    unfrozen: Dict[Any, None] = {}
     for act in acts:
         if act.usages:
             unfrozen[act] = None
@@ -354,7 +406,7 @@ def _solve_scalar(acts: List[Activity]) -> None:
     # re-summing every resource's users each round.
     residual: Dict[SharedResource, float] = {}
     demand: Dict[SharedResource, float] = {}
-    users: Dict[SharedResource, Dict[Activity, None]] = {}
+    users: Dict[SharedResource, Dict[Any, None]] = {}
     for act in unfrozen:
         for res, factor in act.usages.items():
             if res not in residual:
@@ -363,6 +415,9 @@ def _solve_scalar(acts: List[Activity]) -> None:
                 users[res] = {}
             demand[res] += factor * act.weight
             users[res][act] = None
+        if type(act) is Fanout and act._n > 1:
+            for res in act._shared:
+                demand[res] = _add_units(demand[res], act._n - 1)
 
     bounded: Dict[Activity, None] = {
         act: None for act in unfrozen if act.bound < inf
@@ -402,11 +457,20 @@ def _solve_scalar(acts: List[Activity]) -> None:
         if theta > 0:
             for act in unfrozen:
                 act.rate += theta * act.weight
+        if limiting_res is not None and users[limiting_res] == unfrozen:
+            # The limiter serves everything still unfrozen (its users are
+            # among them, so equal sizes decide): this is the last round,
+            # and all that outlives it is the rates.
+            for act in bounded:
+                if act.rate >= act.bound * (1 - 1e-12):
+                    act.rate = act.bound
+            return
+        if theta > 0:
             for res in residual:
                 residual[res] -= theta * demand[res]
 
         # Freeze activities on saturated resources or at their bound.
-        frozen: Dict[Activity, None] = {}
+        frozen: Dict[Any, None] = {}
         for res, cap in residual.items():
             if users[res] and cap <= max(1e-12, 1e-12 * res.capacity):
                 residual[res] = 0.0
@@ -435,6 +499,10 @@ def _solve_scalar(acts: List[Activity]) -> None:
                 demand[res] -= factor * act.weight
                 if not users[res]:
                     demand[res] = 0.0  # drop cancellation residue
+            if type(act) is Fanout and act._n > 1:
+                for res in act._shared:
+                    if users[res]:
+                        demand[res] = _add_units(demand[res], 1 - act._n)
             del unfrozen[act]
             bounded.pop(act, None)
 
@@ -574,6 +642,15 @@ def _solve_vector(acts: List[Activity]) -> None:
         act.rate = float(rates[i])
 
 
+def _splice(entries: Dict[Any, None], old: Any, new: List[Any]) -> None:
+    """Put ``new`` where ``old`` stands in the ordered set ``entries``."""
+    keys = list(entries)
+    at = keys.index(old)
+    keys[at : at + 1] = new
+    entries.clear()
+    entries.update(dict.fromkeys(keys))
+
+
 class Component:
     """One connected component of the activity↔resource graph.
 
@@ -582,19 +659,26 @@ class Component:
     deterministic iteration), the simulated time its members' ``remaining``
     was last integrated to, and a version stamp that lazily invalidates
     horizon-heap entries pushed for earlier solves.
+
+    An entry of ``acts`` is an :class:`Activity` or a *row*: the
+    :class:`Fanout` handle of an intact cohort with a shared hop, standing
+    where its ``n`` members would stand, back to back.  ``extra`` is how
+    many members the rows hold beyond one per entry, so the component's
+    size in activities is ``len(acts) + extra``.
     """
 
-    __slots__ = ("id", "acts", "last_update", "version", "alive")
+    __slots__ = ("id", "acts", "extra", "last_update", "version", "alive")
 
     def __init__(self, cid: int, now: float) -> None:
         self.id = cid
-        self.acts: Dict[Activity, None] = {}
+        self.acts: Dict[Any, None] = {}
+        self.extra = 0
         self.last_update = now
         self.version = 0
         self.alive = True
 
     def __repr__(self) -> str:
-        return f"<Component #{self.id} acts={len(self.acts)}>"
+        return f"<Component #{self.id} acts={len(self.acts) + self.extra}>"
 
 
 class Fanout:
@@ -605,33 +689,54 @@ class Fanout:
     ``done`` events — and :meth:`FairShareModel.cancel` takes the handle
     like an activity.
 
-    An *intact cohort* (see :class:`_SlotTable`) has no member objects:
-    the handle records what the members share (work, start time, the flat
-    route list, one payload or one per member), the ``_seq`` range reserved
-    for them, and ``done`` expects ``len(fanout)`` check-ins, which arrive
-    together.  Whatever singles a member out — reading :attr:`activities`
-    included — *materialises* them: real :class:`Activity` objects under
-    the reserved ids, in exactly the state per-member bookkeeping would
-    have left them in; from there on the handle is the list of them and
-    ``done`` the ordinary all-of.  A fan-out the cohort table cannot hold
-    (object engine, shared or unequal resources, zero work) is
+    An *intact cohort* has no member objects: the handle records what the
+    members share (work, start time, the flat route list, one payload or
+    one per member), the ``_seq`` range reserved for them, and ``done``
+    expects ``len(fanout)`` check-ins, which arrive together.  Where it
+    lives depends on its routes.  All hops *private* (free, pairwise
+    distinct): a row of the :class:`_SlotTable`, which holds its progress.
+    Some hop *shared* — the same resource in every route, a file system
+    and its link — : a row of that resource's :class:`Component`, the
+    handle itself standing among the activities there as its members
+    would, back to back: it carries their one ``rate`` and ``remaining``,
+    is the user (counting ``n``) of each shared hop and the sole user of
+    its private ones, and looks to the solver like its first member
+    (``usages``, ``weight``, ``bound``) ``n`` times over.  A cohort of one
+    whose resource gets a second user carries on as such a row, every hop
+    shared: it has no sibling to be told apart from.
+
+    Whatever singles a member out — reading :attr:`activities` included —
+    *materialises* them: real :class:`Activity` objects under the reserved
+    ids, in exactly the state per-member bookkeeping would have left them
+    in; from there on the handle is the list of them and ``done`` the
+    ordinary all-of.  A fan-out no row can hold (object engine, resources
+    shared by some members only, unequal capacities, zero work) is
     materialised from birth: ``Fanout(env, activities)``.
     """
 
     __slots__ = (
         "done",
+        "work",
+        "rate",
+        "remaining",
+        "usages",
         "_activities",
         "_n",
         "_seq",
-        "_work",
         "_resources",
         "_hops",
+        "_shared",
+        "_private",
         "_payloads",
         "_started_at",
         "_finished_at",
         "_model",
         "_run",
     )
+
+    #: What every member of a cohort is: unit weight, unbounded.
+    weight = 1.0
+    bound = inf
 
     def __init__(self, env: Environment, activities: List[Activity]) -> None:
         """The handle of already-started ``activities``."""
@@ -658,7 +763,7 @@ class Fanout:
         if self._activities is None:
             model = self._model
             if model is not None:
-                model._dissolve(model._res_slot[self._resources[0]])
+                model._dissolve(self)
             else:
                 self._materialise(0.0, 0.0)
         return self._activities  # type: ignore[return-value]
@@ -674,38 +779,17 @@ class Fanout:
         """
         model = self._model
         env = self.done.env
-        n = self._n
-        seq0 = self._seq
-        work = self._work
-        resources = self._resources
-        hops = self._hops
-        payloads = self._payloads
-        per_member = type(payloads) is list
-        started_at = self._started_at
         finished_at = None if model is not None else self._finished_at
         run = self._run
         queued = run is not None and run.callbacks is not None
-        acts: List[Activity] = []
+        acts = self._members(rate, remaining, model, finished_at)
         events: List[Event] = []
-        for k in range(n):
-            done = Event(env)
-            act = Activity._raw(
-                seq=seq0 + k,
-                work=work,
-                remaining=remaining,
-                usages=dict.fromkeys(resources[k * hops : (k + 1) * hops], 1.0),
-                payload=payloads[k] if per_member else payloads,
-                rate=rate,
-                done=done,
-                started_at=started_at,
-                finished_at=finished_at,
-                model=model,
-            )
+        for act in acts:
+            done = act.done = Event(env)
             if model is None:
                 done._value = act
                 if not queued:
                     done.callbacks = None
-            acts.append(act)
             events.append(done)
         if queued:
             run.name_members(events)  # type: ignore[union-attr]
@@ -713,6 +797,52 @@ class Fanout:
         self._activities = acts
         self._model = None
         return acts
+
+    def _members(
+        self,
+        rate: float,
+        remaining: float,
+        model: Optional["FairShareModel"],
+        finished_at: Optional[float],
+    ) -> List[Activity]:
+        """One activity per route under the reserved ids, ``done`` unset."""
+        seq0 = self._seq
+        work = self.work
+        resources = self._resources
+        hops = self._hops
+        payloads = self._payloads
+        per_member = type(payloads) is list
+        started_at = self._started_at
+        return [
+            Activity._raw(
+                seq=seq0 + k,
+                work=work,
+                remaining=remaining,
+                usages=dict.fromkeys(resources[k * hops : (k + 1) * hops], 1.0),
+                payload=payloads[k] if per_member else payloads,
+                rate=rate,
+                done=None,  # type: ignore[arg-type]
+                started_at=started_at,
+                finished_at=finished_at,
+                model=model,
+            )
+            for k in range(self._n)
+        ]
+
+    def _stand_ins(self) -> List[Activity]:
+        """Throw-away members for a kernel that solves activities only."""
+        return self._members(0.0, self.remaining, None, None)
+
+    def _enter_component(
+        self, shared: Tuple[SharedResource, ...], rate: float, remaining: float
+    ) -> None:
+        """Become a row of a component: ``shared`` are the hops every
+        route has, every other resource of the routes is private."""
+        self._shared = shared
+        self._private = [res for res in self._resources if res not in shared]
+        self.usages = dict.fromkeys(self._resources[: self._hops], 1.0)
+        self.rate = rate
+        self.remaining = remaining
 
     def _capture(self) -> dict:
         """Snapshot record of an intact, running cohort (JSON-safe; the
@@ -726,7 +856,7 @@ class Fanout:
         return {
             "seq": self._seq,
             "n": self._n,
-            "work": self._work,
+            "work": self.work,
             "hops": self._hops,
             "shared_payload": shared,
             "payloads": payloads,
@@ -772,7 +902,7 @@ class Fanout:
         fanout._activities = None
         fanout._n = n
         fanout._seq = seq0
-        fanout._work = work
+        fanout.work = work
         fanout._resources = resources
         fanout._hops = hops
         fanout._payloads = payloads
@@ -808,7 +938,10 @@ class _SlotTable:
     :class:`Activity` itself: a lone simple activity passed to
     ``execute``, or a member of a dissolved cohort.  Columns are plain
     Python lists indexed by an integer slot (they beat numpy arrays for
-    this per-row scalar traffic).
+    this per-row scalar traffic).  A cohort whose routes have a hop in
+    common — file-system I/O — is not simple and not here: it is a row of
+    that hop's :class:`Component` (see :class:`Fanout`), and a cohort of
+    one moves there, as the handle it is, when a second user arrives.
 
     The table is an engine-internal mirror: ``Activity.rate`` and
     ``Activity.remaining`` of a row of one are written at exactly the
@@ -831,7 +964,8 @@ class _SlotTable:
     precomputed.
 
     Whatever singles a member out — its cancellation, a second user on one
-    of its resources, a read of ``Fanout.activities`` — first *dissolves*
+    of its resources (of a cohort of several: one alone is promoted
+    whole), a read of ``Fanout.activities`` — first *dissolves*
     the cohort: its members are materialised and given rows of one that
     keep its scalars and are queued under the **same absolute horizon**:
     no integration step happens, so no float drifts, and from there the
@@ -1055,12 +1189,13 @@ class FairShareModel:
         run is executed (never what it computes).  To count, use
         :attr:`component_count` / :meth:`component_sizes`, which do not.
         """
-        running = list(self._comp_of)
         table = self._array
-        if table is not None and table.live:
-            for owner in list(table.owner):
+        if table is not None:
+            for owner in list(self._comp_of) + table.owner:
                 if type(owner) is Fanout:
-                    self._dissolve(self._res_slot[owner._resources[0]])
+                    self._dissolve(owner)
+        running = list(self._comp_of)
+        if table is not None:
             running += [owner for owner in table.owner if owner is not None]
         return frozenset(running)
 
@@ -1076,7 +1211,7 @@ class FairShareModel:
         Cohort members count as the singleton components they are, each
         under its own component id, so both engines report the same list.
         """
-        entries = [(comp.id, len(comp.acts)) for comp in self._components]
+        entries = [(comp.id, len(comp.acts) + comp.extra) for comp in self._components]
         table = self._array
         if table is not None:
             for owner, n, cid in zip(table.owner, table.n, table.cid):
@@ -1091,7 +1226,7 @@ class FairShareModel:
         """Mapping of component size → number of components of that size."""
         histogram: Dict[int, int] = {}
         for comp in self._components:
-            size = len(comp.acts)
+            size = len(comp.acts) + comp.extra
             histogram[size] = histogram.get(size, 0) + 1
         table = self._array
         if table is not None and table.live:
@@ -1101,6 +1236,7 @@ class FairShareModel:
     def cohort_counts(self) -> Tuple[int, int, int]:
         """Cohort rows admitted, the members in them, and cohorts dissolved.
 
+        Rows of the slot table and rows of shared components alike.
         Diagnostics of the array engine (all zero on the object engine),
         snapshotted into :class:`repro.monitoring.SolverStats`.
         """
@@ -1143,7 +1279,7 @@ class FairShareModel:
                 self._request_resolve()
                 return activity
 
-        comp = self._join(activity)
+        comp = self._join(usages)
         comp.acts[activity] = None
         self._comp_of[activity] = comp
         for res in usages:
@@ -1167,22 +1303,31 @@ class FairShareModel:
         """Start one unit-usage activity of ``work`` per route in ``resources``.
 
         What a compute task does across its nodes (``hops=1``: one CPU
-        each) and a communication step across its flows (``hops=2`` on a
-        star: ``up[src]``, ``down[dst]``), said once: ``resources`` lists
-        the members' routes back to back, ``hops`` resources each, and
-        ``payloads`` is one payload per member when a list, every member's
-        payload otherwise.  Observably ``acts = [Activity(work, {res: 1.0,
-        ...}, payload=...) for each route]``, ``execute_many(acts)`` and an
-        all-of over their ``done`` events — same ``_seq`` and component
-        ids, same events, same results on either engine — returned as one
-        :class:`Fanout` handle.  With the array engine, free and
-        pairwise-distinct resources whose capacities repeat from route to
-        route make the fan-out a single memberless cohort row (see
-        :class:`_SlotTable`): no activity exists unless one is singled out.
-        Anything else takes the ordinary admission above.  ``resources``
-        and ``payloads`` are kept by reference and never written: the
-        caller may share them between calls but must not change them
-        while the fan-out runs.
+        each), a communication step across its flows (``hops=2`` on a
+        star: ``up[src]``, ``down[dst]``) and file-system I/O across its
+        nodes (``hops=3``: the node's link, the file system's link, its
+        service), said once: ``resources`` lists the members' routes back
+        to back, ``hops`` resources each, and ``payloads`` is one payload
+        per member when a list, every member's payload otherwise.
+        Observably ``acts = [Activity(work, {res: 1.0, ...}, payload=...)
+        for each route]``, ``execute_many(acts)`` and an all-of over their
+        ``done`` events — same ``_seq`` and component ids, same events,
+        same results on either engine — returned as one :class:`Fanout`
+        handle.
+
+        With the array engine the fan-out is one memberless row (no
+        activity exists unless one is singled out) when every hop position
+        is either *private* — a free resource in each route, all different,
+        of one capacity — or *shared* — the same resource in every route,
+        in use or not.  All private: a row of the slot table (see
+        :class:`_SlotTable`).  Some shared: a row of the component those
+        resources are in, next to whatever else uses them.  A single route
+        is private while nobody else uses its resources and shared from
+        then on.  Anything else — a resource only some routes share,
+        unequal capacities, a busy private hop — takes the ordinary
+        admission above.  ``resources`` and ``payloads`` are kept by
+        reference and never written: the caller may share them between
+        calls but must not change them while the fan-out runs.
         """
         total = len(resources)
         if hops < 1 or total % hops:
@@ -1192,6 +1337,7 @@ class FairShareModel:
         if per_member and len(payloads) != n:
             raise ValueError(f"{len(payloads)} payloads for {n} routes")
         cohort = self._array is not None and n > 0 and work > 0
+        shared: Tuple[SharedResource, ...] = ()
         if cohort:
             res_users = self._res_users
             res_slot = self._res_slot
@@ -1210,6 +1356,35 @@ class FairShareModel:
             else:
                 # A resource listed twice would be its own second user.
                 cohort = total == 1 or len(set(resources)) == total
+            if not cohort:
+                # Not private routes throughout.  With a hop every route
+                # has — going by the first two; a lone route's all are —
+                # and the others private, they make a row of a component.
+                if n == 1:
+                    shared = tuple(resources)
+                else:
+                    for hop in range(hops):
+                        if resources[hop] is resources[hops + hop]:
+                            shared += (resources[hop],)
+                if shared:
+                    hop = 0
+                    for res in resources:
+                        lead = resources[hop]
+                        if lead in shared:
+                            if res is not lead:
+                                break
+                        elif (
+                            res in res_slot
+                            or res in res_users
+                            or res.capacity != lead.capacity
+                        ):
+                            break
+                        hop += 1
+                        if hop == hops:
+                            hop = 0
+                    else:
+                        # One entry per private hop, one per shared position.
+                        cohort = len(set(resources)) == total - (n - 1) * len(shared)
         if not cohort:
             acts = [
                 Activity(
@@ -1227,12 +1402,14 @@ class FairShareModel:
         if n > 1:
             Activity._counter = count(seq0 + n)
         work = float(work)
-        # Every route has the first one's capacities, hop for hop.
-        rate = _unit_rate(resources[:hops])
         fanout = Fanout._cohort(
             self, seq0, n, work, resources, hops, payloads, self.env.now
         )
-        self._admit(fanout, n, resources, rate, work, work)
+        if shared:
+            self._admit_row(fanout, shared)
+        else:
+            # Every route has the first one's capacities, hop for hop.
+            self._admit(fanout, n, resources, _unit_rate(resources[:hops]), work, work)
         self._request_resolve()
         return fanout
 
@@ -1254,12 +1431,18 @@ class FairShareModel:
             elif activity._model is self:
                 table = self._array
                 assert table is not None
-                s = self._res_slot[activity._resources[0]]
-                self._integrate_slot(s, self.env.now)
-                members = activity._materialise(0.0, table.remaining[s])
-                self._free_slot(s)
+                comp = self._comp_of.get(activity)
+                if comp is not None:
+                    self._integrate(comp)
+                    remaining = activity.remaining
+                    self._remove(activity)
+                else:
+                    s = self._res_slot[activity._resources[0]]
+                    self._integrate_slot(s, self.env.now)
+                    remaining = table.remaining[s]
+                    self._free_slot(s)
                 table.dissolved += 1
-                for member in members:
+                for member in activity._materialise(0.0, remaining):
                     self._cancelled(member)
             return
         if activity._model is not self:
@@ -1303,24 +1486,31 @@ class FairShareModel:
 
     # -- component maintenance --------------------------------------------
 
-    def _join(self, activity: Activity) -> Component:
-        """Find-or-create the component a starting activity belongs to,
-        merging every component reachable through its resources."""
+    def _join(self, resources: Iterable[SharedResource]) -> Component:
+        """Find-or-create the component a newcomer on ``resources`` belongs
+        to, merging every component reachable through them."""
         if self._res_slot:
             # Any slot sharing a resource with the newcomer stops being
             # simple: promote it to a real Component first, then let the
             # ordinary merge machinery below see it as `involved`.
-            for res in activity.usages:
+            for res in resources:
                 if res in self._res_slot:
                     self._promote_slot(self._single_slot(res))
         involved: List[Component] = []
         if self._partition:
+            res_users = self._res_users
             seen: set[int] = set()
-            for res in activity.usages:
-                users = self._res_users.get(res)
+            for res in resources:
+                users = res_users.get(res)
                 if not users:
                     continue
-                comp = self._comp_of[next(iter(users))]
+                first = next(iter(users))
+                if type(first) is Fanout and res not in first._shared:
+                    # A second user on a row's private hop singles out the
+                    # member whose hop it is.
+                    self._dissolve(first)
+                    first = next(iter(res_users[res]))
+                comp = self._comp_of[first]
                 if comp.id not in seen:
                     seen.add(comp.id)
                     involved.append(comp)
@@ -1337,7 +1527,7 @@ class FairShareModel:
             return comp
 
         # Union by size (ties: oldest component) keeps merge cost amortized.
-        target = max(involved, key=lambda c: (len(c.acts), -c.id))
+        target = max(involved, key=lambda c: (len(c.acts) + c.extra, -c.id))
         self._integrate(target)
         for comp in involved:
             if comp is target:
@@ -1346,6 +1536,7 @@ class FairShareModel:
             for act in comp.acts:
                 target.acts[act] = None
                 self._comp_of[act] = target
+            target.extra += comp.extra
             comp.acts.clear()
             comp.alive = False
             comp.version += 1
@@ -1354,16 +1545,25 @@ class FairShareModel:
             self.merges += 1
         return target
 
-    def _remove(self, activity: Activity) -> None:
-        """Detach an activity; rebuild the partition of its component if the
-        removal can have disconnected it (scoped flood-fill, never global)."""
+    def _remove(self, activity: Union[Activity, Fanout]) -> None:
+        """Detach an activity — or a row, all its members at once —; rebuild
+        the partition of its component if the removal can have
+        disconnected it (scoped flood-fill, never global)."""
         comp = self._comp_of.pop(activity)
         del comp.acts[activity]
-        for res in activity.usages:
-            users = self._res_users[res]
+        res_users = self._res_users
+        if type(activity) is Fanout:
+            comp.extra -= activity._n - 1
+            for res in activity._private:
+                del res_users[res]
+            used: Iterable[SharedResource] = activity._shared
+        else:
+            used = activity.usages
+        for res in used:
+            users = res_users[res]
             del users[activity]
             if not users:
-                del self._res_users[res]
+                del res_users[res]
         if not comp.acts:
             comp.alive = False
             comp.version += 1
@@ -1375,14 +1575,16 @@ class FairShareModel:
         else:
             self._mark_dirty(comp)
 
-    def _still_connected(self, removed: Activity) -> bool:
+    def _still_connected(self, removed: Union[Activity, Fanout]) -> bool:
         """Whether ``removed``'s (connected) component survived in one piece.
 
         Every other member had a path to ``removed`` whose last hop is one
         of its resources, so it still hangs off one that kept a user: the
         remainder is connected iff those *live* resources reach each other.
         The search stops at the last one found — one hop when they share a
-        user, as all traffic to one file system does.
+        user, as all traffic to one file system does.  A row's ``usages``
+        (its first route) lead wherever its members' do: the other routes
+        add private hops only, dead ends.
         """
         res_users = self._res_users
         live = [res for res in removed.usages if res in res_users]
@@ -1406,9 +1608,15 @@ class FairShareModel:
 
     def _split(self, comp: Component) -> None:
         """Re-derive connected groups of ``comp`` after a removal."""
+        if comp.extra:
+            # The groups list their members in discovery order, where a
+            # row's need not come back to back: they are spelled out first.
+            for act in list(comp.acts):
+                if type(act) is Fanout and act._n > 1:
+                    self._dissolve(act)
         unvisited = dict.fromkeys(comp.acts)
         expanded: set[SharedResource] = set()
-        groups: List[List[Activity]] = []
+        groups: List[List[Any]] = []
         for seed in comp.acts:
             if seed not in unvisited:
                 continue
@@ -1495,6 +1703,34 @@ class FairShareModel:
         if total > self.peak_components:
             self.peak_components = total
 
+    def _admit_row(self, fanout: Fanout, shared: Tuple[SharedResource, ...]) -> None:
+        """Enter an intact cohort as one row of the component its
+        ``shared`` hops are in (or now make).
+
+        Joining is what its first member's admission would do: the
+        siblings after it would find that very component, nothing left to
+        merge and no time to integrate.  ``Fanout.rate`` stays 0.0, like
+        ``Activity.rate``, until the solve flush of this same instant.
+        """
+        table = self._array
+        assert table is not None
+        n = fanout._n
+        fanout._enter_component(shared, 0.0, fanout.work)
+        comp = self._join(shared)
+        comp.acts[fanout] = None
+        comp.extra += n - 1
+        self._comp_of[fanout] = comp
+        res_users = self._res_users
+        for res in shared:
+            res_users.setdefault(res, {})[fanout] = None
+        if fanout._private:
+            # One user each, the same one: one dict says so for all of them
+            # (a second user dissolves the row before anything is added).
+            res_users.update(dict.fromkeys(fanout._private, {fanout: None}))
+        self._dirty[comp] = None
+        table.admitted += 1
+        table.members += n
+
     def _free_slot(self, s: int) -> None:
         """Release a row and deregister its resources."""
         table = self._array
@@ -1509,23 +1745,43 @@ class FairShareModel:
     def _single_slot(self, res: SharedResource) -> int:
         """Slot of the row of one using ``res``, dissolving its cohort first."""
         s = self._res_slot[res]
-        if type(self._array.owner[s]) is Fanout:  # type: ignore[union-attr]
-            self._dissolve(s)
+        owner = self._array.owner[s]  # type: ignore[union-attr]
+        if type(owner) is Fanout and owner._n > 1:
+            self._dissolve(owner)
             s = self._res_slot[res]
         return s
 
-    def _dissolve(self, s: int) -> None:
-        """Materialise a cohort's members into rows of one that carry on
-        unchanged.
+    def _dissolve(self, fanout: Fanout) -> None:
+        """Materialise an intact cohort's members where it stands; they
+        carry on unchanged.
 
-        Each member keeps the cohort's rate, remaining work, integration
-        time and — unless a solve is pending anyway — its *absolute*
-        horizon, re-queued as is: nothing is integrated or re-divided, so
-        every sibling finishes at the instant the cohort would have.
+        Nothing is integrated or re-divided, so no float drifts.  A row of
+        a component: the members take its place, back to back, in the
+        component and among the users of each shared hop, with its rate
+        and remaining work.  A row of the slot table: rows of one with its
+        rate, remaining work, integration time and — unless a solve is
+        pending anyway — its *absolute* horizon, re-queued as is, so every
+        sibling finishes at the instant the cohort would have.
         """
         table = self._array
         assert table is not None
-        fanout = table.owner[s]
+        table.dissolved += 1
+        comp = self._comp_of.pop(fanout, None)
+        if comp is not None:
+            shared = fanout._shared
+            members = fanout._materialise(fanout.rate, fanout.remaining)
+            _splice(comp.acts, fanout, members)
+            comp.extra -= len(members) - 1
+            res_users = self._res_users
+            for res in shared:
+                _splice(res_users[res], fanout, members)
+            for act in members:
+                self._comp_of[act] = comp
+                for res in act.usages:
+                    if res not in shared:
+                        res_users[res] = {act: None}
+            return
+        s = self._res_slot[fanout._resources[0]]
         ress = table.ress[s]
         assert ress is not None
         rate = table.rate[s]
@@ -1556,14 +1812,14 @@ class FairShareModel:
                     self._horizon_heap,
                     (horizon, next(self._entry_ids), r, table.version[r]),
                 )
-        table.dissolved += 1
 
     def _promote_slot(self, s: int) -> None:
         """Turn a row of one into a real singleton ``Component`` (same id).
 
         Happens when a second activity arrives on one of the row's
-        resources: the activity is no longer "simple", so it rejoins the
-        object engine, registered as the user of every resource it has.
+        resources: the activity (or cohort of one) is no longer "simple",
+        so it rejoins the object engine, registered as the user of every
+        resource it has.
         Integration runs first, so the component's ``last_update`` and the
         activity's ``remaining`` match what the object engine would hold.
         ``Activity.rate`` is left alone: both engines last wrote it at the
@@ -1577,9 +1833,17 @@ class FairShareModel:
         comp.acts[act] = None
         self._components[comp] = None
         self._comp_of[act] = comp
-        for res in table.ress[s]:  # type: ignore[union-attr]
+        ress = table.ress[s]
+        assert ress is not None
+        for res in ress:
             self._res_users[res] = {act: None}
         was_dirty = s in self._dirty_slots
+        if type(act) is Fanout:
+            # A cohort of one: a row of the component from here on, every
+            # hop shared (its one route is every route).
+            act._enter_component(
+                tuple(ress), 0.0 if was_dirty else table.rate[s], table.remaining[s]
+            )
         self._free_slot(s)
         if was_dirty:
             self._dirty[comp] = None
@@ -1670,7 +1934,7 @@ class FairShareModel:
                     else:
                         self.scalar_solves += 1
                     self.resolves += 1
-                    size = len(comp.acts)
+                    size = len(comp.acts) + comp.extra
                     self.solved_activities += size
                     solved_components += 1
                     solved_scope += size
@@ -1905,9 +2169,19 @@ class FairShareModel:
             finished.sort(key=lambda a: a._seq)
             if due:
                 comp_of = self._comp_of
+                spelled_out: List[Fanout] = []
                 for act in finished:
                     if act in comp_of:
                         self._remove(act)
+                    elif type(act) is Fanout and act._activities is not None:
+                        # A split earlier in this loop spelled the row
+                        # out: its members finish one by one.
+                        for member in act._activities:
+                            self._remove(member)
+                        spelled_out.append(act)
+                for act in spelled_out:
+                    at = finished.index(act)
+                    finished[at : at + 1] = act._activities  # type: ignore[misc]
         env = self.env
         for act in finished:
             act._model = None
@@ -1960,7 +2234,7 @@ class FairShareModel:
             raise RuntimeError("Cannot snapshot: a tracer is attached to the model")
 
         table = self._array
-        acts = list(self._comp_of)
+        acts = [act for act in self._comp_of if type(act) is not Fanout]
         if table is not None:
             acts += [
                 owner
@@ -1968,6 +2242,21 @@ class FairShareModel:
                 if owner is not None and type(owner) is not Fanout
             ]
         acts.sort(key=lambda a: a._seq)
+        # Rows of components, whole: the handle's record, its routes (a
+        # slot row's are the slot's) and the progress it carries itself.
+        row_records = []
+        for row in self._comp_of:
+            if type(row) is Fanout:
+                registry.claim(f"fan.{row._seq}", row)
+                row_records.append(
+                    {
+                        **row._capture(),
+                        "ress": [res_index[res] for res in row._resources],
+                        "shared": [res_index[res] for res in row._shared],
+                        "rate": row.rate,
+                        "remaining": row.remaining,
+                    }
+                )
         act_records = []
         for act in acts:
             sid = f"act.{act._seq}"
@@ -2001,14 +2290,16 @@ class FairShareModel:
                 "cid": comp.id,
                 "last_update": comp.last_update,
                 "version": comp.version,
-                "acts": [f"act.{a._seq}" for a in comp.acts],
+                "acts": [registry.sid_of(a) for a in comp.acts],
             }
             for comp in self._components
         ]
-        res_users = [
-            [res_index[res], [f"act.{a._seq}" for a in users]]
-            for res, users in self._res_users.items()
-        ]
+        res_users = []
+        for res, users in self._res_users.items():
+            first = next(iter(users))
+            if type(first) is Fanout and res not in first._shared:
+                continue  # a row's private hop: the row's record has it
+            res_users.append([res_index[res], [registry.sid_of(a) for a in users]])
 
         slots = None
         if table is not None:
@@ -2066,6 +2357,7 @@ class FairShareModel:
             "vectorize": self._vectorize,
             "array": table is not None,
             "activities": act_records,
+            "rows": row_records,
             "act_counter": next(Activity._counter),
             "components": components,
             "res_users": res_users,
@@ -2115,7 +2407,18 @@ class FairShareModel:
             )
         env = self.env
 
-        acts_by_sid: Dict[str, Activity] = {}
+        acts_by_sid: Dict[str, Any] = {}
+        for rec in state["rows"]:
+            row = Fanout._restore(self, rec, [resources[i] for i in rec["ress"]])
+            row._enter_component(
+                tuple([resources[i] for i in rec["shared"]]),
+                rec["rate"],
+                rec["remaining"],
+            )
+            self._res_users.update(dict.fromkeys(row._private, {row: None}))
+            sid = f"fan.{row._seq}"
+            acts_by_sid[sid] = row
+            registry.claim(sid, row)
         for rec in state["activities"]:
             payload = rec["payload"]
             act = Activity._raw(
@@ -2143,6 +2446,8 @@ class FairShareModel:
                 act = acts_by_sid[sid]
                 comp.acts[act] = None
                 self._comp_of[act] = comp
+                if type(act) is Fanout:
+                    comp.extra += act._n - 1
             self._components[comp] = None
             comp_by_cid[rec["cid"]] = comp
 

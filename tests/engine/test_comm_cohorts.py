@@ -2,9 +2,10 @@
 
 A ring or pairwise step on a star gives every flow its own ``up[src]`` /
 ``down[dst]`` pair, so the array engine admits the whole exchange as one
-cohort row of two-resource members; on a fat tree (shared switch links,
-unequal hop counts) and for all-to-all it must fall back to one component
-per flow.  Either way the object engine is the reference: same
+cohort row of two-resource members, and a gather — every flow into the
+root's ``down`` — as one row of that link's component; on a fat tree
+(switch links shared by some flows only, unequal hop counts) and for
+all-to-all it must fall back to one component per flow.  Either way the object engine is the reference: same
 ``run_record``, same event count, whatever kills a job mid-exchange or
 lands a second user on one member's link.
 """
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.batch import Simulation
 from repro.monitoring import SolverStats
-from repro.sharing import array_engine_enabled, set_array_engine_enabled
+from repro.sharing import Fanout, array_engine_enabled, set_array_engine_enabled
 
 
 def _platform(topology, nodes=16):
@@ -124,9 +125,7 @@ def test_star_exchange_is_one_row_of_two_resource_members(pattern, flows):
     assert _observed(sim) == _observed(_run(spec, False))
 
 
-@pytest.mark.parametrize(
-    "topology, pattern", [("fat_tree", "ring"), ("star", "alltoall"), ("star", "gather")]
-)
+@pytest.mark.parametrize("topology, pattern", [("fat_tree", "ring"), ("star", "alltoall")])
 def test_shared_links_fall_back_to_one_component_per_flow(topology, pattern):
     spec = _spec(topology, [_job(1, 8, [_exchange(pattern, 1e9)])])
     sim = _run(spec, True)
@@ -136,11 +135,27 @@ def test_shared_links_fall_back_to_one_component_per_flow(topology, pattern):
     assert _observed(sim) == _observed(_run(spec, False))
 
 
+def test_star_gather_is_one_row_of_the_roots_link():
+    """Seven flows ``up[i]`` → ``down[root]``: the second hop is the same
+    resource in every route, so the step is one row of that link's
+    component — solved as a component, not as slots."""
+    spec = _spec("star", [_job(1, 8, [_exchange("gather", 1e9)])])
+    sim = _run(spec, True)
+    stats = SolverStats.from_model(sim.batch.model)
+    assert stats.cohorts_admitted == 4 and stats.cohort_members == 2 * (8 + 7)
+    assert stats.cohorts_dissolved == 0
+    assert stats.scalar_solves == 2 and stats.max_solve_scope == 7
+    assert _observed(sim) == _observed(_run(spec, False))
+
+
 def _running_ids(sim):
     """``_seq`` (relative to the oldest) → component id of everything
     running, read off the model without asking a handle for its members."""
     model = sim.batch.model
-    ids = {act._seq: comp.id for act, comp in model._comp_of.items()}
+    ids = {}
+    for act, comp in model._comp_of.items():
+        # A row of a component stands for all its members, in it.
+        ids.update((act._seq + k, comp.id) for k in range(len(act) if type(act) is Fanout else 1))
     table = model._array
     if table is not None:
         for owner, n, cid in zip(table.owner, table.n, table.cid):

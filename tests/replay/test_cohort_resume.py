@@ -166,6 +166,76 @@ def test_resume_mid_exchange_is_byte_identical(engine_mode):
     assert assert_resume_identical(_exchange_spec(), snapshot_every=25) >= 5
 
 
+def _io_spec():
+    """Reads and writes contending for a slow file system: rows of the
+    hub's component, several at a time, one of them cut short."""
+    def loop(iterations, read_bytes, write_bytes):
+        return {"iterations": iterations, "tasks": [
+            {"type": "pfs_read", "bytes": read_bytes},
+            {"type": "cpu", "flops": 2e12},
+            {"type": "pfs_write", "bytes": write_bytes}]}
+
+    jobs = [
+        {"id": 1, "submit_time": 0.0, "num_nodes": 32,
+         "application": {"name": "wide", "phases": [loop(3, 6e11, 3e11)]}},
+        {"id": 2, "submit_time": 0.5, "num_nodes": 8,
+         "application": {"name": "narrow", "phases": [loop(5, 1e11, 1e11)]}},
+        # Killed in its first read.
+        {"id": 3, "submit_time": 1.0, "num_nodes": 16, "walltime": 9.0,
+         "application": {"name": "cut", "phases": [loop(2, 9e11, 1e11)]}},
+        # One node: alone on the hub it is a slot row, in company a row of one.
+        {"id": 4, "submit_time": 0.0, "num_nodes": 1,
+         "application": {"name": "lone", "phases": [loop(12, 2e10, 1e10)]}},
+        *({"id": 10 + k, "submit_time": 1.7 * k, "num_nodes": 1 + k % 2,
+           "application": {"name": "small", "phases": [_cpu(1e12, 3)]}}
+          for k in range(12)),
+    ]
+    return {
+        "name": "io-resume",
+        "platform": {
+            "name": "io-resume",
+            "nodes": {"count": 64, "flops": 1e12},
+            "network": {"topology": "star", "bandwidth": 1e10, "latency": 1e-6,
+                        "pfs_bandwidth": 4e10},
+            "pfs": {"read_bw": 2e10, "write_bw": 2e10},
+        },
+        "workload": {"inline": {"jobs": jobs}},
+        "algorithm": "easy",
+    }
+
+
+def test_the_io_scenario_checkpoints_rows_of_the_hub_whole():
+    _, _, snapshots = snapshot_run(_io_spec(), 25)
+    rows = [snap.state["model"]["rows"] for snap in snapshots]
+    shapes = {(row["n"], len(row["ress"]), len(row["shared"])) for state in rows for row in state}
+    # Jobs 1-3 mid-I/O, three resources a member, two of them everyone's;
+    # the lone node's route, every hop shared with its one member.
+    assert {(32, 96, 2), (8, 24, 2), (16, 48, 2), (1, 3, 3)} <= shapes
+    assert max(len(state) for state in rows) >= 3  # several rows on one hub
+    for snap in snapshots:
+        model = snap.state["model"]
+        fans = {f"fan.{row['seq']}" for row in model["rows"]}
+        # A row is its record: no activity per member, one entry in its
+        # component, one among each shared hop's users, its node links
+        # nowhere but in the record.
+        assert not [r for r in model["activities"] if r["payload"][1].startswith("pfs")]
+        entries = [sid for comp in model["components"] for sid in comp["acts"]]
+        assert fans <= set(entries) and len(entries) == len(set(entries))
+        listed = {idx for idx, _ in model["res_users"]}
+        for row in model["rows"]:
+            assert set(row["shared"]) <= listed
+            assert not (set(row["ress"]) - set(row["shared"])) & listed
+    sim = Simulation.from_spec(_io_spec())
+    sim.run()
+    assert sim.monitor.run_record()["summary"]["killed_jobs"] == 1
+    assert _cohorts(sim.batch.model).cohorts_dissolved == 1  # the kill
+
+
+@pytest.mark.parametrize("engine_mode", MODES, indirect=True)
+def test_resume_mid_io_is_byte_identical(engine_mode):
+    assert assert_resume_identical(_io_spec(), snapshot_every=25) >= 5
+
+
 def test_whatif_stays_warm_across_cohorts():
     base = _spec()
     record, snapshots = run_with_snapshots(deepcopy(base), 40)
@@ -245,23 +315,35 @@ def test_rows_of_a_dissolved_exchange_keep_both_links_across_restore():
 def test_version_1_snapshots_are_refused_cleanly():
     _, _, snapshots = snapshot_run(_spec(), 200)
     doc = snapshots[0].to_dict()
-    assert doc["schema_version"] == SCHEMA_VERSION == 3
+    assert doc["schema_version"] == SCHEMA_VERSION == 4
     doc["schema_version"] = 1  # the per-activity slot layout of older builds
     with pytest.raises(ReplayError, match="schema version 1 not supported"):
         Snapshot.from_dict(doc)
 
 
-def test_schema_2_files_are_refused_with_the_one_line_message(tmp_path):
+def _refused_with_the_one_line_message(tmp_path, version):
     _, _, snapshots = snapshot_run(_spec(), 200)
     doc = snapshots[0].to_dict()
-    doc["schema_version"] = 2  # rows listing their members, one record each
+    doc["schema_version"] = version
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ReplayError) as caught:
         Snapshot.load(path)
     message = str(caught.value)
-    assert message.endswith("snapshot schema version 2 not supported (expected 3)")
+    assert message.endswith(
+        f"snapshot schema version {version} not supported (expected 4)"
+    )
     assert "\n" not in message
+
+
+def test_schema_2_files_are_refused_with_the_one_line_message(tmp_path):
+    # rows listing their members, one record each
+    _refused_with_the_one_line_message(tmp_path, 2)
+
+
+def test_schema_3_files_are_refused_with_the_one_line_message(tmp_path):
+    # no ``rows``: components and ``res_users`` name activities only
+    _refused_with_the_one_line_message(tmp_path, 3)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
-"""Fan-out cohorts: one memberless table row for n identical simple activities.
+"""Fan-out cohorts: one memberless row for n identical unit activities.
 
-The array engine admits a task fan-out — or an exchange of flows over
-private routes — as a single cohort row behind one ``Fanout`` handle and
-creates its members only when one is singled out; the object engine
-(``array_engine=False``) runs every member as its own component from
+The array engine admits a task fan-out — an exchange of flows over
+private routes, file-system I/O through one shared link and service — as
+a single cohort row behind one ``Fanout`` handle and creates its members
+only when one is singled out: a row of the slot table when every hop is
+private, a row of the shared hops' component otherwise.  The object engine
+(``array_engine=False``) runs every member as an activity of its own from
 birth and is the reference.  Both must agree on everything observable,
 step by step.  Members are told apart by their place in the reserved
 ``_seq`` range, never by object identity: on the array side the objects
@@ -25,6 +27,7 @@ from repro.sharing import (
     FairShareModel,
     Fanout,
     SharedResource,
+    solve_max_min,
 )
 
 
@@ -122,7 +125,11 @@ class _World:
         """Indices and component ids of the running activities, read
         without asking any handle for its members."""
         model = self.model
-        cids = {self.seq_index[a._seq]: comp.id for a, comp in model._comp_of.items()}
+        cids = {}
+        for act, comp in model._comp_of.items():
+            # A row of a component stands for all its members, in it.
+            for k in range(len(act) if type(act) is Fanout else 1):
+                cids[self.seq_index[act._seq + k]] = comp.id
         table = model._array
         if table is not None:
             for owner, n, cid in zip(table.owner, table.n, table.cid):
@@ -145,6 +152,10 @@ class _World:
             _, indices, work = op
             usages = {self.pool[i]: 1.0 for i in indices}
             self.single(model.execute(Activity(work, usages)))
+        elif kind == "intruder":
+            _, indices, work, factor, weight, bound = op
+            usages = {self.pool[i]: factor for i in indices}
+            self.single(model.execute(Activity(work, usages, weight=weight, bound=bound)))
         elif kind == "cancel":
             running = list(self.running())
             if running:
@@ -176,9 +187,25 @@ class _World:
         else:  # drain
             self.env.run()
 
-    def state(self, members_of):
+    def rows(self):
+        """Positions of the fan-outs that are rows of components right now."""
+        comp_of = self.model._comp_of
+        return {p for p, (_, handle) in enumerate(self.handles) if handle in comp_of}
+
+    def progress(self, position):
+        """``(rate, remaining)`` of a fan-out's members: off the row that
+        stands for them, or off every one of them — one pair either way."""
+        _, handle = self.handles[position]
+        if handle._activities is None:
+            return handle.rate, handle.remaining
+        (pair,) = {(act.rate, act.remaining) for act in handle._activities}
+        return pair
+
+    def state(self, members_of, rows_of=()):
         """Everything observable; per-member state only for the fan-outs
-        in ``members_of`` (those the array engine has materialised)."""
+        in ``members_of`` (those the array engine has materialised), the
+        members' common progress for those in ``rows_of`` (rows of
+        components on the array engine)."""
         model = self.model
         stats = SolverStats.from_model(model).as_dict()
         for name in ENGINE_STATS:
@@ -199,6 +226,7 @@ class _World:
                 for base, h in self.handles
                 if base in members_of
             },
+            "rows": {position: self.progress(position) for position in rows_of},
             "completed": list(self.completed),
             "now": self.env.now,
             "events": self.env.processed_events,
@@ -231,7 +259,21 @@ class _Pair:
         materialised = self.array.materialised()
         self.array.watch(materialised)
         self.reference.watch(materialised)
-        assert self.array.state(materialised) == self.reference.state(materialised), op
+        rows = self.array.rows()
+        assert self.array.state(materialised, rows) == self.reference.state(materialised, rows), op
+        self.rows_solve_like_their_members()
+
+    def rows_solve_like_their_members(self):
+        """A second opinion on every solved component that holds a row of
+        several: the numpy kernel, which is given the members."""
+        model = self.array.model
+        if model._dirty:
+            return  # rates are from before the change; the flush is due
+        for comp in model._components:
+            if comp.extra:
+                rates = [entry.rate for entry in comp.acts]
+                assert solve_max_min(comp.acts, vectorize=True) == "vector"
+                assert [entry.rate for entry in comp.acts] == rates
 
 
 @st.composite
@@ -252,21 +294,34 @@ def _scripts(draw):
     block = draw(st.integers(min_value=1, max_value=pool_size))
     capacities = [distinct[(i // block) % n_caps] for i in range(pool_size)]
     work = st.sampled_from([0.0, 1.0, 7.5, 100.0, 1e4])
+    # Where most shared hops point, so that hubs do get crowded.
+    hubs = st.one_of(st.integers(0, min(2, pool_size - 1)), st.integers(0, pool_size - 1))
     ops = []
     for _ in range(draw(st.integers(min_value=1, max_value=25))):
         kind = draw(
             st.sampled_from(
-                ["fanout", "fanout", "fanout", "single", "cancel", "cancel_fanout",
-                 "peek", "sync", "step", "step", "run"]
+                ["fanout", "fanout", "fanout", "single", "intruder", "cancel",
+                 "cancel_fanout", "peek", "sync", "step", "step", "run"]
             )
         )
         if kind == "fanout":
-            # Members on routes of `hops` resources each, back to back.
+            # Members on routes of `hops` resources each, back to back: a
+            # shared position names one resource in every route, the
+            # others run through the pool.
             hops = draw(st.sampled_from([1, 1, 2, 3]))
             hops = min(hops, pool_size)
-            n = draw(st.integers(min_value=0, max_value=min(64, pool_size // hops)))
-            start = draw(st.integers(min_value=0, max_value=pool_size - n * hops))
-            indices = list(range(start, start + n * hops))
+            shared = {}
+            if draw(st.booleans()):
+                for position in draw(st.sets(st.integers(0, hops - 1))):
+                    shared[position] = draw(hubs)
+            private = hops - len(shared)
+            n = draw(st.integers(0, min(64, pool_size // private) if private else 64))
+            following = iter(range(draw(st.integers(0, pool_size - n * private)), pool_size))
+            indices = [
+                shared[position] if position in shared else next(following)
+                for _ in range(n)
+                for position in range(hops)
+            ]
             if n and draw(st.booleans()) and draw(st.booleans()):
                 indices[-1] = indices[0]  # a resource listed twice
             ops.append(("fanout", indices, draw(work), hops, draw(st.booleans())))
@@ -275,6 +330,20 @@ def _scripts(draw):
                 st.lists(st.integers(0, pool_size - 1), min_size=1, max_size=2, unique=True)
             )
             ops.append(("single", indices, draw(work)))
+        elif kind == "intruder":
+            # Not a unit activity: beside rows, the kernel must still add
+            # and withdraw every member's demand where the member would.
+            indices = draw(st.lists(hubs, min_size=1, max_size=2, unique=True))
+            ops.append(
+                (
+                    "intruder",
+                    indices,
+                    draw(work),
+                    draw(st.sampled_from([1.0, 0.3, 0.7, 2.0])),
+                    draw(st.sampled_from([1.0, 0.1, 3.0])),
+                    draw(st.sampled_from([math.inf, 0.25, 2.0, 1e3])),
+                )
+            )
         elif kind in ("cancel", "cancel_fanout", "peek"):
             ops.append((kind, draw(st.integers(0, 500))))
         elif kind == "sync":
@@ -634,4 +703,208 @@ def test_model_materialise_dissolves_every_intact_cohort():
     running = sorted(model.materialise(), key=lambda a: a._seq)
     assert running == pair.array.handles[0][1].activities
     assert _cohorts(model).cohorts_dissolved == 1
+    pair.apply(("drain",))
+
+
+# -- rows of shared components ---------------------------------------------------
+#
+# File-system I/O: member k's route is (the file system's link, node k's
+# link, the file system's service) — the first and the last the same
+# resource in every route.  Pool layout below: [link, service, node links…].
+
+
+def _io_pair(n, link=80.0, service=80.0, node=10.0, extra=()):
+    return _Pair([link, service] + [node] * n + list(extra))
+
+
+def _io_routes(first, n):
+    """Flat routes of ``n`` members over node links ``first``…."""
+    return [i for k in range(n) for i in (0, first + k, 1)]
+
+
+def test_io_fanout_is_one_row_of_its_hub_and_no_member_exists(monkeypatch):
+    created = []
+    monkeypatch.setattr(Fanout, "_materialise", lambda self, *args: created.append(self))
+    pair = _io_pair(64, link=128.0, service=64.0)
+    pair.apply(("fanout", _io_routes(2, 64), 640.0, 3, True))
+    pair.apply(("run", 1.0))
+    model, reference = pair.array.model, pair.reference.model
+    (_, handle), = pair.array.handles
+    # One component holding one entry that counts for 64, one heap entry;
+    # the handle is the one user of all it runs on.
+    (comp,) = model._components
+    assert list(comp.acts) == [handle] and comp.extra == 63
+    assert len(model._horizon_heap) == 1 and not _rows(model)
+    assert all(list(users) == [handle] for users in model._res_users.values())
+    assert len(model._res_users) == 2 + 64
+    assert (handle.rate, handle.remaining) == (1.0, 640.0)  # integrated lazily
+    stats, expected = _cohorts(model), _cohorts(reference)
+    assert stats.cohorts_admitted == 1 and stats.cohort_members == 64
+    # Counted in members, like the reference: one scalar solve of 64.
+    assert model.component_sizes() == reference.component_sizes() == [64]
+    assert model.component_size_histogram() == {64: 1}
+    assert (stats.resolves, stats.scalar_solves, stats.solved_activities) == (1, 1, 64)
+    assert stats.max_solve_scope == expected.max_solve_scope == 64
+    pair.apply(("drain",))
+    assert pair.array.env.now == 640.0
+    assert pair.array.completed == [("all", 0)]
+    # resolve, the end of ``run(until=1.0)``, wake, 64 completions' worth,
+    # fire check, all-of
+    assert pair.array.env.processed_events == 3 + 64 + 2
+    assert not created and handle._activities is None
+    assert _cohorts(model).cohorts_dissolved == 0 and not model._res_users
+
+
+def test_second_user_on_a_private_hop_dissolves_and_on_the_shared_hop_joins():
+    pair = _io_pair(8, extra=[10.0])
+    pair.apply(("fanout", _io_routes(2, 8), 800.0, 3, True))
+    pair.apply(("run", 10.0))
+    model = pair.array.model
+    # Another reader: the link and the service get a second user each.
+    pair.apply(("fanout", [0, 10, 1], 100.0, 3, False))
+    assert _cohorts(model).cohorts_dissolved == 0 and not pair.array.materialised()
+    (comp,) = model._components
+    assert [len(entry) for entry in comp.acts] == [8, 1] and comp.extra == 7
+    assert model.component_sizes() == [9]
+    pair.apply(("run", 1.0))
+    # A flow into member 3's node link: that member is singled out, and
+    # all eight stand where the row stood — in the component, among the
+    # users of both shared hops — ahead of the later reader.
+    pair.apply(("single", [5], 50.0))
+    assert _cohorts(model).cohorts_dissolved == 1
+    assert pair.array.materialised() == {0}
+    _, members = pair.array.members(0)
+    later = pair.array.handles[1][1]
+    assert list(comp.acts) == members + [later, pair.array.singles[9]]
+    assert comp.extra == 0 and model.component_sizes() == [10]
+    assert list(model._res_users[pair.array.pool[0]]) == members + [later]
+    assert list(model._res_users[pair.array.pool[5]]) == [members[3], pair.array.singles[9]]
+    assert {a.remaining for a in members} == {800.0 - 10.0 * 10.0 - 80.0 / 9}
+    pair.apply(("drain",))
+    assert pair.array.completed == pair.reference.completed
+
+
+def test_two_rows_and_an_activity_due_in_one_wake_complete_in_seq_order():
+    pair = _io_pair(6)
+    pair.apply(("fanout", _io_routes(2, 3), 100.0, 3, False))
+    pair.apply(("single", [0], 100.0))
+    pair.apply(("fanout", _io_routes(5, 3), 100.0, 3, True))
+    pair.apply(("run", 20.0))  # 7 users of an 80-wide link: all due at 8.75
+    for world in (pair.array, pair.reference):
+        assert world.completed == [3, ("all", 0), ("all", 4)]
+        assert world.env.now == 20.0
+    assert pair.array.env.processed_events == pair.reference.env.processed_events
+    assert not pair.array.materialised()
+    assert _cohorts(pair.array.model).cohorts_dissolved == 0
+
+
+def test_private_links_saturate_before_the_hub():
+    """E4's one-job point: four 10 GB/s node links under an 80 GB/s file
+    system — the members' own links limit them, and the rate is theirs."""
+    pair = _io_pair(4, link=160e9, service=80e9, node=10e9)
+    pair.apply(("fanout", _io_routes(2, 4), 1e12, 3, True))
+    pair.apply(("step", 1))
+    (_, handle), = pair.array.handles
+    assert handle.rate == 10e9
+    # Twelve more and the service is what is short: 80e9 / 16 each.
+    pair = _io_pair(16, link=160e9, service=80e9, node=10e9)
+    pair.apply(("fanout", _io_routes(2, 4), 1e12, 3, True))
+    pair.apply(("fanout", _io_routes(6, 12), 1e12, 3, True))
+    pair.apply(("step", 1))
+    assert [h.rate for _, h in pair.array.handles] == [5e9, 5e9]
+    pair.apply(("drain",))
+    assert _cohorts(pair.array.model).cohorts_dissolved == 0
+
+
+def test_rows_through_a_multi_round_solve_next_to_non_unit_activities():
+    """A slow row freezes on its node links in round one and hands the
+    rest of the hub to a fast row and two intruders: several rounds,
+    demands that are not whole numbers, units withdrawn mid-solve."""
+    pair = _Pair([100.0, 90.0] + [2.0] * 5 + [50.0] * 3)
+    pair.apply(("fanout", _io_routes(2, 5), 1000.0, 3, False))
+    pair.apply(("intruder", [0, 1], 1000.0, 0.3, 3.0, math.inf))
+    pair.apply(("fanout", _io_routes(7, 3), 1000.0, 3, True))
+    pair.apply(("intruder", [1], 1000.0, 0.7, 0.1, 2.5))
+    pair.apply(("step", 1))
+    model = pair.array.model
+    assert not pair.array.materialised() and model.scalar_solves == 1
+    slow, fast = (h for _, h in pair.array.handles)
+    assert slow.rate == 2.0 and fast.rate > 2.0
+    # The same component, members spelled out, through the numpy kernel.
+    (comp,) = model._components
+    rates = [(entry, entry.rate) for entry in comp.acts]
+    assert solve_max_min(comp.acts, vectorize=True) == "vector"
+    assert [(entry, entry.rate) for entry in comp.acts] == rates
+    pair.apply(("drain",))
+    assert _cohorts(model).cohorts_dissolved == 0
+
+
+def test_a_cohort_of_one_carries_on_as_a_row_when_its_hub_gets_busy():
+    pair = _io_pair(3)
+    pair.apply(("fanout", [0, 2, 1], 400.0, 3, False))  # alone: a slot row
+    pair.apply(("run", 10.0))
+    model = pair.array.model
+    assert len(_rows(model)) == 1 and not model._components
+    pair.apply(("fanout", _io_routes(3, 2), 400.0, 3, False))
+    (_, first), (_, second) = pair.array.handles
+    (comp,) = model._components
+    assert list(comp.acts) == [first, second] and comp.id == 0 and not _rows(model)
+    assert first.remaining == 300.0 and first._shared == tuple(pair.array.pool[i] for i in (0, 2, 1))
+    # Not even a second user on its node link tells a lone member apart.
+    pair.apply(("single", [2], 10.0))
+    assert _cohorts(model).cohorts_dissolved == 0 and not pair.array.materialised()
+    pair.apply(("drain",))
+    assert pair.array.completed == pair.reference.completed
+
+
+def test_a_hop_only_some_routes_share_falls_back_to_activities():
+    pair = _Pair([8.0] * 8)
+    # Routes 0 and 1 end on resource 6, route 2 on resource 7: a fat
+    # tree's leaf uplinks.
+    pair.apply(("fanout", [0, 6, 1, 6, 2, 7], 64.0, 2, False))
+    assert pair.array.materialised() == {0}
+    assert _cohorts(pair.array.model).cohorts_admitted == 0
+    pair.apply(("drain",))
+    for world in (pair.array, pair.reference):
+        _, members = world.members(0)
+        assert [a.finished_at for a in members] == [16.0, 16.0, 8.0]
+
+
+def test_cancelling_a_row_removes_it_from_its_component_in_one_pass():
+    pair = _io_pair(6)
+    pair.apply(("fanout", _io_routes(2, 4), 800.0, 3, True))
+    pair.apply(("fanout", _io_routes(6, 2), 800.0, 3, True))
+    pair.apply(("run", 10.0))
+    model = pair.array.model
+    pair.apply(("cancel_fanout", 0))
+    (comp,) = model._components
+    assert [len(entry) for entry in comp.acts] == [2] and comp.extra == 1
+    assert _cohorts(model).cohorts_dissolved == 1
+    for world in (pair.array, pair.reference):
+        _, members = world.members(0)
+        assert all(isinstance(a.done.value, ActivityCancelled) for a in members)
+        assert {a.remaining for a in members} == {700.0}
+    pair.apply(("drain",))
+    assert pair.array.completed == pair.reference.completed
+
+
+def test_a_row_spelled_out_by_a_split_in_its_own_last_wake_finishes_member_by_member():
+    """An activity bridging a row's hub to another component finishes in
+    the wake the row does, and first: its removal splits the component,
+    the split spells the row out, and the members — due in this very
+    wake — complete as the activities they now are."""
+    pair = _Pair([1.0, 1.0])
+    pair.apply(("single", [1], 7.5))
+    pair.apply(("single", [0, 1], 1.0))  # the bridge
+    pair.apply(("fanout", [0, 0], 1.0, 1, False))  # a row on resource 0
+    pair.apply(("run", 2.0))
+    assert not pair.array.materialised()
+    pair.apply(("run", 2.0))  # bridge and row finish at 3.0
+    model = pair.array.model
+    assert model.splits == pair.reference.model.splits == 1
+    assert _cohorts(model).cohorts_dissolved == 1
+    assert pair.array.completed == [1, ("all", 2)]
+    for world in (pair.array, pair.reference):
+        _, members = world.members(0)
+        assert [a.finished_at for a in members] == [3.0, 3.0]
     pair.apply(("drain",))

@@ -25,19 +25,15 @@ class TestExpressionEdges:
 
 
 class TestTransferUsageMerge:
-    def test_extra_usage_max_merges_with_route(self):
-        """A resource appearing in both route and extra keeps the max factor."""
+    def test_usage_factor_two_halves_the_rate(self):
+        """What a flow charged twice on one resource amounts to."""
         from repro.des import Environment
-        from repro.engine import transfer
-        from repro.platform import Route
-        from repro.sharing import FairShareModel, SharedResource
+        from repro.sharing import Activity, FairShareModel, SharedResource
 
         env = Environment()
         model = FairShareModel(env)
         shared = SharedResource("dual", 1e9)
-        route = Route((shared,), 0.0)
-        act = transfer(env, model, route, 1e9, extra_usages={shared: 2.0})
-        assert act.usages[shared] == 2.0  # max(1.0, 2.0)
+        model.execute(Activity(1e9, {shared: 2.0}))
         env.run()
         # factor 2: effective rate 0.5e9 → 2 s.
         assert env.now == pytest.approx(2.0)
