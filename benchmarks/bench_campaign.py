@@ -9,7 +9,7 @@ seed) three ways and writes ``BENCH_campaign.json``:
   (the default ``process-pool`` executor);
 * ``cache-warm``    — the same campaign again, answered from the cache;
 * ``executor-*``    — the same sweep, cold, through every other executor
-  backend: ``in-process``, ``asyncio``, and a ``queue-worker`` fleet of
+  backend: ``in-process`` and a ``queue-worker`` fleet of
   :data:`QUEUE_WORKERS` spawned worker processes.
 
 Asserted floors (acceptance criteria): with >= 8 cores the parallel
@@ -125,7 +125,6 @@ def campaign_timings(tmp_path_factory):
     executor_runs = {}
     matrix = [
         ("in-process", {}),
-        ("asyncio", {}),
         (
             "queue-worker",
             {

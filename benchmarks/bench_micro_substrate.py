@@ -13,14 +13,11 @@ import time
 
 import pytest
 
-import repro.sharing.model as sharing_model
 from repro import Simulation
 from repro.des import Environment
-from repro.job import Job
 from repro.monitoring import SolverStats
 from repro.sharing import Activity, FairShareModel, SharedResource, solve_max_min
 
-from benchmarks.bench_e10_topology import NUM_NODES, TOPOLOGIES, _comm_app, _platform
 from benchmarks.common import (
     print_table,
     profiled_calls,
@@ -121,16 +118,14 @@ def test_micro_model_churn(benchmark):
     assert resolves > 0
 
 
-def _component_churn(partition: bool, num_nodes: int = 512):
+def _component_churn(num_nodes: int = 512):
     """K disjoint per-node jobs churning while one shared-PFS component
     stays hot — the scenario the component partition exists for.
 
-    Returns (wall seconds, model) so callers can compare the incremental
-    solver (``partition=True``) against the global reference
-    (``partition=False``, the pre-incremental behaviour).
+    Returns (wall seconds, model).
     """
     env = Environment()
-    model = FairShareModel(env, partition=partition)
+    model = FairShareModel(env)
     nodes = [SharedResource(f"n{i}", 1e9) for i in range(num_nodes)]
     pfs = SharedResource("pfs", 1e10)
 
@@ -160,19 +155,15 @@ def _component_churn(partition: bool, num_nodes: int = 512):
 
 
 @pytest.mark.benchmark(group="micro-model")
-def test_micro_component_churn_speedup(benchmark):
-    """Old-vs-new asymptotics: component-scoped solves on disjoint churn.
+def test_micro_component_churn(benchmark):
+    """Component-scoped solves on disjoint churn.
 
-    The global solver pays O(total activities) per event; the partitioned
-    solver pays O(touched component).  With 512 disjoint jobs the wall-clock
-    gap is the paper's E5 scalability claim in microcosm.
+    A global solve pays O(total activities) per event (a mean scope of
+    ≈ 320 activities here, docs/PERFORMANCE.md); the partitioned solver
+    pays O(touched component).  With 512 disjoint jobs that gap is the
+    paper's E5 scalability claim in microcosm.
     """
-
-    def run_partitioned():
-        return _component_churn(partition=True)
-
-    wall_new, model_new = benchmark.pedantic(run_partitioned, rounds=1, iterations=1)
-    wall_old, model_old = _component_churn(partition=False)
+    wall, model = benchmark.pedantic(_component_churn, rounds=1, iterations=1)
 
     header = [
         "solver",
@@ -184,51 +175,32 @@ def test_micro_component_churn_speedup(benchmark):
         "peak_components",
         "solver_time_s",
     ]
+    mean_scope = model.solved_activities / model.resolves
     rows = [
         [
             "incremental (component-partitioned)",
-            wall_new,
-            model_new.env.processed_events,
-            model_new.resolves,
-            model_new.solved_activities,
-            model_new.solved_activities / model_new.resolves,
-            model_new.peak_components,
-            model_new.solver_time,
-        ],
-        [
-            "global reference (partition=False)",
-            wall_old,
-            model_old.env.processed_events,
-            model_old.resolves,
-            model_old.solved_activities,
-            model_old.solved_activities / model_old.resolves,
-            model_old.peak_components,
-            model_old.solver_time,
+            wall,
+            model.env.processed_events,
+            model.resolves,
+            model.solved_activities,
+            mean_scope,
+            model.peak_components,
+            model.solver_time,
         ],
     ]
-    speedup = wall_old / wall_new
-    print_table(
-        "micro: component churn (512 disjoint jobs + hot PFS component)",
-        header,
-        rows,
-        note=f"speedup {speedup:.1f}x; scope ratio "
-        f"{model_old.solved_activities / model_new.solved_activities:.1f}x",
-    )
+    print_table("micro: component churn (512 disjoint jobs + hot PFS component)", header, rows)
     write_bench_json(
         "MICRO_CHURN",
         title="component churn, 512 disjoint jobs + hot PFS component",
         header=header,
         rows=rows,
-        extra={"speedup": speedup},
     )
 
     # The partition must actually scope the work: hundreds of concurrent
-    # single-activity components, and a far smaller cumulative solve scope.
-    assert model_new.peak_components > 256
-    assert model_old.solved_activities > 10 * model_new.solved_activities
-    # Acceptance: >= 3x end-to-end on the 512-node disjoint-jobs scenario
-    # (typically ~30-40x; 3x leaves headroom for noisy CI machines).
-    assert speedup >= 3.0
+    # single-activity components, and solves that see their own component
+    # (the 16-stream PFS one at most), not the running set.
+    assert model.peak_components > 256
+    assert model.max_solve_scope <= 16 and mean_scope < 4
 
 
 # -- scalar loop vs numpy kernel, and the cost of leaving a wide component ----
@@ -259,65 +231,42 @@ def _kernel_component(shape: str, n: int):
     ]
 
 
-def _best_us(acts, vectorize: bool) -> float:
+def _best_us(kernel, acts) -> float:
     """Best-of-k microseconds of one solve (k shrinks as solves get long)."""
     best = float("inf")
     spent = 0.0
     while spent < 0.2:
         start = time.perf_counter()
-        solve_max_min(acts, vectorize=vectorize)
+        kernel(acts)
         elapsed = time.perf_counter() - start
         spent += elapsed
         best = min(best, elapsed)
     return best * 1e6
 
 
-def _e10_solver_ms(kind: str, vectorize: bool) -> tuple:
-    """(solver milliseconds, largest component) of E10's all-to-all job."""
-    old = sharing_model.DEFAULT_VECTORIZE
-    sharing_model.DEFAULT_VECTORIZE = vectorize
-    try:
-        job = Job(1, _comm_app(), num_nodes=NUM_NODES)
-        monitor = Simulation(_platform(kind), [job], algorithm="fcfs").run()
-    finally:
-        sharing_model.DEFAULT_VECTORIZE = old
-    stats = monitor.solver
-    assert (stats.vector_solves > 0) == vectorize
-    return stats.solver_time * 1e3, stats.max_solve_scope
-
-
 @pytest.mark.benchmark(group="micro-solver")
 def test_micro_kernel_sweep(benchmark):
-    """Scalar loop vs numpy kernel by component shape and size."""
+    """Scalar loop vs the reference engine's numpy kernel, by component
+    shape and size: the two kernels, called directly."""
+    from repro.sharing._reference import _solve_vector
+    from repro.sharing.model import _solve_scalar
 
     def sweep():
         rows = []
         for shape in ("hub", "bounded-hub", "chain"):
             for n in KERNEL_SIZES:
                 acts = _kernel_component(shape, n)
-                scalar, vector = _best_us(acts, False), _best_us(acts, True)
+                scalar, vector = _best_us(_solve_scalar, acts), _best_us(_solve_vector, acts)
                 rows.append([shape, n, scalar, vector, vector / scalar])
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     header = ["component", "activities", "scalar_us", "numpy_us", "numpy/scalar"]
     print_table("micro: one solve, scalar loop vs numpy kernel", header, rows)
-
-    run_rows = []
-    for kind in TOPOLOGIES:
-        scalar, scope = _e10_solver_ms(kind, False)
-        vector, _ = _e10_solver_ms(kind, True)
-        run_rows.append([kind, scope, scalar, vector, vector / scalar])
-    run_header = ["topology", "max_scope", "scalar_solver_ms", "numpy_solver_ms", "numpy/scalar"]
-    print_table("micro: E10 all-to-all job, solver time by kernel", run_header, run_rows)
     write_bench_json(
-        "MICRO_KERNELS",
-        title="scalar loop vs numpy kernel",
-        header=header,
-        rows=rows,
-        extra={"e10": [dict(zip(run_header, row)) for row in run_rows]},
+        "MICRO_KERNELS", title="scalar loop vs numpy kernel", header=header, rows=rows
     )
-    assert len(rows) == 3 * len(KERNEL_SIZES) and len(run_rows) == len(TOPOLOGIES)
+    assert len(rows) == 3 * len(KERNEL_SIZES)
 
 
 def _wide_pfs_job(num_nodes: int):

@@ -36,6 +36,7 @@ class BatchSystem:
         max_requeues: int = 3,
         checkpoint_restart: bool = False,
         start_processes: bool = True,
+        reference: bool = False,
     ) -> None:
         if not jobs:
             raise BatchError("No jobs to simulate")
@@ -54,7 +55,7 @@ class BatchSystem:
         self.env = env
         self.platform = platform
         self.algorithm = algorithm
-        self.model = FairShareModel(env)
+        self.model = FairShareModel(env, reference=reference)
         self.monitor = Monitor(env, platform.num_nodes)
         # Meter energy when the platform declares node draw (no-op and
         # byte-identical output otherwise).
@@ -867,6 +868,9 @@ class Simulation:
         event-driven ones.
     env:
         Bring-your-own environment (tests, co-simulation); default fresh.
+    reference:
+        Run on the reference engine instead of the production one — same
+        results, slowly; see :class:`~repro.sharing.FairShareModel`.
     """
 
     def __init__(
@@ -882,6 +886,7 @@ class Simulation:
         checkpoint_restart: bool = False,
         env: Optional[Environment] = None,
         start_processes: bool = True,
+        reference: bool = False,
     ) -> None:
         self.env = env if env is not None else Environment()
         #: Flight recorder of the last traced :meth:`run` (None otherwise).
@@ -907,10 +912,13 @@ class Simulation:
             max_requeues=max_requeues,
             checkpoint_restart=checkpoint_restart,
             start_processes=start_processes,
+            reference=reference,
         )
 
     @classmethod
-    def from_spec(cls, spec: Mapping, *, start_processes: bool = True) -> "Simulation":
+    def from_spec(
+        cls, spec: Mapping, *, start_processes: bool = True, reference: bool = False
+    ) -> "Simulation":
         """Build a simulation from a plain-dict scenario spec.
 
         The worker-safe construction path used by campaign workers
@@ -931,6 +939,7 @@ class Simulation:
         ``mtbf``/``mean_repair``/``seed`` or an explicit
         ``{"trace": [{"time", "node", "downtime"}, ...]}`` list).  Unknown
         top-level keys (report labels like ``name``/``params``) are ignored.
+        ``reference`` is :class:`Simulation`'s: not part of the scenario.
         """
         from repro.failures import Failure, generate_failures
         from repro.platform import platform_from_dict
@@ -1013,6 +1022,7 @@ class Simulation:
             invocation_interval=interval,
             failures=failures,
             start_processes=start_processes,
+            reference=reference,
             **sim,
         )
         from copy import deepcopy

@@ -2,8 +2,8 @@
 
 The scaling axis *across* simulations: where :class:`repro.Simulation`
 runs one scenario, a campaign runs a whole parameter grid — fanned out
-over a pluggable executor backend (in-process, process pool, asyncio,
-or a distributed queue-worker fleet), memoised in a content-addressed
+over a pluggable executor backend (in-process, process pool, or a
+distributed queue-worker fleet), memoised in a content-addressed
 result cache that can be layered over a shared artifact store, and
 reported in a machine-readable form CI can diff against baselines.
 
@@ -40,7 +40,6 @@ from repro.campaign.compare import (
     load_report,
 )
 from repro.campaign.executors import (
-    AsyncioExecutor,
     BaseExecutor,
     ExecutorBroken,
     ExecutorError,
@@ -76,7 +75,6 @@ from repro.campaign.runner import (
 from repro.campaign.spec import (
     CAMPAIGN_FORMAT,
     DEFAULT_SALT,
-    ENGINE_MODES,
     CampaignError,
     ScenarioSpec,
     campaign_name,
@@ -95,7 +93,6 @@ from repro.campaign.store import STORE_DIR_ENV, ArtifactStore, default_store_dir
 __all__ = [
     "AGGREGATE_SCHEMA",
     "ArtifactStore",
-    "AsyncioExecutor",
     "BaseExecutor",
     "CACHE_DIR_ENV",
     "CAMPAIGN_FORMAT",
@@ -109,7 +106,6 @@ __all__ = [
     "DEFAULT_LEASE_S",
     "DEFAULT_SALT",
     "Delta",
-    "ENGINE_MODES",
     "ExecutorBroken",
     "ExecutorError",
     "InProcessExecutor",

@@ -4,7 +4,7 @@
 process pool: every backend implements :class:`BaseExecutor` — an async
 ``submit(fn, *args)`` returning the scenario record, plus ``shutdown()``
 — and advertises what it can do through class-level capability flags.
-Four implementations ship:
+Three implementations ship:
 
 ``in-process``
     Runs scenarios sequentially on the caller's event loop.  Zero
@@ -16,14 +16,6 @@ Four implementations ship:
     :class:`concurrent.futures.ProcessPoolExecutor`.  A hard worker
     death (OOM kill, segfault) surfaces as :class:`ExecutorBroken` and
     the runner re-runs the affected scenarios in-process.
-
-``asyncio``
-    Cooperative thread offload (``asyncio.to_thread``) bounded by a
-    semaphore.  No subprocess spawn cost and callers can run it inside a
-    larger async application; the GIL limits CPU parallelism, so it
-    shines for I/O-heavy scenarios (traced runs) and embedding, not raw
-    throughput.  Scenarios carrying engine pins take an exclusive turn
-    so their process-global backend switches cannot race other threads.
 
 ``queue-worker``
     Distributed: scenarios land in a filesystem-backed shared queue
@@ -145,57 +137,6 @@ class ProcessPoolCampaignExecutor(BaseExecutor):
             self._pool = None
 
 
-class AsyncioExecutor(BaseExecutor):
-    """Semaphore-bounded ``asyncio.to_thread`` offload.
-
-    Engine-pinned scenarios take an exclusive turn: pins flip
-    process-global backend switches, and although every backend is
-    byte-identical on results, an unpinned scenario racing a pin's
-    restore could leave the process defaults flipped after the campaign.
-    Exclusivity keeps pin/restore pairs properly nested.
-    """
-
-    name = "asyncio"
-    parallel = True
-
-    def __init__(self, *, workers: int = 4) -> None:
-        if int(workers) < 1:
-            raise ExecutorError(f"asyncio executor needs >= 1 worker, got {workers}")
-        self._workers = int(workers)
-        self._active = 0
-        self._exclusive = False
-        self._cond: Optional[asyncio.Condition] = None
-
-    def _condition(self) -> asyncio.Condition:
-        # Created lazily so the executor can be built outside a loop.
-        if self._cond is None:
-            self._cond = asyncio.Condition()
-        return self._cond
-
-    async def submit(
-        self, fn: Callable[..., ScenarioRecord], /, *args: Any
-    ) -> ScenarioRecord:
-        pinned = bool(args and isinstance(args[0], dict) and args[0].get("engine"))
-        cond = self._condition()
-        async with cond:
-            if pinned:
-                await cond.wait_for(lambda: self._active == 0 and not self._exclusive)
-                self._exclusive = True
-            else:
-                await cond.wait_for(
-                    lambda: self._active < self._workers and not self._exclusive
-                )
-            self._active += 1
-        try:
-            return await asyncio.to_thread(fn, *args)
-        finally:
-            async with cond:
-                self._active -= 1
-                if pinned:
-                    self._exclusive = False
-                cond.notify_all()
-
-
 def _executor_types() -> Dict[str, Type[BaseExecutor]]:
     # Imported lazily: queue.py imports this module for BaseExecutor.
     from repro.campaign.queue import QueueWorkerExecutor
@@ -205,7 +146,6 @@ def _executor_types() -> Dict[str, Type[BaseExecutor]]:
         for cls in (
             InProcessExecutor,
             ProcessPoolCampaignExecutor,
-            AsyncioExecutor,
             QueueWorkerExecutor,
         )
     }
@@ -236,7 +176,6 @@ def make_executor(name: str, **options: Any) -> BaseExecutor:
 
 
 __all__ = [
-    "AsyncioExecutor",
     "BaseExecutor",
     "ExecutorBroken",
     "ExecutorError",

@@ -6,7 +6,7 @@
 * cache hits are answered without touching a worker;
 * misses fan out over a pluggable backend
   (:mod:`repro.campaign.executors`): ``in-process``, ``process-pool``
-  (the default), ``asyncio``, or the distributed ``queue-worker`` —
+  (the default), or the distributed ``queue-worker`` —
   ``workers <= 1`` degrades to a plain in-process loop, same results,
   same report;
 * one crashing scenario is recorded as ``status="failed"`` and the rest
@@ -92,10 +92,10 @@ def _scenario_deadline(timeout: Optional[float]) -> Iterator[None]:
     therefore keeps re-injecting every :data:`_REINJECT_INTERVAL` seconds
     until the scenario frame actually unwinds and releases it; a stream
     of injections cannot be swallowed transiently.  The same mechanism
-    serves every executor: the serial runner (main thread), process-pool
-    and queue workers (their own main threads), and the asyncio
-    executor's ``to_thread`` workers, where signals would be unusable
-    anyway.
+    serves every caller: the serial runner (main thread), process-pool
+    and queue workers (their own main threads), and an embedding
+    application calling ``run_scenario`` from a thread of its own, where
+    signals would be unusable anyway.
     """
     if timeout is None or timeout <= 0:
         yield
@@ -136,39 +136,6 @@ def _scenario_deadline(timeout: Optional[float]) -> Iterator[None]:
             pass
 
 
-def _pin_engine(engine: Optional[Dict[str, Any]]) -> Callable[[], None]:
-    """Apply a scenario's engine-pinning block; returns the undo hook.
-
-    Pins select *how* the scenario executes — the backends produce
-    byte-identical ``run_record`` payloads — and are always undone,
-    because with ``workers <= 1`` the runner executes scenarios in the
-    caller's process and must not leak mode changes.
-    """
-    if not engine:
-        return lambda: None
-    import repro.sharing.model as sharing_model
-    from repro.expressions import compiled_enabled, set_compiled_enabled
-    from repro.sharing import array_engine_enabled, set_array_engine_enabled
-
-    old_compiled = compiled_enabled()
-    old_vectorize = sharing_model.DEFAULT_VECTORIZE
-    old_array = array_engine_enabled()
-    if "compiled" in engine:
-        set_compiled_enabled(bool(engine["compiled"]))
-    if "vectorize" in engine:
-        value = engine["vectorize"]
-        sharing_model.DEFAULT_VECTORIZE = None if value is None else bool(value)
-    if "array_engine" in engine:
-        set_array_engine_enabled(bool(engine["array_engine"]))
-
-    def restore() -> None:
-        set_compiled_enabled(old_compiled)
-        sharing_model.DEFAULT_VECTORIZE = old_vectorize
-        set_array_engine_enabled(old_array)
-
-    return restore
-
-
 def run_scenario(
     scenario: Dict[str, Any],
     trace_dir: Optional[str] = None,
@@ -185,8 +152,7 @@ def run_scenario(
     additionally writes ``<name>.trace.jsonl`` there; with
     ``check_invariants`` the flight-recorder invariant checker audits the
     run and failures come back as ``status="invariant_violation"`` with
-    the individual violations attached.  An ``engine`` block in the
-    scenario pins performance backends for the duration of the run.
+    the individual violations attached.
     """
     started = time.perf_counter()
     record: Dict[str, Any] = {
@@ -196,36 +162,32 @@ def run_scenario(
     try:
         from repro.batch import Simulation
 
-        restore_engine = _pin_engine(scenario.get("engine"))
-        try:
-            with _scenario_deadline(timeout):
-                sim = Simulation.from_spec(scenario)
-                until = scenario.get("sim", {}).get("until")
-                trace: Optional[Path] = None
-                if trace_dir is not None:
-                    directory = Path(trace_dir)
-                    directory.mkdir(parents=True, exist_ok=True)
-                    trace = directory / f"{_safe_name(record['name'])}.trace.jsonl"
-                    record["trace"] = str(trace)
-                try:
-                    monitor = sim.run(
-                        until=until, trace=trace, check_invariants=check_invariants
-                    )
-                except Exception as exc:
-                    from repro.tracing import InvariantViolation
+        with _scenario_deadline(timeout):
+            sim = Simulation.from_spec(scenario)
+            until = scenario.get("sim", {}).get("until")
+            trace: Optional[Path] = None
+            if trace_dir is not None:
+                directory = Path(trace_dir)
+                directory.mkdir(parents=True, exist_ok=True)
+                trace = directory / f"{_safe_name(record['name'])}.trace.jsonl"
+                record["trace"] = str(trace)
+            try:
+                monitor = sim.run(
+                    until=until, trace=trace, check_invariants=check_invariants
+                )
+            except Exception as exc:
+                from repro.tracing import InvariantViolation
 
-                    if not isinstance(exc, InvariantViolation):
-                        raise
-                    record["status"] = "invariant_violation"
-                    record["error"] = str(exc)
-                    record["violations"] = [v.as_dict() for v in exc.violations]
-                else:
-                    result = monitor.run_record()
-                    result["invocations"] = sim.batch.invocations
-                    record["status"] = "ok"
-                    record["result"] = result
-        finally:
-            restore_engine()
+                if not isinstance(exc, InvariantViolation):
+                    raise
+                record["status"] = "invariant_violation"
+                record["error"] = str(exc)
+                record["violations"] = [v.as_dict() for v in exc.violations]
+            else:
+                result = monitor.run_record()
+                result["invocations"] = sim.batch.invocations
+                record["status"] = "ok"
+                record["result"] = result
     except ScenarioTimeout as exc:
         record["status"] = "failed"
         record["error"] = f"ScenarioTimeout: {exc}"
@@ -260,12 +222,8 @@ def run_scenario_warm(
         "params": scenario.get("params", {}),
     }
     try:
-        restore_engine = _pin_engine(scenario.get("engine"))
-        try:
-            with _scenario_deadline(timeout):
-                outcome = session.run(scenario)
-        finally:
-            restore_engine()
+        with _scenario_deadline(timeout):
+            outcome = session.run(scenario)
         record["status"] = "ok"
         record["result"] = outcome.record
         record["warm_start"] = outcome.warm

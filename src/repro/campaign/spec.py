@@ -59,11 +59,6 @@ _LITERAL_KEYS = frozenset({"name", "topology", "file", "type_mix"})
 #: Ways a scenario may obtain its workload.
 _WORKLOAD_KINDS = ("generate", "file", "inline", "swf")
 
-#: Engine-backend pins a scenario may carry: ``compiled`` (expression
-#: pipeline), ``vectorize`` (max-min kernel; ``None`` = the scalar loop),
-#: ``array_engine`` (struct-of-arrays slot engine).
-ENGINE_MODES = frozenset({"array_engine", "compiled", "vectorize"})
-
 
 class CampaignError(Exception):
     """Raised for malformed campaign or scenario specifications."""
@@ -139,35 +134,8 @@ def derive_seed(base_seed: int, *parts: Any) -> int:
 # -- scenario ----------------------------------------------------------------
 
 
-def _normalize_engine(engine: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validate an engine-pinning block and fold values to booleans.
-
-    Recognised keys are :data:`ENGINE_MODES`; ``vectorize`` additionally
-    accepts ``None`` for the shipped default (scalar).  Grid expressions
-    resolve to numbers, so 0/1 are accepted and folded to booleans.
-    """
-    unknown = set(engine) - ENGINE_MODES
-    if unknown:
-        raise CampaignError(
-            f"unknown engine modes: {sorted(unknown)} "
-            f"(recognised: {sorted(ENGINE_MODES)})"
-        )
-    out: Dict[str, Any] = {}
-    for key in sorted(engine):
-        value = engine[key]
-        if value is None and key == "vectorize":
-            out[key] = None
-        elif isinstance(value, bool):
-            out[key] = value
-        elif isinstance(value, (int, float)) and value in (0, 1):
-            out[key] = bool(value)
-        else:
-            raise CampaignError(f"engine mode {key!r} must be boolean, got {value!r}")
-    return out
-
-
 #: ``ScenarioSpec`` fields that enter the content key.
-_HASHED_FIELDS = frozenset({"platform", "workload", "algorithm", "seed", "sim", "engine"})
+_HASHED_FIELDS = frozenset({"platform", "workload", "algorithm", "seed", "sim"})
 
 
 @dataclass
@@ -176,12 +144,7 @@ class ScenarioSpec:
 
     ``platform``/``workload``/``algorithm``/``seed``/``sim`` define the
     physics and are hashed into the content key; ``name`` and ``params``
-    are report labels and deliberately excluded from it.  ``engine``
-    optionally pins performance backends (see :data:`ENGINE_MODES`) —
-    pins select *how* the run executes, never what it computes: the
-    backends are byte-identical on ``run_record``, so the result
-    fingerprint is unaffected, but a pinned scenario gets its own content
-    key so the cache cannot answer it with a run from another backend.
+    are report labels and deliberately excluded from it.
     """
 
     platform: Dict[str, Any]
@@ -189,8 +152,6 @@ class ScenarioSpec:
     algorithm: str = "easy"
     seed: int = 0
     sim: Dict[str, Any] = field(default_factory=dict)
-    #: Engine-backend pins; empty means "whatever the process defaults are".
-    engine: Dict[str, Any] = field(default_factory=dict)
     #: Grid-point coordinates, carried into report rows.
     params: Dict[str, Any] = field(default_factory=dict)
     name: str = ""
@@ -203,7 +164,6 @@ class ScenarioSpec:
                 "workload spec needs a 'generate' block, a 'file' path, "
                 "an 'inline' workload, or an 'swf' trace block"
             )
-        self.engine = _normalize_engine(self.engine)
         if not self.name:
             self.name = self._auto_name()
 
@@ -233,11 +193,6 @@ class ScenarioSpec:
                 "seed": int(self.seed),
                 "sim": self.sim,
             }
-            # Only present when pinned: unpinned scenarios keep the content
-            # keys (and therefore cached results) they had before the engine
-            # field existed.
-            if self.engine:
-                spec["engine"] = self.engine
             canonical = canonicalize(spec)
             memo = (canonical, _dump_canonical(canonical).encode("utf-8"))
             self.__dict__["_memo"] = memo
@@ -308,9 +263,7 @@ def expand_campaign(spec: Mapping[str, Any]) -> List[ScenarioSpec]:
 
     Recognised keys: ``name``, ``platform``/``platforms``,
     ``workload``/``workloads``, ``algorithm``/``algorithms``, ``seeds``
-    (or ``num_seeds`` + optional ``base_seed``), ``sim``, ``engine``,
-    ``grid``.  ``engine`` values may be grid expressions, so a campaign
-    can A/B engine backends along a grid axis.
+    (or ``num_seeds`` + optional ``base_seed``), ``sim``, ``grid``.
     """
     unknown = set(spec) - {
         "name",
@@ -324,7 +277,6 @@ def expand_campaign(spec: Mapping[str, Any]) -> List[ScenarioSpec]:
         "num_seeds",
         "base_seed",
         "sim",
-        "engine",
         "grid",
         "scenario_timeout",
         "executor",
@@ -351,7 +303,6 @@ def expand_campaign(spec: Mapping[str, Any]) -> List[ScenarioSpec]:
             raise CampaignError("'seeds' must be a non-empty list")
 
     sim = dict(spec.get("sim", {}))
-    engine = dict(spec.get("engine", {}))
     grid = dict(spec.get("grid", {}))
     for axis, values in grid.items():
         if not isinstance(values, (list, tuple)) or not values:
@@ -385,7 +336,6 @@ def expand_campaign(spec: Mapping[str, Any]) -> List[ScenarioSpec]:
                                 algorithm=algorithm,
                                 seed=seed,
                                 sim=_resolve(sim, variables),
-                                engine=_resolve(engine, variables),
                                 params=params,
                             )
                         )
@@ -523,7 +473,6 @@ def scenarios_from_grid(
 __all__ = [
     "CAMPAIGN_FORMAT",
     "DEFAULT_SALT",
-    "ENGINE_MODES",
     "CampaignError",
     "ScenarioSpec",
     "campaign_name",

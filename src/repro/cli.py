@@ -71,7 +71,7 @@ EXIT_INTERNAL = 70
 
 #: ``--executor`` values: the registry, ``repro.campaign.executor_names()``, is
 #: too heavy to import for a parser; ``tests/test_cli.py`` keeps the two equal.
-_EXECUTORS = ("in-process", "process-pool", "asyncio", "queue-worker")
+_EXECUTORS = ("in-process", "process-pool", "queue-worker")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -31,9 +31,7 @@ from repro.expressions.compiler import (
     STATS,
     CompiledExpression,
     ExpressionStats,
-    compiled_enabled,
     compiled_expression,
-    set_compiled_enabled,
 )
 from repro.expressions.parser import compile_expression, parse
 
@@ -49,8 +47,6 @@ __all__ = [
     "UnaryOp",
     "Variable",
     "compile_expression",
-    "compiled_enabled",
     "compiled_expression",
     "parse",
-    "set_compiled_enabled",
 ]

@@ -22,9 +22,8 @@ phase iteration.  This module removes both costs:
 
 Determinism: a compiled function executes the same float operations in the
 same order as the interpreter, so results are bit-identical — asserted by
-the property tests in ``tests/expressions/test_compiler.py``.  The module
-switch :func:`set_compiled_enabled` routes ``evaluate`` back through the
-interpreter for A/B comparisons.
+the property tests in ``tests/expressions/test_compiler.py``, which hold
+every compiled function to the interpreter on random ASTs and bindings.
 """
 
 from __future__ import annotations
@@ -50,8 +49,6 @@ __all__ = [
     "ExpressionStats",
     "STATS",
     "compiled_expression",
-    "set_compiled_enabled",
-    "compiled_enabled",
 ]
 
 
@@ -120,21 +117,6 @@ class ExpressionStats:
 
 #: Process-wide counters; see :class:`ExpressionStats`.
 STATS = ExpressionStats()
-
-#: When False, ``CompiledExpression.evaluate`` delegates to the interpreted
-#: AST — the reference path for equivalence tests and A/B profiling.
-_ENABLED = True
-
-
-def set_compiled_enabled(enabled: bool) -> None:
-    """Globally enable/disable the compiled fast path (A/B switch)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-def compiled_enabled() -> bool:
-    """Whether the compiled fast path is active (see set_compiled_enabled)."""
-    return _ENABLED
 
 
 def _bin_apply(fn, op, left, right):
@@ -263,8 +245,6 @@ class CompiledExpression(Expression):
             self._fn = ast.evaluate
 
     def evaluate(self, variables: Mapping[str, Numeric]) -> Numeric:
-        if not _ENABLED:
-            return self.ast.evaluate(variables)
         stats = STATS
         stats.evaluations += 1
         fn = self._fn

@@ -2,9 +2,9 @@
 
 The paper's central claim is that the simulator handles rigid, moldable,
 evolving, and malleable jobs *correctly under arbitrary scheduler
-decisions* — and the engine carries several performance-motivated A/B
-pairs (compiled vs. interpreted expressions, array vs. object engine, and
-the scalar max-min loop against its numpy oracle) whose equivalence
+decisions* — and the production engine is a performance-motivated
+rewrite of a slow reference engine (cohort rows vs. one object per
+activity, the scalar max-min loop vs. the numpy kernel) whose equivalence
 hand-written tests only spot-check.
 This package turns those oracles into a generative harness:
 
@@ -13,7 +13,7 @@ This package turns those oracles into a generative harness:
   magnitudes, scheduler, failure trace) from a single seed, shaped as a
   ready-to-run campaign/:meth:`~repro.batch.Simulation.from_spec` dict;
 * :mod:`repro.fuzz.oracles` — the pluggable oracle stack: *differential*
-  (byte-identical ``run_record`` across all engine-mode combinations),
+  (byte-identical ``run_record`` on the production and the reference engine),
   *invariant* (``check_invariants=True`` streaming audit), and
   *metamorphic* (job-id relabelling, power-of-two time/work scaling,
   never-allocated spare nodes, rigid jobs as single-point malleables);

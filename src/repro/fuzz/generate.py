@@ -53,7 +53,7 @@ class FuzzBudget:
     """Size limits for generated scenarios.
 
     The defaults keep single runs in the low-millisecond range so a fuzz
-    campaign of hundreds of scenarios x several engine modes stays cheap;
+    campaign of hundreds of scenarios x two engines stays cheap;
     raise them for nightly deep runs.
     """
 

@@ -3,13 +3,15 @@
 A fuzzer needs a verdict for workloads nobody hand-computed.  Three oracle
 families provide one:
 
-* **differential** — the engine's performance A/B pairs (compiled vs.
-  interpreted expressions x scalar vs. vectorized max-min kernel x array
-  vs. object engine) are *specified* to be pure optimisations:
-  ``run_record()`` must serialise byte-identically across all of them.
+* **differential** — the production engine is *specified* to be a pure
+  optimisation of the reference engine (``Simulation(reference=True)``:
+  every activity an object in a component, numpy max-min kernel):
+  ``run_record()`` must serialise byte-identically on both.  The two
+  runs differ at every fork the engine has, so a bug on either side of
+  any one fork shows.
 * **invariant** — the streaming :class:`~repro.tracing.InvariantChecker`
   audits conservation laws (node accounting, queue accounting, monotone
-  time) during a reference-mode run.
+  time) during a production run.
 * **metamorphic** — known-answer *transformations*: relabelling job ids,
   scaling every time-dimensioned quantity by a power of two, adding spare
   nodes no policy will ever allocate, re-typing rigid jobs as
@@ -27,19 +29,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional
-
-#: Engine-mode matrix (compiled expressions?, DEFAULT_VECTORIZE, array
-#: engine?).  The first entry is the reference configuration (everything
-#: shipped/default); ``None`` is the shipped default, the scalar loop (so a
-#: ``False`` row with the same other columns would repeat a run); the last
-#: column flips the struct-of-arrays slot engine
-#: (:func:`repro.sharing.set_array_engine_enabled`).
-MODES = [
-    (True, None, True),
-    (True, None, False),
-    (True, True, False),
-    (False, False, False),
-]
 
 #: Power-of-two factor used by the time-scaling oracle.  Must be a power
 #: of two: multiplying IEEE doubles by 2**n is exact and commutes with
@@ -62,42 +51,24 @@ class OracleFailure:
 def run_scenario_record(
     scenario: Dict[str, Any],
     *,
-    compiled: bool = True,
-    vectorize: Optional[bool] = None,
-    array: Optional[bool] = None,
+    reference: bool = False,
     check_invariants: bool = False,
     prefail: int = 0,
 ) -> Dict[str, Any]:
-    """Run a scenario under a given engine mode; return its run_record.
+    """Run a scenario on the production or the reference engine; return
+    its run_record.
 
-    ``array`` pins the struct-of-arrays slot engine on/off for the run
-    (``None`` keeps the process default).  ``prefail`` marks the last N
-    nodes failed before the run starts (the spare-nodes oracle's way of
-    adding capacity that is provably never allocated without racing the
-    t=0 scheduler invocation).
+    ``prefail`` marks the last N nodes failed before the run starts (the
+    spare-nodes oracle's way of adding capacity that is provably never
+    allocated without racing the t=0 scheduler invocation).
     """
-    import repro.sharing.model as sharing_model
     from repro import Simulation
-    from repro.expressions import set_compiled_enabled
-    from repro.sharing import array_engine_enabled, set_array_engine_enabled
 
-    set_compiled_enabled(compiled)
-    old_vectorize = sharing_model.DEFAULT_VECTORIZE
-    sharing_model.DEFAULT_VECTORIZE = vectorize
-    old_array = array_engine_enabled()
-    if array is not None:
-        set_array_engine_enabled(array)
-    try:
-        sim = Simulation.from_spec(scenario)
-        if prefail:
-            for node in sim.batch.platform.nodes[-prefail:]:
-                node.fail()
-        monitor = sim.run(check_invariants=check_invariants)
-    finally:
-        set_compiled_enabled(True)
-        sharing_model.DEFAULT_VECTORIZE = old_vectorize
-        set_array_engine_enabled(old_array)
-    return monitor.run_record()
+    sim = Simulation.from_spec(scenario, reference=reference)
+    if prefail:
+        for node in sim.batch.platform.nodes[-prefail:]:
+            node.fail()
+    return sim.run(check_invariants=check_invariants).run_record()
 
 
 def _canonical(record: Dict[str, Any]) -> str:
@@ -134,22 +105,16 @@ def _inline_jobs(scenario: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def differential_oracle(scenario: Dict[str, Any]) -> Optional[OracleFailure]:
-    """run_record must be byte-identical across all engine modes."""
-    reference = run_scenario_record(
-        scenario, compiled=MODES[0][0], vectorize=MODES[0][1], array=MODES[0][2]
-    )
-    reference_bytes = _canonical(reference)
-    for compiled, vectorize, array in MODES[1:]:
-        record = run_scenario_record(
-            scenario, compiled=compiled, vectorize=vectorize, array=array
+    """run_record must be byte-identical on the production and the
+    reference engine."""
+    production = run_scenario_record(scenario)
+    reference = run_scenario_record(scenario, reference=True)
+    if _canonical(production) != _canonical(reference):
+        return OracleFailure(
+            "differential",
+            "run_record diverged between production and reference=True: "
+            f"{_first_diff(production, reference)}",
         )
-        if _canonical(record) != reference_bytes:
-            return OracleFailure(
-                "differential",
-                f"run_record diverged under compiled={compiled} "
-                f"vectorize={vectorize} array={array}: "
-                f"{_first_diff(reference, record)}",
-            )
     return None
 
 

@@ -45,19 +45,20 @@ class SolverStats:
         Component size → count, at snapshot time.
     fast_solves / scalar_solves / vector_solves:
         How many component solves took the single-activity fast path, the
-        scalar progressive-filling loop, and the vectorized numpy kernel
-        respectively (``fast + scalar + vector == resolves``;
-        ``vector_solves`` is 0 unless ``vectorize=True`` selected the numpy
-        oracle).  These are wall-clock-free and deterministic for a fixed
-        ``vectorize`` setting, but they *depend* on that setting, so they
-        stay out of ``Monitor.run_record()``.
+        scalar progressive-filling loop, and the numpy kernel respectively
+        (``fast + scalar + vector == resolves``).  Multi-activity solves
+        are ``scalar_solves`` in production, where ``vector_solves`` is 0,
+        and ``vector_solves`` on a ``reference=True`` run, where
+        ``scalar_solves`` is 0.  Wall-clock-free and deterministic, but
+        they *depend* on the engine, so they stay out of
+        ``Monitor.run_record()``.
     slot_solves:
         How many of the ``fast_solves`` were served by the struct-of-arrays
-        slot engine (see ``set_array_engine_enabled``).  Like the kernel
-        dispatch counts, this depends on the engine switch and stays out of
+        slot table (0 on a reference run).  Like the kernel dispatch
+        counts, this depends on the engine and stays out of
         ``Monitor.run_record()``.
     cohorts_admitted / cohort_members / cohorts_dissolved:
-        Cohort rows the array engine admitted, the activities in them in
+        Cohort rows the production engine admitted, the activities in them in
         total, and cohorts *dissolved*.  A row lives in one of two places.
         In the slot table: a fan-out whose every hop is private to its
         member — a compute task, burst-buffer I/O, a ring or pairwise
@@ -75,7 +76,7 @@ class SolverStats:
         ``Fanout.activities``, or when its component really splits; a
         second user on a *shared* hop is just another member of the
         component.  A run that never singles a member out ends at zero.
-        All zero on the object engine: engine-dependent like
+        All zero on a reference run: engine-dependent like
         ``slot_solves``, and outside ``Monitor.run_record()`` for the
         same reason.  Counted since the model was built or restored — a
         resumed run does not carry the checkpoint's tallies.
@@ -119,11 +120,10 @@ class SolverStats:
             component_count=model.component_count,
             peak_components=model.peak_components,
             size_histogram=model.component_size_histogram(),
-            # getattr: tolerate solver doubles that predate path counters.
-            fast_solves=getattr(model, "fast_solves", 0),
-            scalar_solves=getattr(model, "scalar_solves", 0),
-            vector_solves=getattr(model, "vector_solves", 0),
-            slot_solves=getattr(model, "slot_solves", 0),
+            fast_solves=model.fast_solves,
+            scalar_solves=model.scalar_solves,
+            vector_solves=model.vector_solves,
+            slot_solves=model.slot_solves,
             cohorts_admitted=admitted,
             cohort_members=members,
             cohorts_dissolved=dissolved,

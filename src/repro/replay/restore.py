@@ -159,10 +159,13 @@ def restore_simulation(snapshot: Snapshot):
     """Rebuild a live simulation continuing bit-for-bit from ``snapshot``."""
     from repro.batch import Simulation
 
-    sim = Simulation.from_spec(snapshot.spec, start_processes=False)
+    state = snapshot.state
+    # The snapshot names its engine: a run resumes on the one that wrote it.
+    sim = Simulation.from_spec(
+        snapshot.spec, start_processes=False, reference=state["model"]["reference"]
+    )
     batch = sim.batch
     env = sim.env
-    state = snapshot.state
     registry = SidRegistry()
 
     # 1. Jobs — base jobs come from the spec; requeue clones are replayed

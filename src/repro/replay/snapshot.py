@@ -25,7 +25,7 @@ from typing import Any, Dict, Union
 
 
 #: Bump whenever the snapshot document layout changes incompatibly.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class ReplayError(Exception):

@@ -30,8 +30,6 @@ from repro.sharing.model import (
     FairShareModel,
     Fanout,
     SharedResource,
-    array_engine_enabled,
-    set_array_engine_enabled,
     solve_max_min,
 )
 
@@ -41,7 +39,5 @@ __all__ = [
     "FairShareModel",
     "Fanout",
     "SharedResource",
-    "array_engine_enabled",
-    "set_array_engine_enabled",
     "solve_max_min",
 ]

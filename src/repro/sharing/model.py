@@ -25,7 +25,6 @@ constant between the events that touch a component.
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from itertools import count
 from math import inf
@@ -47,35 +46,6 @@ from repro.des.exceptions import SimulationError
 
 #: Relative slack used when deciding that remaining work hit zero.
 _FINISH_TOL = 1e-9
-
-#: Process-wide default for ``solve_max_min(vectorize=None)``: ``True``
-#: selects the numpy kernel (the test oracle), ``None``/``False`` the scalar
-#: loop (production).  Tests flip this for whole-run A/B checks.
-DEFAULT_VECTORIZE: Optional[bool] = None
-
-#: Process-wide default for the struct-of-arrays "slot" engine (see
-#: :class:`_SlotTable`).  On by default; ``ELASTISIM_ARRAY_ENGINE=0`` in
-#: the environment or :func:`set_array_engine_enabled` turn it off for
-#: whole-run A/B comparisons.  Both engines are specified to produce
-#: byte-identical ``run_record()`` payloads (the fuzzer's differential
-#: oracle and ``tests/batch/test_mode_equivalence.py`` enforce it).
-_ARRAY_ENGINE: bool = os.environ.get("ELASTISIM_ARRAY_ENGINE", "1") != "0"
-
-
-def set_array_engine_enabled(enabled: bool) -> None:
-    """Process-wide switch for the array (struct-of-arrays) engine core.
-
-    Mirrors ``repro.expressions.set_compiled_enabled``: a pure performance
-    A/B toggle that models read at construction time.  Simulation results
-    are identical either way; only speed and memory layout change.
-    """
-    global _ARRAY_ENGINE
-    _ARRAY_ENGINE = bool(enabled)
-
-
-def array_engine_enabled() -> bool:
-    """Current process-wide default of the array-engine switch."""
-    return _ARRAY_ENGINE
 
 
 class ActivityCancelled(Exception):
@@ -234,9 +204,7 @@ class Activity:
         return self._model is not None
 
 
-def solve_max_min(
-    activities: Iterable[Union[Activity, "Fanout"]], *, vectorize: Optional[bool] = None
-) -> str:
+def solve_max_min(activities: Iterable[Union[Activity, "Fanout"]]) -> str:
     """Assign weighted max-min fair rates to ``activities`` in place.
 
     Implements progressive filling.  Activities with no resource usages are
@@ -246,16 +214,12 @@ def solve_max_min(
     cohort in a shared component — which gets the one rate each of its
     ``len(row)`` unit members would get (see :func:`_solve_scalar`).
 
-    ``vectorize`` selects the kernel: ``True`` runs the numpy kernel, kept
-    as a second implementation for the differential tests (the scalar loop
-    is faster on every shipped topology, see docs/PERFORMANCE.md);
-    ``False`` the scalar loop; ``None`` (default) defers to
-    :data:`DEFAULT_VECTORIZE`, itself ``None`` = scalar.  Both kernels — and
-    the single-activity fast path — are *bit-identical*: same float ops
-    in the same order, same freeze order, same tie-breaking (asserted by
-    ``tests/sharing/test_vectorized_solver.py``), so campaign fingerprints
-    do not depend on the dispatch.  Returns the path taken (``"fast"``,
-    ``"scalar"``, or ``"vector"``) for the model's perf counters.
+    The single-activity fast path and the scalar loop are *bit-identical*
+    to the numpy kernel a ``reference=True`` model solves with
+    (:mod:`repro.sharing._reference`): same float ops in the same order,
+    same freeze order, same tie-breaking, asserted by
+    ``tests/sharing/test_vectorized_solver.py``.  Returns the path taken
+    (``"fast"`` or ``"scalar"``) for the model's perf counters.
     """
     # Deterministic processing order (creation order): float accumulation
     # and tie-breaking must not depend on set iteration order, or identical
@@ -273,22 +237,6 @@ def solve_max_min(
             return "fast"
     else:
         acts.sort(key=lambda a: a._seq)
-    if vectorize is None:
-        vectorize = DEFAULT_VECTORIZE
-    if vectorize:
-        # The numpy kernel knows no rows: it solves their members.
-        members: List[Activity] = []
-        rows: Dict[Fanout, int] = {}
-        for act in acts:
-            if type(act) is Fanout:
-                rows[act] = len(members)
-                members += act._stand_ins()
-            else:
-                members.append(act)
-        _solve_vector(members)
-        for row, first in rows.items():
-            row.rate = members[first].rate
-        return "vector"
     _solve_scalar(acts)
     return "scalar"
 
@@ -507,141 +455,6 @@ def _solve_scalar(acts: List[Union[Activity, "Fanout"]]) -> None:
             bounded.pop(act, None)
 
 
-def _solve_vector(acts: List[Activity]) -> None:
-    """Numpy progressive filling, bit-identical to :func:`_solve_scalar`.
-
-    Index ``i`` stands in for the activity at position ``i`` of the
-    creation-ordered ``acts`` list, and resources are numbered in the same
-    first-encounter order the scalar loop builds its dicts in.  Every float
-    operation is a float64 elementwise op matching a scalar Python-float op
-    one-to-one (IEEE-identical), ``np.argmin`` returns the first occurrence
-    of the minimum — the scalar loop's strict-``<`` first-win tie-break —
-    and freezes are processed in the same insertion order.  The scalar
-    demand *accumulation* (first-encounter order) and per-freeze demand
-    decrements stay plain Python floats so rounding matches exactly.
-    """
-    import numpy as np  # only vectorize=True pays the import, simulations never
-
-    n = len(acts)
-    rates = np.zeros(n)
-    weights = np.empty(n)
-    bounds = np.empty(n)
-    unfrozen = np.zeros(n, dtype=bool)
-    n_unfrozen = 0
-    for i, act in enumerate(acts):
-        act.rate = 0.0
-        weights[i] = act.weight
-        bounds[i] = act.bound
-        if act.usages:
-            unfrozen[i] = True
-            n_unfrozen += 1
-        else:
-            rates[i] = act.bound  # unconstrained: progress at the bound
-
-    if n_unfrozen:
-        # Resource tables, in the scalar loop's first-encounter order.
-        res_index: Dict[SharedResource, int] = {}
-        caps: List[float] = []
-        demand_py: List[float] = []
-        users: List[Dict[int, None]] = []
-        act_edges: List[Optional[List[tuple]]] = [None] * n
-        for i, act in enumerate(acts):
-            if not unfrozen[i]:
-                continue
-            w = act.weight
-            edges = []
-            for res, factor in act.usages.items():
-                j = res_index.get(res)
-                if j is None:
-                    j = len(caps)
-                    res_index[res] = j
-                    caps.append(res.capacity)
-                    demand_py.append(0.0)
-                    users.append({})
-                demand_py[j] += factor * w
-                users[j][i] = None
-                edges.append((j, factor))
-            act_edges[i] = edges
-        m = len(caps)
-        caps_arr = np.array(caps)
-        residual = caps_arr.copy()
-        demand = np.array(demand_py)
-        user_count = np.fromiter(
-            (len(u) for u in users), dtype=np.int64, count=m
-        )
-        sat_tol = np.maximum(1e-12, 1e-12 * caps_arr)
-        bounded: Dict[int, None] = {
-            i: None for i in range(n) if unfrozen[i] and acts[i].bound < inf
-        }
-        ratios = np.empty(m)
-
-        while n_unfrozen:
-            theta = inf
-            limiting_res = -1
-            limiting_act = -1
-            active = (user_count > 0) & (demand > 1e-15)
-            if active.any():
-                np.copyto(ratios, inf)
-                np.divide(residual, demand, out=ratios, where=active)
-                j = int(np.argmin(ratios))
-                t = float(ratios[j])
-                if t < inf:
-                    theta = t
-                    limiting_res = j
-            if bounded:
-                b_idx = np.fromiter(bounded, dtype=np.int64, count=len(bounded))
-                b_ratios = (bounds[b_idx] - rates[b_idx]) / weights[b_idx]
-                k = int(np.argmin(b_ratios))
-                t = float(b_ratios[k])
-                if t < theta:
-                    theta = t
-                    limiting_res = -1
-                    limiting_act = int(b_idx[k])
-
-            if theta == inf:
-                rates[unfrozen] = inf
-                break
-
-            if theta > 0:
-                rates[unfrozen] += theta * weights[unfrozen]
-                residual -= theta * demand
-
-            frozen: Dict[int, None] = {}
-            sat = (user_count > 0) & (residual <= sat_tol)
-            for j in np.nonzero(sat)[0]:
-                residual[j] = 0.0
-                frozen.update(users[j])
-            for i in bounded:
-                if rates[i] >= bounds[i] * (1 - 1e-12):
-                    rates[i] = bounds[i]
-                    frozen[i] = None
-            if limiting_res >= 0 and user_count[limiting_res] > 0:
-                frozen.update(users[limiting_res])
-                residual[limiting_res] = 0.0
-            if limiting_act >= 0:
-                rates[limiting_act] = bounds[limiting_act]
-                frozen[limiting_act] = None
-
-            if not frozen:  # pragma: no cover - defensive; cannot happen now
-                frozen = {i: None for i in range(n) if unfrozen[i]}
-
-            for i in frozen:
-                if not unfrozen[i]:
-                    continue
-                w = acts[i].weight
-                for j, factor in act_edges[i]:
-                    uj = users[j]
-                    del uj[i]
-                    user_count[j] -= 1
-                    demand[j] = demand[j] - factor * w if uj else 0.0
-                unfrozen[i] = False
-                n_unfrozen -= 1
-                bounded.pop(i, None)
-
-    for i, act in enumerate(acts):
-        act.rate = float(rates[i])
-
-
 def _splice(entries: Dict[Any, None], old: Any, new: List[Any]) -> None:
     """Put ``new`` where ``old`` stands in the ordered set ``entries``."""
     keys = list(entries)
@@ -709,7 +522,7 @@ class Fanout:
     *materialises* them: real :class:`Activity` objects under the reserved
     ids, in exactly the state per-member bookkeeping would have left them
     in; from there on the handle is the list of them and ``done`` the
-    ordinary all-of.  A fan-out no row can hold (object engine, resources
+    ordinary all-of.  A fan-out no row can hold (reference model, resources
     shared by some members only, unequal capacities, zero work) is
     materialised from birth: ``Fanout(env, activities)``.
     """
@@ -779,33 +592,6 @@ class Fanout:
         """
         model = self._model
         env = self.done.env
-        finished_at = None if model is not None else self._finished_at
-        run = self._run
-        queued = run is not None and run.callbacks is not None
-        acts = self._members(rate, remaining, model, finished_at)
-        events: List[Event] = []
-        for act in acts:
-            done = act.done = Event(env)
-            if model is None:
-                done._value = act
-                if not queued:
-                    done.callbacks = None
-            events.append(done)
-        if queued:
-            run.name_members(events)  # type: ignore[union-attr]
-        self.done.adopt(events)  # type: ignore[attr-defined]
-        self._activities = acts
-        self._model = None
-        return acts
-
-    def _members(
-        self,
-        rate: float,
-        remaining: float,
-        model: Optional["FairShareModel"],
-        finished_at: Optional[float],
-    ) -> List[Activity]:
-        """One activity per route under the reserved ids, ``done`` unset."""
         seq0 = self._seq
         work = self.work
         resources = self._resources
@@ -813,25 +599,37 @@ class Fanout:
         payloads = self._payloads
         per_member = type(payloads) is list
         started_at = self._started_at
-        return [
-            Activity._raw(
+        finished_at = None if model is not None else self._finished_at
+        run = self._run
+        queued = run is not None and run.callbacks is not None
+        acts: List[Activity] = []
+        events: List[Event] = []
+        for k in range(self._n):
+            done = Event(env)
+            act = Activity._raw(
                 seq=seq0 + k,
                 work=work,
                 remaining=remaining,
                 usages=dict.fromkeys(resources[k * hops : (k + 1) * hops], 1.0),
                 payload=payloads[k] if per_member else payloads,
                 rate=rate,
-                done=None,  # type: ignore[arg-type]
+                done=done,
                 started_at=started_at,
                 finished_at=finished_at,
                 model=model,
             )
-            for k in range(self._n)
-        ]
-
-    def _stand_ins(self) -> List[Activity]:
-        """Throw-away members for a kernel that solves activities only."""
-        return self._members(0.0, self.remaining, None, None)
+            if model is None:
+                done._value = act
+                if not queued:
+                    done.callbacks = None
+            acts.append(act)
+            events.append(done)
+        if queued:
+            run.name_members(events)  # type: ignore[union-attr]
+        self.done.adopt(events)  # type: ignore[attr-defined]
+        self._activities = acts
+        self._model = None
+        return acts
 
     def _enter_component(
         self, shared: Tuple[SharedResource, ...], rate: float, remaining: float
@@ -914,7 +712,7 @@ class Fanout:
 
 
 class _SlotTable:
-    """Struct-of-arrays store of *cohorts* of simple activities (array engine).
+    """Struct-of-arrays store of *cohorts* of simple activities (production only).
 
     A simple activity is the sole user of each resource it uses — a
     compute task on its node's CPU, a flow on its private route (a ring
@@ -1088,42 +886,34 @@ class FairShareModel:
     ----------
     env:
         The DES environment to schedule wake-ups on.
-    partition:
-        ``False`` forces every activity into one global component — the
-        pre-incremental behaviour, kept as a bit-exact reference for tests
-        and old-vs-new benchmarks.
-    vectorize:
-        Per-model override for the solver kernel, passed through to
-        :func:`solve_max_min` (``None`` = the scalar loop; both kernels
-        are bit-identical, so this only affects speed).
-    array_engine:
-        Per-model override for the struct-of-arrays cohort engine
-        (:class:`_SlotTable`); ``None`` (default) defers to the process-wide
-        :func:`set_array_engine_enabled` switch.  Only effective with
-        ``partition=True`` (the global-component reference mode has no
-        singletons to accelerate).  Results are byte-identical either way.
+    reference:
+        The one engine option.  ``False`` (default) is production: fan-outs
+        and lone simple activities are memberless rows (:class:`_SlotTable`,
+        rows of shared components), solved by the single-activity fast
+        path and the scalar loop.  ``True`` is the slow, obviously-right
+        side of every fork the model owns, for differential tests: no row
+        anywhere — every activity an object in a :class:`Component`, the
+        *object engine* — and every component of two or more solved by
+        the numpy kernel of :mod:`repro.sharing._reference`, imported
+        here and nowhere else.  ``run_record`` and ``processed_events``
+        are byte-identical either way (docs/INTERNALS.md, "Engine paths").
 
     Event-count bookkeeping (``resolves`` et al.) feeds the E5 simulator
     performance benchmark; see :class:`repro.monitoring.SolverStats`.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        *,
-        partition: bool = True,
-        vectorize: Optional[bool] = None,
-        array_engine: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, env: Environment, *, reference: bool = False) -> None:
         self.env = env
-        self._partition = partition
-        self._vectorize = vectorize
-        use_array = _ARRAY_ENGINE if array_engine is None else array_engine
+        self.reference = reference
+        if reference:
+            from repro.sharing._reference import solve_max_min as solve
+        else:
+            solve = solve_max_min
+        #: What a dirty component is solved with.
+        self._solve = solve
         #: Cohort table for simple (single-resource, sole-user) activities;
         #: ``None`` runs everything through the object engine.
-        self._array: Optional[_SlotTable] = (
-            _SlotTable() if (use_array and partition) else None
-        )
+        self._array: Optional[_SlotTable] = None if reference else _SlotTable()
         #: resource → slot of the row its sole (simple) user is in — also how
         #: a row is found from its owner: through any of its resources.
         self._res_slot: Dict[SharedResource, int] = {}
@@ -1237,7 +1027,7 @@ class FairShareModel:
         """Cohort rows admitted, the members in them, and cohorts dissolved.
 
         Rows of the slot table and rows of shared components alike.
-        Diagnostics of the array engine (all zero on the object engine),
+        Diagnostics of the production engine (all zero on a reference model),
         snapshotted into :class:`repro.monitoring.SolverStats`.
         """
         table = self._array
@@ -1315,7 +1105,7 @@ class FairShareModel:
         same results on either engine — returned as one :class:`Fanout`
         handle.
 
-        With the array engine the fan-out is one memberless row (no
+        In production the fan-out is one memberless row (no
         activity exists unless one is singled out) when every hop position
         is either *private* — a free resource in each route, all different,
         of one capacity — or *shared* — the same resource in every route,
@@ -1497,25 +1287,22 @@ class FairShareModel:
                 if res in self._res_slot:
                     self._promote_slot(self._single_slot(res))
         involved: List[Component] = []
-        if self._partition:
-            res_users = self._res_users
-            seen: set[int] = set()
-            for res in resources:
-                users = res_users.get(res)
-                if not users:
-                    continue
-                first = next(iter(users))
-                if type(first) is Fanout and res not in first._shared:
-                    # A second user on a row's private hop singles out the
-                    # member whose hop it is.
-                    self._dissolve(first)
-                    first = next(iter(res_users[res]))
-                comp = self._comp_of[first]
-                if comp.id not in seen:
-                    seen.add(comp.id)
-                    involved.append(comp)
-        else:
-            involved = list(self._components)
+        res_users = self._res_users
+        seen: set[int] = set()
+        for res in resources:
+            users = res_users.get(res)
+            if not users:
+                continue
+            first = next(iter(users))
+            if type(first) is Fanout and res not in first._shared:
+                # A second user on a row's private hop singles out the
+                # member whose hop it is.
+                self._dissolve(first)
+                first = next(iter(res_users[res]))
+            comp = self._comp_of[first]
+            if comp.id not in seen:
+                seen.add(comp.id)
+                involved.append(comp)
 
         if not involved:
             comp = Component(self._next_cid, self.env.now)
@@ -1570,7 +1357,7 @@ class FairShareModel:
             self._components.pop(comp, None)
             self._dirty.pop(comp, None)
             return
-        if self._partition and not self._still_connected(activity):
+        if not self._still_connected(activity):
             self._split(comp)
         else:
             self._mark_dirty(comp)
@@ -1925,7 +1712,7 @@ class FairShareModel:
                     if not comp.alive or not comp.acts:
                         continue
                     started = perf_counter()
-                    path = solve_max_min(comp.acts, vectorize=self._vectorize)
+                    path = self._solve(comp.acts)
                     self.solver_time += perf_counter() - started
                     if path == "fast":
                         self.fast_solves += 1
@@ -2353,9 +2140,7 @@ class FairShareModel:
             wakes.append([sid, version])
 
         return {
-            "partition": self._partition,
-            "vectorize": self._vectorize,
-            "array": table is not None,
+            "reference": self.reference,
             "activities": act_records,
             "rows": row_records,
             "act_counter": next(Activity._counter),
@@ -2391,19 +2176,19 @@ class FairShareModel:
     ) -> None:
         """Rebuild the model from :meth:`capture_state` output.
 
-        The model must be freshly constructed with the captured engine
-        flags (``partition``/``vectorize``/``array_engine``); state is
-        rebuilt by direct assignment, never by re-admission through
-        :meth:`execute` (which would re-solve, re-count and re-schedule).
+        The model must be freshly constructed on the captured engine
+        (``reference``); state is rebuilt by direct assignment, never by
+        re-admission through :meth:`execute` (which would re-solve,
+        re-count and re-schedule).
         Queued wake events are recreated here and claimed in ``registry``
         so the environment's queue restore can re-link them; the event
         pool starts empty — a captured pooled event is never handed back
         out by a restored run.
         """
-        if (self._array is not None) != bool(state["array"]):
+        if self.reference != state["reference"]:
             raise RuntimeError(
                 "Engine-mode mismatch: snapshot was captured with "
-                f"array_engine={state['array']}"
+                f"reference={state['reference']}"
             )
         env = self.env
 

@@ -1,11 +1,11 @@
 """Executor protocol: capability flags, fingerprint identity, failure paths."""
 
 import json
+import threading
 
 import pytest
 
 from repro.campaign import (
-    AsyncioExecutor,
     BaseExecutor,
     CampaignError,
     CampaignRunner,
@@ -66,7 +66,6 @@ class TestProtocol:
         assert executor_names() == (
             "in-process",
             "process-pool",
-            "asyncio",
             "queue-worker",
         )
 
@@ -75,8 +74,6 @@ class TestProtocol:
         assert not InProcessExecutor.distributed
         assert ProcessPoolCampaignExecutor.parallel
         assert ProcessPoolCampaignExecutor.isolates_processes
-        assert AsyncioExecutor.parallel
-        assert not AsyncioExecutor.isolates_processes
         assert QueueWorkerExecutor.distributed
         assert QueueWorkerExecutor.isolates_processes
 
@@ -84,7 +81,6 @@ class TestProtocol:
         for cls in (
             InProcessExecutor,
             ProcessPoolCampaignExecutor,
-            AsyncioExecutor,
             QueueWorkerExecutor,
         ):
             assert issubclass(cls, BaseExecutor)
@@ -116,7 +112,7 @@ class TestFingerprintIdentity:
         assert [r["status"] for r in report.records] == ["ok"] * 4
         return [result_fingerprint(r) for r in report.records]
 
-    @pytest.mark.parametrize("name", ["in-process", "asyncio", "process-pool"])
+    @pytest.mark.parametrize("name", ["in-process", "process-pool"])
     def test_backend_matches_serial_reference(self, name, reference):
         report = CampaignRunner(small_grid(), workers=2, executor=name).run()
         assert report.executor == name
@@ -138,7 +134,7 @@ class TestFingerprintIdentity:
 
     def test_explicit_executor_instance(self, reference):
         report = CampaignRunner(
-            small_grid(), workers=2, executor=AsyncioExecutor(workers=2)
+            small_grid(), workers=2, executor=ProcessPoolCampaignExecutor(workers=2)
         ).run()
         assert [result_fingerprint(r) for r in report.records] == reference
 
@@ -178,15 +174,19 @@ class TestScenarioTimeout:
         assert statuses[scenarios[1].name] == "ok"
 
     def test_timeout_on_asyncio_executor_thread(self):
-        # to_thread workers cannot receive signals; the watchdog must
-        # deliver the deadline to non-main threads too.
-        report = CampaignRunner(
-            [slow_scenario()],
-            workers=2,
-            executor="asyncio",
-            scenario_timeout=0.2,
-        ).run()
-        (record,) = report.records
+        # What an embedding application's ``to_thread`` worker is: a thread
+        # other than the main one, which cannot receive signals; the
+        # watchdog must deliver the deadline there too.
+        records = []
+        thread = threading.Thread(
+            target=lambda: records.append(
+                run_scenario(slow_scenario().as_record(), timeout=0.2)
+            )
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        (record,) = records
         assert record["status"] == "failed"
         assert record["error_kind"] == "timeout"
 

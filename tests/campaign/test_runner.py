@@ -72,57 +72,6 @@ class TestRunScenario:
         assert result_fingerprint(a) != result_fingerprint(b)
 
 
-class TestEnginePinning:
-    def test_pins_do_not_change_the_result(self):
-        base = run_scenario(make_scenario().as_record())
-        for engine in (
-            {"array_engine": False},
-            {"array_engine": True, "vectorize": True, "compiled": False},
-        ):
-            pinned = run_scenario(make_scenario(engine=engine).as_record())
-            assert pinned["status"] == "ok"
-            assert result_fingerprint(pinned) == result_fingerprint(base)
-
-    def test_pins_are_undone_after_an_in_process_run(self):
-        import repro.sharing.model as sharing_model
-        from repro.expressions import compiled_enabled
-        from repro.sharing import array_engine_enabled
-
-        before = (
-            compiled_enabled(),
-            sharing_model.DEFAULT_VECTORIZE,
-            array_engine_enabled(),
-        )
-        run_scenario(
-            make_scenario(
-                engine={
-                    "compiled": False,
-                    "vectorize": True,
-                    "array_engine": not before[2],
-                }
-            ).as_record()
-        )
-        after = (
-            compiled_enabled(),
-            sharing_model.DEFAULT_VECTORIZE,
-            array_engine_enabled(),
-        )
-        assert after == before
-
-    def test_pinned_scenarios_have_distinct_cache_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        scenarios = [
-            make_scenario(engine={"array_engine": True}, name="array-on"),
-            make_scenario(engine={"array_engine": False}, name="array-off"),
-        ]
-        report = CampaignRunner(scenarios, workers=1, cache=cache).run()
-        # Distinct content keys: the cache must not answer one backend's
-        # scenario with the other's run, even though the results agree.
-        assert report.executed == 2
-        a, b = report.records
-        assert result_fingerprint(a) == result_fingerprint(b)
-
-
 class TestRunner:
     def test_rejects_empty_and_duplicate_names(self):
         with pytest.raises(CampaignError):

@@ -97,11 +97,10 @@ class TestScenarioKey:
             workload={"generate": {"num_jobs": 4, "max_request": 4.0}},
             seed=7,
             sim={"invocation_interval": 30.0},
-            engine={"array_engine": 1},
             params={"load": 0.5},
             name="golden",
         )
-        golden = "66e16e20751817154d230bcb8410eb5bc28d73d08d9a08946cf3d9840b081169"
+        golden = "c4f536943b03f306d9d0780eb353c542cea60dfe7bc62a91996923fdd46c14ed"
         assert scenario.key(salt="golden-salt") == golden
         assert scenario.key(salt="golden-salt") == golden  # from the memo
 
@@ -143,7 +142,6 @@ class TestCanonicalMemo:
             ("algorithm", "fcfs"),
             ("seed", 1),
             ("sim", {"invocation_interval": 10}),
-            ("engine", {"compiled": False}),
         ],
     )
     def test_reassigning_a_hashed_field_changes_the_key(self, field, value):
@@ -199,34 +197,21 @@ class TestScenarioSpec:
 
 
 class TestEngine:
-    def test_numeric_values_fold_to_booleans(self):
-        scenario = make_scenario(engine={"array_engine": 1, "vectorize": 0})
-        assert scenario.engine == {"array_engine": True, "vectorize": False}
-
-    def test_vectorize_accepts_none_for_auto_dispatch(self):
-        assert make_scenario(engine={"vectorize": None}).engine == {"vectorize": None}
+    """How a run executes is not part of what a scenario is: the one
+    engine option is ``Simulation(reference=)``, for tests."""
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(CampaignError):
-            make_scenario(engine={"turbo": True})
-
-    def test_non_boolean_value_rejected(self):
-        with pytest.raises(CampaignError):
-            make_scenario(engine={"compiled": "yes"})
-        with pytest.raises(CampaignError):
-            make_scenario(engine={"array_engine": None})
+        # Every mode is: the block itself is an unknown key.
+        with pytest.raises(TypeError):
+            make_scenario(engine={"array_engine": False})
+        with pytest.raises(CampaignError, match=r"unknown campaign keys: \['engine'\]"):
+            expand_campaign(
+                {"platform": PLATFORM, "workload": WORKLOAD, "engine": {"compiled": False}}
+            )
 
     def test_unpinned_spec_keeps_its_pre_engine_key(self):
-        # Scenarios without pins must hash exactly as they did before the
-        # engine field existed, so existing result caches stay warm.
-        assert make_scenario(engine={}).key() == make_scenario().key()
+        # ``test_golden_content_key`` pins the bytes; this is why they hold.
         assert "engine" not in make_scenario().canonical()
-
-    def test_pinned_spec_gets_its_own_key(self):
-        base = make_scenario().key()
-        on = make_scenario(engine={"array_engine": True}).key()
-        off = make_scenario(engine={"array_engine": False}).key()
-        assert base != on and base != off and on != off
 
 
 class TestDeriveSeed:
@@ -277,13 +262,6 @@ class TestExpandCampaign:
         }
         for load, share, runtime in picked:
             assert runtime == 100 * load
-
-    def test_engine_block_binds_grid_expressions(self):
-        scenarios = expand_campaign(
-            self.base(engine={"array_engine": "arr"}, grid={"arr": [0, 1]})
-        )
-        pins = {(s.params["arr"], s.engine["array_engine"]) for s in scenarios}
-        assert pins == {(0, False), (1, True)}
 
     def test_non_expression_strings_pass_through(self):
         scenarios = expand_campaign(self.base())

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.batch import Simulation
 from repro.monitoring import SolverStats
-from repro.sharing import Fanout, array_engine_enabled, set_array_engine_enabled
+from repro.sharing import Fanout
 
 
 def _platform(topology, nodes=16):
@@ -32,14 +32,9 @@ def _platform(topology, nodes=16):
     }
 
 
-def _run(spec, array):
-    old = array_engine_enabled()
-    set_array_engine_enabled(array)
-    try:
-        sim = Simulation.from_spec(json.loads(json.dumps(spec)))
-        sim.run(check_invariants=True)
-    finally:
-        set_array_engine_enabled(old)
+def _run(spec, reference=False):
+    sim = Simulation.from_spec(json.loads(json.dumps(spec)), reference=reference)
+    sim.run(check_invariants=True)
     return sim
 
 
@@ -108,31 +103,31 @@ def _scenarios(draw):
 @given(_scenarios())
 @settings(max_examples=60, deadline=None)
 def test_property_exchanges_match_the_object_engine(spec):
-    assert _observed(_run(spec, True)) == _observed(_run(spec, False))
+    assert _observed(_run(spec)) == _observed(_run(spec, reference=True))
 
 
 @pytest.mark.parametrize("pattern, flows", [("ring", 8), ("pairwise", 8), ("alltoall", 2)])
 def test_star_exchange_is_one_row_of_two_resource_members(pattern, flows):
     nodes = 2 if pattern == "alltoall" else 8
     spec = _spec("star", [_job(1, nodes, [_exchange(pattern, 1e9, iterations=3)])])
-    sim = _run(spec, True)
+    sim = _run(spec)
     stats = SolverStats.from_model(sim.batch.model)
     # Per iteration: one compute row and one exchange row.
     assert stats.cohorts_admitted == 6
     assert stats.cohort_members == 3 * (nodes + flows)
     assert stats.cohorts_dissolved == 0
     assert stats.slot_solves == stats.fast_solves == stats.resolves
-    assert _observed(sim) == _observed(_run(spec, False))
+    assert _observed(sim) == _observed(_run(spec, reference=True))
 
 
 @pytest.mark.parametrize("topology, pattern", [("fat_tree", "ring"), ("star", "alltoall")])
 def test_shared_links_fall_back_to_one_component_per_flow(topology, pattern):
     spec = _spec(topology, [_job(1, 8, [_exchange(pattern, 1e9)])])
-    sim = _run(spec, True)
+    sim = _run(spec)
     stats = SolverStats.from_model(sim.batch.model)
     assert stats.cohorts_admitted == 2  # the compute fan-outs only
     assert stats.slot_solves < stats.resolves
-    assert _observed(sim) == _observed(_run(spec, False))
+    assert _observed(sim) == _observed(_run(spec, reference=True))
 
 
 def test_star_gather_is_one_row_of_the_roots_link():
@@ -140,12 +135,12 @@ def test_star_gather_is_one_row_of_the_roots_link():
     resource in every route, so the step is one row of that link's
     component — solved as a component, not as slots."""
     spec = _spec("star", [_job(1, 8, [_exchange("gather", 1e9)])])
-    sim = _run(spec, True)
+    sim = _run(spec)
     stats = SolverStats.from_model(sim.batch.model)
     assert stats.cohorts_admitted == 4 and stats.cohort_members == 2 * (8 + 7)
     assert stats.cohorts_dissolved == 0
     assert stats.scalar_solves == 2 and stats.max_solve_scope == 7
-    assert _observed(sim) == _observed(_run(spec, False))
+    assert _observed(sim) == _observed(_run(spec, reference=True))
 
 
 def _running_ids(sim):
@@ -165,26 +160,21 @@ def _running_ids(sim):
     return {seq - first: cid for seq, cid in sorted(ids.items())}, model._next_cid
 
 
-def _stopped_at(spec, array, until):
-    old = array_engine_enabled()
-    set_array_engine_enabled(array)
-    try:
-        sim = Simulation.from_spec(json.loads(json.dumps(spec)))
-        sim.run(until=until)
-    finally:
-        set_array_engine_enabled(old)
+def _stopped_at(spec, reference, until):
+    sim = Simulation.from_spec(json.loads(json.dumps(spec)), reference=reference)
+    sim.run(until=until)
     return sim
 
 
 def _killed_mid_flight(spec, kill_at):
     """A walltime kill that lands inside a cohort: the one-pass cancel of
     the handle must leave what the object engine's member loop leaves."""
-    sim = _run(spec, True)
+    sim = _run(spec)
     assert sim.monitor.run_record()["summary"]["killed_jobs"] == 1
     assert SolverStats.from_model(sim.batch.model).cohorts_dissolved == 1
-    assert _observed(sim) == _observed(_run(spec, False))
+    assert _observed(sim) == _observed(_run(spec, reference=True))
     for until in (kill_at - 0.25, kill_at + 0.25):
-        array, reference = (_stopped_at(spec, flag, until) for flag in (True, False))
+        array, reference = (_stopped_at(spec, flag, until) for flag in (False, True))
         assert array.env.processed_events == reference.env.processed_events
         ids, next_cid = _running_ids(array)
         assert (ids, next_cid) == _running_ids(reference) and ids
@@ -230,8 +220,8 @@ def test_second_user_on_one_members_link_dissolves_and_promotes():
         ],
     }
     spec = _spec("star", [_job(1, 8, [phase]), _job(2, 1, [_exchange("ring", 1e9)])])
-    sim = _run(spec, True)
+    sim = _run(spec)
     stats = SolverStats.from_model(sim.batch.model)
     assert stats.cohorts_dissolved == 1
     assert stats.merges > 0  # the promoted members joined the writers' component
-    assert _observed(sim) == _observed(_run(spec, False))
+    assert _observed(sim) == _observed(_run(spec, reference=True))

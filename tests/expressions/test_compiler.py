@@ -17,9 +17,7 @@ from repro.expressions import (
     ExpressionError,
     STATS,
     compile_expression,
-    compiled_enabled,
     compiled_expression,
-    set_compiled_enabled,
 )
 from repro.expressions.ast import (
     _BINARY_OPS,
@@ -106,19 +104,6 @@ def test_compiled_matches_interpreter(ast, variables):
             # Bit-identical, including type (int stays int) and signed zero.
             assert type(value) is type(interp_value)
             assert repr(value) == repr(interp_value)
-
-
-@settings(max_examples=150, deadline=None)
-@given(ast=_asts, variables=_bindings)
-def test_disabled_mode_matches_compiled(ast, variables):
-    compiled = CompiledExpression(ast)
-    enabled = _outcome(compiled.evaluate, variables)
-    set_compiled_enabled(False)
-    try:
-        assert not compiled_enabled()
-        assert _outcome(compiled.evaluate, variables) == enabled
-    finally:
-        set_compiled_enabled(True)
 
 
 def test_memo_hit_counted_and_value_stable():

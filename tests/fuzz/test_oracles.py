@@ -10,10 +10,10 @@ import json
 
 import pytest
 
-import repro.sharing.model as sharing_model
+import repro.fuzz.oracles as oracles
+import repro.sharing._reference as reference_kernel
 from repro.fuzz import OracleFailure, check_scenario, run_scenario_record
 from repro.fuzz.oracles import (
-    MODES,
     ORACLES,
     _first_diff,
     differential_oracle,
@@ -62,30 +62,23 @@ def scenario_dict(algorithm="easy", **sim):
 class TestRunScenarioRecord:
     def test_all_modes_produce_a_record(self):
         scenario = scenario_dict()
-        for compiled, vectorize, array in MODES:
-            record = run_scenario_record(
-                scenario, compiled=compiled, vectorize=vectorize, array=array
-            )
+        for reference in (False, True):
+            record = run_scenario_record(scenario, reference=reference)
             assert record["num_jobs"] == 2
             assert record["summary"]["completed_jobs"] == 2
 
-    def test_no_two_modes_are_the_same_run(self):
-        # vectorize=None is the scalar loop, exactly what False selects.
-        runs = {(compiled, bool(vectorize), array) for compiled, vectorize, array in MODES}
-        assert len(runs) == len(MODES) == 4
-        assert any(vectorize for _, vectorize, _ in MODES)  # the numpy oracle still runs
+    def test_no_two_modes_are_the_same_run(self, monkeypatch):
+        # Exactly two runs, one per engine: they differ at every fork.
+        real = oracles.run_scenario_record
+        engines = []
 
-    def test_engine_toggles_are_restored(self):
-        from repro.expressions import compiled_enabled
-        from repro.sharing import array_engine_enabled
+        def spy(scenario, *, reference=False):
+            engines.append(reference)
+            return real(scenario, reference=reference)
 
-        before_array = array_engine_enabled()
-        run_scenario_record(
-            scenario_dict(), compiled=False, vectorize=True, array=not before_array
-        )
-        assert sharing_model.DEFAULT_VECTORIZE is None
-        assert compiled_enabled() is True
-        assert array_engine_enabled() is before_array
+        monkeypatch.setattr(oracles, "run_scenario_record", spy)
+        assert differential_oracle(scenario_dict()) is None
+        assert engines == [False, True]
 
     def test_prefail_keeps_nodes_out_of_service(self):
         scenario = scenario_dict()
@@ -101,7 +94,7 @@ class TestDifferentialOracle:
 
     def test_detects_kernel_divergence(self, monkeypatch):
         # Sabotage the vector kernel outright: the oracle must notice.
-        orig = sharing_model._solve_vector
+        orig = reference_kernel._solve_vector
 
         def broken(acts):
             orig(acts)
@@ -109,11 +102,11 @@ class TestDifferentialOracle:
                 if act.rate not in (0.0, float("inf")):
                     act.rate *= 0.5
 
-        monkeypatch.setattr(sharing_model, "_solve_vector", broken)
+        monkeypatch.setattr(reference_kernel, "_solve_vector", broken)
         failure = differential_oracle(scenario_dict())
         assert failure is not None
         assert failure.oracle == "differential"
-        assert "vectorize=True" in failure.detail
+        assert "reference=True" in failure.detail
 
 
 class TestInvariantOracle:

@@ -4,10 +4,12 @@ The mutation loosens the max-min kernel's saturation *tie* tolerance from
 1e-12 (relative, i.e. "equal up to float drift") to 1e-2: resources that
 are merely *near* the limiting ratio get frozen together with it, robbing
 their users of their last slice of bandwidth.  This is the classic class
-of tie-breaking bug the differential oracle exists for — the scalar
-kernel still resolves such near-ties exactly, so the two engines diverge
-on any scenario where a second resource sits within 1% of saturation at
-a freeze round.
+of tie-breaking bug the differential oracle exists for — the production
+scalar loop still resolves such near-ties exactly, so the two engines
+diverge on any scenario where a second resource sits within 1% of
+saturation at a freeze round.  (The mutant lives in the reference
+engine's numpy kernel, ``repro.sharing._reference``; the oracle compares
+whole runs, so which side holds the bug makes no difference to it.)
 
 The test requires the whole kill chain to work: a bounded seed search
 finds a triggering scenario, the differential oracle reports it, and the
@@ -19,7 +21,7 @@ import inspect
 
 import pytest
 
-import repro.sharing.model as sharing_model
+import repro.sharing._reference as reference_kernel
 from repro.fuzz import check_scenario, generate_scenario, shrink_failure
 from repro.fuzz.runner import FuzzFailure
 
@@ -34,18 +36,18 @@ SEED_SEARCH_BOUND = 50
 
 @pytest.fixture()
 def mutated_vector_kernel(monkeypatch):
-    source = inspect.getsource(sharing_model._solve_vector)
+    source = inspect.getsource(reference_kernel._solve_vector)
     assert TIE_TOLERANCE_LINE in source, (
         "max-min kernel changed; update the injected mutation"
     )
-    namespace = dict(vars(sharing_model))
+    namespace = dict(vars(reference_kernel))
     exec(  # noqa: S102 - building the mutant from audited source
         compile(source.replace(TIE_TOLERANCE_LINE, MUTATED_LINE),
                 "<mutant>", "exec"),
         namespace,
     )
     monkeypatch.setattr(
-        sharing_model, "_solve_vector", namespace["_solve_vector"]
+        reference_kernel, "_solve_vector", namespace["_solve_vector"]
     )
 
 

@@ -57,37 +57,32 @@ def test_simulation_attaches_solver_stats():
     assert monitor.solver.solved_activities >= monitor.solver.resolves
 
 
-@pytest.mark.parametrize("array", [True, False])
-def test_rows_of_shared_components_are_counted_in_members(array):
-    """File-system I/O is one row per fan-out on the array engine; the
+@pytest.mark.parametrize("reference", [False, True])
+def test_rows_of_shared_components_are_counted_in_members(reference):
+    """File-system I/O is one row per fan-out in production; the
     counters, and the tracer's ``solver.resolve`` instants, still speak
-    of activities — what the object engine, which has them, reports."""
+    of activities — what the reference engine, which has them, reports."""
     from repro import Simulation
-    from repro.sharing import array_engine_enabled, set_array_engine_enabled
     from repro.tracing import Tracer
 
     from tests.engine.test_io_cohorts import _io_loop, _job, _spec
 
     spec = _spec([_job(k + 1, nodes, [_io_loop(2)]) for k, nodes in enumerate([8, 4, 1])])
-    old = array_engine_enabled()
-    set_array_engine_enabled(array)
-    try:
-        tracer = Tracer()
-        monitor = Simulation.from_spec(spec).run(trace=tracer)
-    finally:
-        set_array_engine_enabled(old)
+    tracer = Tracer()
+    monitor = Simulation.from_spec(spec, reference=reference).run(trace=tracer)
     stats = monitor.solver
     instants = [r.args for r in tracer.records if r.kind == "solver.resolve"]
     assert sum(args["activities"] for args in instants) == stats.solved_activities == 100
     assert sum(args["components"] for args in instants) == stats.resolves == 40
     # All three jobs read at once: 8 + 4 + 1 activities in one component.
     assert max(args["activities"] for args in instants) == stats.max_solve_scope == 13
-    assert stats.fast_solves + stats.scalar_solves == stats.resolves
-    if array:
+    if reference:
+        assert stats.fast_solves + stats.vector_solves == stats.resolves
+        assert (stats.cohorts_admitted, stats.cohort_members, stats.slot_solves) == (0, 0, 0)
+    else:
+        assert stats.fast_solves + stats.scalar_solves == stats.resolves
         # Compute fan-outs in the slot table, reads and writes in the file
         # system's components: a row each, none ever given members.
         assert stats.cohorts_admitted == 3 * 2 * 3 and stats.cohorts_dissolved == 0
         assert stats.cohort_members == 3 * 2 * (8 + 4 + 1)
         assert 0 < stats.slot_solves < stats.resolves
-    else:
-        assert (stats.cohorts_admitted, stats.cohort_members, stats.slot_solves) == (0, 0, 0)

@@ -28,7 +28,8 @@ from repro.platform import (
     platform_from_dict,
 )
 
-from tests.replay.test_property import MODES, _check
+from tests.replay.helpers import ENGINES
+from tests.replay.test_property import _check
 
 N = 12
 JOB = SimpleNamespace(jid=7, name="job")
@@ -292,8 +293,8 @@ def test_max_start_power_is_the_sorted_prefix_sum(need):
 _RESUME_SEED = 2
 
 
-@pytest.mark.parametrize("array,compiled", MODES)
-def test_resume_on_a_partially_built_machine_is_byte_identical(array, compiled):
+@pytest.mark.parametrize("reference", ENGINES)
+def test_resume_on_a_partially_built_machine_is_byte_identical(reference):
     scenario = generate_scenario(_RESUME_SEED, algorithm="easy")
     assert scenario["platform"]["network"]["topology"] == "star"
     assert "power" not in scenario["platform"]
@@ -301,4 +302,4 @@ def test_resume_on_a_partially_built_machine_is_byte_identical(array, compiled):
     cold = Simulation.from_spec(json.loads(json.dumps(scenario)))
     cold.run()
     assert 0 < cold.batch.platform.nodes.built < 2_000
-    assert _check(_RESUME_SEED, 0.5, array, compiled, widen=2_000)
+    assert _check(_RESUME_SEED, 0.5, reference, widen=2_000)

@@ -4,7 +4,7 @@ A cohort row is captured as the memberless row it is (one compact handle
 record, the members' routes as one flat resource list, one set of
 scalars — no member is materialised to take the snapshot) and a
 dissolved one as its rows of one / promoted components; resuming either
-must reproduce the uninterrupted run byte for byte, in every engine mode,
+must reproduce the uninterrupted run byte for byte, on either engine,
 and ``whatif`` must still take the warm path.  The snapshot *file* is
 written atomically and a damaged one is a ``ReplayError``.
 """
@@ -16,19 +16,19 @@ import pytest
 
 from repro.batch import Simulation
 from repro.des import Environment
-from repro.expressions import compiled_enabled, set_compiled_enabled
 from repro.monitoring import SolverStats
 from repro.replay import SCHEMA_VERSION, ReplayError, Snapshot, whatif
 from repro.replay.snapshot import SidRegistry
 from repro.replay.whatif import run_with_snapshots
-from repro.sharing import (
-    FairShareModel,
-    SharedResource,
-    array_engine_enabled,
-    set_array_engine_enabled,
-)
+from repro.sharing import FairShareModel, SharedResource
 
-from tests.replay.helpers import assert_resume_identical, snapshot_run
+from tests.replay.helpers import (
+    ENGINES,
+    assert_resume_identical,
+    cold_run,
+    fingerprint,
+    snapshot_run,
+)
 
 _cohorts = SolverStats.from_model
 
@@ -66,25 +66,6 @@ def _spec():
     }
 
 
-MODES = [
-    pytest.param((True, True), id="array-compiled"),
-    pytest.param((True, False), id="array-interpreted"),
-    pytest.param((False, True), id="object-compiled"),
-    pytest.param((False, False), id="object-interpreted"),
-]
-
-
-@pytest.fixture
-def engine_mode(request):
-    array, compiled = request.param
-    old = array_engine_enabled(), compiled_enabled()
-    set_array_engine_enabled(array)
-    set_compiled_enabled(compiled)
-    yield array
-    set_array_engine_enabled(old[0])
-    set_compiled_enabled(old[1])
-
-
 def _cohort_rows(snapshot):
     """(members, resources) of every memberless cohort row in a snapshot."""
     slots = snapshot.state["model"]["slots"]
@@ -112,9 +93,9 @@ def test_the_scenario_checkpoints_cohorts_whole_and_dissolved():
     assert _cohorts(sim.batch.model).cohorts_dissolved == 3
 
 
-@pytest.mark.parametrize("engine_mode", MODES, indirect=True)
-def test_resume_from_every_checkpoint_is_byte_identical(engine_mode):
-    assert assert_resume_identical(_spec(), snapshot_every=40) >= 5
+@pytest.mark.parametrize("reference", ENGINES)
+def test_resume_from_every_checkpoint_is_byte_identical(reference):
+    assert assert_resume_identical(_spec(), snapshot_every=40, reference=reference) >= 5
 
 
 def _exchange_spec():
@@ -161,9 +142,9 @@ def test_the_exchange_scenario_checkpoints_two_link_members():
     assert _cohorts(sim.batch.model).cohorts_dissolved >= 3
 
 
-@pytest.mark.parametrize("engine_mode", MODES, indirect=True)
-def test_resume_mid_exchange_is_byte_identical(engine_mode):
-    assert assert_resume_identical(_exchange_spec(), snapshot_every=25) >= 5
+@pytest.mark.parametrize("reference", ENGINES)
+def test_resume_mid_exchange_is_byte_identical(reference):
+    assert assert_resume_identical(_exchange_spec(), snapshot_every=25, reference=reference) >= 5
 
 
 def _io_spec():
@@ -231,9 +212,9 @@ def test_the_io_scenario_checkpoints_rows_of_the_hub_whole():
     assert _cohorts(sim.batch.model).cohorts_dissolved == 1  # the kill
 
 
-@pytest.mark.parametrize("engine_mode", MODES, indirect=True)
-def test_resume_mid_io_is_byte_identical(engine_mode):
-    assert assert_resume_identical(_io_spec(), snapshot_every=25) >= 5
+@pytest.mark.parametrize("reference", ENGINES)
+def test_resume_mid_io_is_byte_identical(reference):
+    assert assert_resume_identical(_io_spec(), snapshot_every=25, reference=reference) >= 5
 
 
 def test_whatif_stays_warm_across_cohorts():
@@ -265,7 +246,7 @@ def _dissolved_rows_survive_capture_and_restore(hops):
 
     def build():
         env = Environment()
-        model = FairShareModel(env, array_engine=True)
+        model = FairShareModel(env)
         resources = [SharedResource(f"r{i}", 3.0) for i in range(16 * hops)]
         return env, model, resources
 
@@ -315,7 +296,7 @@ def test_rows_of_a_dissolved_exchange_keep_both_links_across_restore():
 def test_version_1_snapshots_are_refused_cleanly():
     _, _, snapshots = snapshot_run(_spec(), 200)
     doc = snapshots[0].to_dict()
-    assert doc["schema_version"] == SCHEMA_VERSION == 4
+    assert doc["schema_version"] == SCHEMA_VERSION == 5
     doc["schema_version"] = 1  # the per-activity slot layout of older builds
     with pytest.raises(ReplayError, match="schema version 1 not supported"):
         Snapshot.from_dict(doc)
@@ -331,7 +312,7 @@ def _refused_with_the_one_line_message(tmp_path, version):
         Snapshot.load(path)
     message = str(caught.value)
     assert message.endswith(
-        f"snapshot schema version {version} not supported (expected 4)"
+        f"snapshot schema version {version} not supported (expected 5)"
     )
     assert "\n" not in message
 
@@ -344,6 +325,26 @@ def test_schema_2_files_are_refused_with_the_one_line_message(tmp_path):
 def test_schema_3_files_are_refused_with_the_one_line_message(tmp_path):
     # no ``rows``: components and ``res_users`` name activities only
     _refused_with_the_one_line_message(tmp_path, 3)
+
+
+def test_schema_4_files_are_refused_with_the_one_line_message(tmp_path):
+    # three engine flags in the model state where ``reference`` is
+    _refused_with_the_one_line_message(tmp_path, 4)
+
+
+@pytest.mark.parametrize("reference", ENGINES)
+def test_a_snapshot_file_resumes_on_the_engine_that_wrote_it(reference, tmp_path):
+    _, _, snapshots = snapshot_run(_io_spec(), 25, reference)
+    snap = snapshots[len(snapshots) // 2]
+    assert snap.state["model"]["reference"] is reference
+    assert not {"partition", "vectorize", "array"} & set(snap.state["model"])
+    path = tmp_path / "snap.json"
+    snap.save(path)
+    sim = Simulation.resume(Snapshot.load(path))  # told nothing but the file
+    assert sim.batch.model.reference is reference
+    sim.run()
+    # Whichever engine wrote it: the production cold run, byte for byte.
+    assert (fingerprint(sim), sim.env.processed_events) == cold_run(_io_spec())
 
 
 @pytest.mark.parametrize(
@@ -437,9 +438,9 @@ def test_the_wide_scenario_checkpoints_inside_both_cohorts():
     assert any((16, 32) in rows for rows in shapes)
 
 
-@pytest.mark.parametrize("engine_mode", MODES, indirect=True)
-def test_resume_inside_wide_cohort_and_exchange_is_byte_identical(engine_mode):
-    assert assert_resume_identical(_wide_spec(), snapshot_every=15) >= 5
+@pytest.mark.parametrize("reference", ENGINES)
+def test_resume_inside_wide_cohort_and_exchange_is_byte_identical(reference):
+    assert assert_resume_identical(_wide_spec(), snapshot_every=15, reference=reference) >= 5
 
 
 @pytest.mark.parametrize("spec", [_spec, _wide_spec], ids=["twin", "wide"])

@@ -232,9 +232,9 @@ def test_property_partitioned_matches_global_model(schedule):
     """Completion times agree with the global reference model under churn."""
     capacities, script = schedule
 
-    def run(partition):
+    def run(model_type, **engine):
         env = Environment()
-        model = FairShareModel(env, partition=partition)
+        model = model_type(env, **engine)
         resources = [SharedResource(f"r{i}", c) for i, c in enumerate(capacities)]
         finishes = {}
 
@@ -253,15 +253,27 @@ def test_property_partitioned_matches_global_model(schedule):
         for seq, (delay, work, indices, cancel_after) in enumerate(script):
             env.process(submit(env, seq, delay, work, indices, cancel_after))
         env.run()
-        return finishes
+        return finishes, model.peak_components
 
-    partitioned = run(True)
-    reference = run(False)
+    partitioned, _ = run(FairShareModel)
+    # Objects only: a row would be admitted without asking ``_join``.
+    reference, peak = run(_GlobalSolve, reference=True)
+    assert peak == 1
     assert partitioned.keys() == reference.keys()
     for seq in partitioned:
         assert partitioned[seq] == pytest.approx(
             reference[seq], rel=1e-9, abs=1e-9
         )
+
+
+class _GlobalSolve(FairShareModel):
+    """Every activity in one component: the solve the partition decomposes."""
+
+    def _join(self, resources):
+        return super()._join([*self._res_users, *resources])
+
+    def _still_connected(self, removed):
+        return True
 
 
 class _AlwaysSplit(FairShareModel):
@@ -455,16 +467,6 @@ class TestComponentMaintenance:
         env.run(until=1.0)
         assert model.component_count == 1
         assert model.splits == 0
-
-    def test_partition_false_keeps_single_component(self):
-        env = Environment()
-        model = FairShareModel(env, partition=False)
-        resources = [SharedResource(f"r{i}", 10.0) for i in range(4)]
-        for res in resources:
-            model.execute(Activity(100.0, {res: 1.0}))
-        env.run(until=0.0)
-        assert model.component_count == 1
-        assert model.component_sizes() == [4]
 
     def test_untouched_component_is_not_resolved(self):
         env = Environment()

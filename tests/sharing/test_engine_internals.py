@@ -24,8 +24,8 @@ from repro.des import Environment
 from repro.sharing import Activity, ActivityCancelled, FairShareModel, SharedResource
 
 
-@pytest.fixture(params=[True, False], ids=["array", "object"])
-def engine(request):
+@pytest.fixture(params=[False, True], ids=["array", "object"])
+def reference(request):
     return request.param
 
 
@@ -35,8 +35,8 @@ def env():
 
 
 @pytest.fixture()
-def model(env, engine):
-    return FairShareModel(env, array_engine=engine)
+def model(env, reference):
+    return FairShareModel(env, reference=reference)
 
 
 def _stale_singletons(env, model, count, work=1e6):
@@ -190,7 +190,7 @@ def test_large_dirty_slot_batch_matches_the_retired_numpy_sweep():
     n, start = 4096, 2.5
     rng = random.Random(13)
     env = Environment()
-    model = FairShareModel(env, array_engine=True)
+    model = FairShareModel(env)
     acts = []
     for i in range(n):
         kind = rng.random()  # 5 % run at infinite rate and finish at once

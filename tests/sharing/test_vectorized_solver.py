@@ -1,4 +1,5 @@
-"""Bit-exactness of the vectorized max-min kernel vs the scalar reference.
+"""Bit-exactness of the reference engine's numpy max-min kernel vs the
+production scalar loop.
 
 PR 2's campaign result cache keys on byte-identical run records, so the
 numpy kernel may not merely be *close* to the scalar progressive-filling
@@ -15,12 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sharing import Activity, SharedResource, solve_max_min
-from repro.sharing.model import (
-    DEFAULT_VECTORIZE,
-    _solve_scalar,
-    _solve_single,
-    _solve_vector,
-)
+from repro.sharing._reference import _solve_vector
+from repro.sharing._reference import solve_max_min as solve_reference
+from repro.sharing.model import _solve_scalar, _solve_single
 
 _capacities = st.one_of(
     st.floats(min_value=1e-3, max_value=1e9, allow_nan=False, allow_infinity=False),
@@ -97,35 +95,27 @@ def test_single_fast_path_bit_identical_to_scalar(acts):
 @settings(max_examples=100, deadline=None)
 @given(acts=_components())
 def test_public_api_dispatch_is_equivalent(acts):
-    scalar = _rates(lambda a: solve_max_min(a, vectorize=False), acts)
-    vector = _rates(lambda a: solve_max_min(a, vectorize=True), acts)
+    scalar = _rates(solve_max_min, acts)
+    vector = _rates(solve_reference, acts)
     _assert_identical(scalar, vector)
 
 
 def test_dispatch_paths_and_default():
-    assert DEFAULT_VECTORIZE is None  # the scalar loop is the shipped default
     r = SharedResource("r", 100.0)
 
-    assert solve_max_min([]) == "scalar"
-    assert solve_max_min([Activity(1.0, {r: 1.0})]) == "fast"
+    # Nothing to solve, or one activity: the reference defers to production.
+    for solve in (solve_max_min, solve_reference):
+        assert solve([]) == "scalar"
+        assert solve([Activity(1.0, {r: 1.0})]) == "fast"
 
-    # No size rule: production never selects the numpy kernel on its own.
+    # No size rule: each engine has one kernel for two or more.
     for size in (2, 31, 32, 33, 512):
         acts = [Activity(1.0, {r: 1.0}) for _ in range(size)]
         assert solve_max_min(acts) == "scalar"
-        assert solve_max_min(acts, vectorize=True) == "vector"
+        assert solve_reference(acts) == "vector"
         # All activities identical: everyone gets capacity / n either way.
         for act in acts:
             assert act.rate == pytest.approx(100.0 / size)
-
-
-def test_explicit_vectorize_overrides_default():
-    r = SharedResource("r", 10.0)
-    pair = [Activity(1.0, {r: 1.0}) for _ in range(2)]
-    assert solve_max_min(pair, vectorize=True) == "vector"
-    rates = [act.rate for act in pair]
-    assert solve_max_min(pair, vectorize=False) == "scalar"
-    _assert_identical(rates, [act.rate for act in pair])
 
 
 def test_infinite_capacity_and_unbounded_rates_agree():

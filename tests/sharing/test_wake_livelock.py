@@ -22,10 +22,10 @@ import json, sys
 from repro.des import Environment
 from repro.sharing import Activity, FairShareModel, SharedResource
 
-array = sys.argv[1] == "array"
+reference = sys.argv[1] == "True"
 variant = sys.argv[2]
 env = Environment()
-model = FairShareModel(env, array_engine=array)
+model = FairShareModel(env, reference=reference)
 env.run(until=1e9)
 before = env.processed_events
 fast = [SharedResource(f"r{i}", 1e10) for i in range(16)]
@@ -55,14 +55,14 @@ print(json.dumps({
 """
 
 
-@pytest.mark.parametrize("engine", ["array", "object"])
+@pytest.mark.parametrize("reference", [False, True], ids=["array", "object"])
 @pytest.mark.parametrize(
     "variant, members",
     [("singleton", 1), ("cohort", 8), ("route-cohort", 8), ("shared", 3), ("mixed", 2)],
 )
-def test_absorbed_horizon_completes_instead_of_spinning(engine, variant, members):
+def test_absorbed_horizon_completes_instead_of_spinning(reference, variant, members):
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, engine, variant],
+        [sys.executable, "-c", _SCRIPT, str(reference), variant],
         env={"PYTHONPATH": SRC, "PYTHONHASHSEED": "0"},
         capture_output=True,
         text=True,

@@ -349,6 +349,14 @@ class TestCampaign:
         assert "error:" in err
         assert "Traceback" not in err
 
+    def test_campaign_run_engine_block_is_one_clean_line(self, tmp_path, capsys):
+        # No engine option reaches a campaign: the block is an unknown key.
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**CAMPAIGN, "engine": {"array_engine": False}}))
+        code = main(["campaign", "run", "--spec", str(old)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: unknown campaign keys: ['engine']\n"
+
     @pytest.mark.parametrize(
         "fault", ["output-dir-occupied", "fingerprints-parent-occupied", "output-dir-locked"]
     )

@@ -1,14 +1,21 @@
 """Import budget of the ``run`` journey — counts, never seconds.
 
 ``elastisim run`` on a rigid star workload is the journey every user
-takes first, and it needs neither numpy (vector solver kernel, workload
+takes first, and it needs neither numpy (reference solver kernel, workload
 generators, failure model) nor networkx (graph topologies) nor the
 campaign / fuzz / replay subsystems.  The rule (docs/INTERNALS.md) is
 that heavy dependencies are imported where they are first *used*; these
 tests pin it from fresh interpreters, where ``sys.modules`` tells the
 truth, and check that everything deferred still resolves when wanted.
+
+The same file guards what keeps the reference engine off that path: one
+engine option, ``reference``, on a constructor chain — no process-global
+switch, no environment variable (counts and names only, read off the
+source tree and the signatures).
 """
 
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -20,9 +27,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Nothing the bare imports or a rigid star run may load.
+#: Nothing the bare imports or a production star run may load.
 HEAVY = (
-    "numpy", "networkx", "asyncio",
+    "numpy", "networkx", "asyncio", "repro.sharing._reference",
     "repro.campaign", "repro.fuzz", "repro.replay", "repro.tracing", "repro.profiling",
 )  # fmt: skip
 
@@ -119,10 +126,17 @@ def test_fat_tree_platform_imports_networkx_on_demand(tmp_path):
     assert "networkx" in report["loaded"]  # which itself may bring numpy
 
 
+_RUN_REFERENCE = (
+    "import sys; from repro import Simulation, load_platform, load_workload; "
+    "sim = Simulation(load_platform(sys.argv[1]), load_workload(sys.argv[2]), reference=True); "
+    "sim.run(); code = 0 if sim.monitor.solver.vector_solves else 1; "
+)
+
+
 def test_wide_shared_pfs_component_needs_no_numpy(tmp_path):
-    # 64 concurrent reads of one file system form a single 64-activity
-    # component; the scalar loop solves it — the numpy kernel is a test
-    # oracle that no simulation selects on its own.
+    # 64 concurrent reads of one file system, an 8-node job's beside them,
+    # form one multi-activity component; the scalar loop solves it.  Only
+    # a reference run brings in the numpy kernel, and numpy with it.
     files = _write_inputs(
         tmp_path,
         topology={"topology": "star"},
@@ -131,6 +145,9 @@ def test_wide_shared_pfs_component_needs_no_numpy(tmp_path):
     report = _fresh(_RUN + _REPORT, *files)
     assert report["exit"] == 0
     assert report["loaded"] == []
+    reference = _fresh(_RUN_REFERENCE + _REPORT, *files)
+    assert reference["exit"] == 0
+    assert reference["loaded"] == ["numpy", "repro.sharing._reference"]
 
 
 def test_wide_pfs_job_removal_cost_stays_linear(tmp_path):
@@ -156,6 +173,71 @@ def test_wide_pfs_job_removal_cost_stays_linear(tmp_path):
     assert report["exit"] == 0
     assert report["loaded"] == []
     assert elapsed < 5.0
+
+
+def _source_trees():
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        yield str(path.relative_to(SRC / "repro")), ast.parse(path.read_text())
+
+
+def test_no_global_statement_and_no_environment_read_but_the_directories():
+    """A module-level switch needs a ``global`` to be flipped or an
+    environment variable to be read: the package has neither."""
+    reads = []
+    for name, tree in _source_trees():
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Global), f"{name}:{node.lineno}: global statement"
+            mention = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, (ast.Attribute, ast.Name)) and mention in ("environ", "getenv"):
+                # The call it sits in: os.environ.get(...), dict(os.environ).
+                around = parent[node]
+                while around in parent and not isinstance(around, ast.Call):
+                    around = parent[around]
+                reads.append((name, ast.unparse(around)))
+    assert sorted(reads) == [
+        ("campaign/cache.py", "os.environ.get('XDG_CACHE_HOME')"),
+        ("campaign/cache.py", "os.environ.get(CACHE_DIR_ENV)"),
+        ("campaign/queue.py", "dict(os.environ)"),  # handed to the worker it spawns
+        ("campaign/store.py", "os.environ.get(STORE_DIR_ENV)"),
+    ]
+    from repro.campaign.cache import CACHE_DIR_ENV
+    from repro.campaign.store import STORE_DIR_ENV
+
+    assert (CACHE_DIR_ENV, STORE_DIR_ENV) == ("ELASTISIM_CACHE_DIR", "ELASTISIM_STORE_DIR")
+
+
+def test_one_engine_option_spelled_reference_on_the_constructor_chain():
+    from repro import Simulation
+    from repro.batch import BatchSystem
+    from repro.fuzz import run_scenario_record
+    from repro.sharing import FairShareModel, solve_max_min
+
+    chain = (FairShareModel, BatchSystem, Simulation, Simulation.from_spec, run_scenario_record)
+    for callable_ in (*chain, solve_max_min):
+        parameters = inspect.signature(callable_).parameters
+        assert not {"array_engine", "vectorize", "partition", "compiled", "array"} & set(
+            parameters
+        ), callable_
+        if callable_ is not solve_max_min:
+            option = parameters["reference"]
+            assert option.default is False and option.kind is option.KEYWORD_ONLY
+    assert "reference" not in inspect.signature(solve_max_min).parameters
+    # Nowhere else: no other callable of the package takes the option.
+    takers = [
+        f"{name}:{node.name}"
+        for name, tree in _source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "reference" in [a.arg for a in node.args.args + node.args.kwonlyargs]
+    ]
+    assert takers == [
+        "batch/system.py:__init__",
+        "batch/system.py:__init__",
+        "batch/system.py:from_spec",
+        "fuzz/oracles.py:run_scenario_record",
+        "sharing/model.py:__init__",
+    ]
 
 
 SCENARIO = {
