@@ -68,22 +68,22 @@ def main() -> None:
                         help="truncate the trace (0 = replay everything)")
     parser.add_argument("--seeds", default="", help="override seeds, e.g. 0,1,2")
     parser.add_argument("--executor", default=None,
-                        help="campaign executor backend (default: serial)")
+                        help="campaign executor backend (default: the runner's "
+                             "choice — in-process for one worker)")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--output-dir", type=Path, default=None,
                         help="write scenarios.jsonl + report.json/report.md here")
     args = parser.parse_args()
 
     name, scenarios = load_scenarios(args.spec, args.trace, args.max_jobs, args.seeds)
-    print(f"{name}: {len(scenarios)} scenarios "
-          f"({args.executor or 'serial'} executor, {args.workers} workers)")
+    print(f"{name}: {len(scenarios)} scenarios ({args.workers} workers)")
 
     runner = CampaignRunner(
         scenarios, name=name, workers=args.workers, executor=args.executor
     )
     campaign = runner.run()
-    print(f"ran {campaign.executed} scenarios in {campaign.wall_s:.1f}s "
-          f"({len(campaign.failed)} failed)")
+    print(f"ran {campaign.executed} scenarios in {campaign.wall_s:.1f}s on the "
+          f"{campaign.executor} executor ({len(campaign.failed)} failed)")
 
     report = CampaignStudyReport(group_by=("workload", "algorithm"))
     report.fold_records(campaign.records)

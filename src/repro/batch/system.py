@@ -1034,6 +1034,14 @@ class Simulation:
     def monitor(self) -> Monitor:
         return self.batch.monitor
 
+    def run_record(self) -> dict:
+        """The monitor's deterministic run record plus ``invocations``,
+        the scheduler invocation count: what campaign records, what-if
+        results and their byte-identity checks carry as ``result``."""
+        record = self.batch.monitor.run_record()
+        record["invocations"] = self.batch.invocations
+        return record
+
     @classmethod
     def resume(cls, snapshot) -> "Simulation":
         """Rebuild a live simulation from a :mod:`repro.replay` snapshot.

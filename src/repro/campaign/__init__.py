@@ -1,10 +1,10 @@
 """Campaigns: declarative scenario grids run in parallel with caching.
 
 The scaling axis *across* simulations: where :class:`repro.Simulation`
-runs one scenario, a campaign runs a whole parameter grid — fanned out
-over a pluggable executor backend (in-process, process pool, or a
-distributed queue-worker fleet), memoised in a content-addressed
-result cache that can be layered over a shared artifact store, and
+runs one scenario, a campaign runs a whole parameter grid — one
+synchronous loop over one executor (in-process, process pool, or a
+distributed queue-worker fleet; two plain methods each), memoised in a
+content-addressed result cache with an optional shared second tree, and
 reported in a machine-readable form CI can diff against baselines.
 
     >>> from repro.campaign import CampaignRunner, ScenarioSpec
@@ -70,7 +70,6 @@ from repro.campaign.runner import (
     ScenarioTimeout,
     result_fingerprint,
     run_scenario,
-    run_scenario_warm,
 )
 from repro.campaign.spec import (
     CAMPAIGN_FORMAT,
@@ -88,11 +87,9 @@ from repro.campaign.spec import (
     scenario_key,
     scenarios_from_grid,
 )
-from repro.campaign.store import STORE_DIR_ENV, ArtifactStore, default_store_dir
 
 __all__ = [
     "AGGREGATE_SCHEMA",
-    "ArtifactStore",
     "BaseExecutor",
     "CACHE_DIR_ENV",
     "CAMPAIGN_FORMAT",
@@ -118,7 +115,6 @@ __all__ = [
     "REPORT_SCHEMA",
     "STUDY_METRICS",
     "ResultCache",
-    "STORE_DIR_ENV",
     "ScenarioQueue",
     "ScenarioSpec",
     "ScenarioTimeout",
@@ -130,7 +126,6 @@ __all__ = [
     "canonicalize",
     "compare_reports",
     "default_cache_dir",
-    "default_store_dir",
     "derive_seed",
     "executor_names",
     "expand_campaign",
@@ -140,7 +135,6 @@ __all__ = [
     "make_executor",
     "result_fingerprint",
     "run_scenario",
-    "run_scenario_warm",
     "scenario_key",
     "scenarios_from_grid",
     "spawn_worker",

@@ -25,7 +25,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.runner import REPORT_METRICS
 
@@ -233,6 +233,26 @@ class MetricAccumulator:
         return out
 
 
+def iter_jsonl_records(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
+    """The records of one JSONL shard, in file order.
+
+    Accepts worker increment shards and ``scenarios.jsonl`` report
+    streams alike.  Blank lines, a trailing partial line (a worker killed
+    mid-append) and lines that are not objects are skipped, not fatal.
+    """
+    with Path(path).open() as stream:
+        for line in stream:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(record, dict):
+                yield record
+
+
 class StreamingAggregator:
     """Fold scenario records (or JSONL shards of them) into running stats."""
 
@@ -273,25 +293,12 @@ class StreamingAggregator:
                 self._accumulators[metric].add(value)
 
     def fold_jsonl(self, path: Union[str, Path]) -> int:
-        """Fold every record in a JSONL shard; returns records folded.
-
-        Accepts worker increment shards and ``scenarios.jsonl`` report
-        streams alike.  A trailing partial line (a worker killed
-        mid-append) is skipped, not fatal.
-        """
+        """Fold every record in a JSONL shard (:func:`iter_jsonl_records`);
+        returns records folded."""
         folded = 0
-        with Path(path).open() as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(record, dict):
-                    self.fold_record(record)
-                    folded += 1
+        for record in iter_jsonl_records(path):
+            self.fold_record(record)
+            folded += 1
         return folded
 
     def fold_paths(self, paths: Iterable[Union[str, Path]]) -> int:
@@ -339,4 +346,5 @@ __all__ = [
     "MetricAccumulator",
     "QuantileSketch",
     "StreamingAggregator",
+    "iter_jsonl_records",
 ]

@@ -9,8 +9,18 @@ Layout (two-level fan-out keeps directories small on big campaigns)::
 simulator version (:data:`repro.campaign.spec.DEFAULT_SALT`): any change
 to the physics of a scenario — or to the simulator itself — moves the
 scenario to a new address, so stale entries can never be *wrong*, only
-unreachable.  Writes are atomic (temp file + rename) so a campaign killed
-mid-flight never leaves a truncated record behind.
+unreachable.  Writes are atomic (:func:`repro._atomic.write_json_atomic`)
+so a campaign killed mid-flight never leaves a truncated record behind,
+and concurrent writers — threads, processes, hosts — can only ever race
+to put byte-identical records at one address.
+
+With ``shared_root`` the same keys resolve in a second tree on a
+filesystem every worker can reach (NFS scratch, a job array's project
+directory), so a fleet of queue workers — and every later campaign
+pointed at the same directory — computes each scenario once:
+**read-through** — a local miss falls through to the shared tree, and a
+shared hit is copied back so the next lookup on this host stays local —
+and **write-through** — fresh results land in both trees.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from repro._atomic import write_json_atomic
 from repro.campaign.spec import DEFAULT_SALT
 
 #: Environment variable overriding the default cache root.
@@ -37,18 +48,28 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """A content-addressed store of successful scenario records."""
+    """A content-addressed store of successful scenario records.
+
+    ``hits`` and ``misses`` count lookups against the local tree;
+    ``shared_hits`` counts the local misses the shared tree answered.
+    """
 
     def __init__(
         self,
         root: Union[str, Path, None] = None,
         *,
+        shared_root: Union[str, Path, None] = None,
         salt: str = DEFAULT_SALT,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.salt = salt
         self.hits = 0
         self.misses = 0
+        #: The second tree (a plain cache over ``shared_root``), or None.
+        self.shared: Optional[ResultCache] = (
+            ResultCache(shared_root, salt=salt) if shared_root is not None else None
+        )
+        self.shared_hits = 0
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -57,36 +78,41 @@ class ResultCache:
         """The cached record for ``key``, or ``None`` on a miss.
 
         Corrupt entries (partial writes from pre-atomic-rename tooling,
-        disk faults) are treated as misses and removed.
+        disk faults) are treated as misses and removed.  A local miss is
+        looked up in the shared tree and, when found, copied back.
         """
         path = self.path_for(key)
         try:
             record = json.loads(path.read_text())
         except FileNotFoundError:
-            self.misses += 1
-            return None
+            record = None
         except (OSError, json.JSONDecodeError):
             try:
                 path.unlink()
             except OSError:
                 pass
-            self.misses += 1
+            record = None
+        if isinstance(record, dict) and record.get("status") == "ok":
+            self.hits += 1
+            return record
+        self.misses += 1
+        if self.shared is None:
             return None
-        if not isinstance(record, dict) or record.get("status") != "ok":
-            self.misses += 1
-            return None
-        self.hits += 1
+        record = self.shared.lookup(key)
+        if record is not None:
+            self.shared_hits += 1
+            write_json_atomic(path, record)
         return record
 
     def store(self, key: str, record: Dict[str, Any]) -> Optional[Path]:
-        """Persist a successful record; failed runs are never cached."""
+        """Persist a successful record (in both trees); failed runs are
+        never cached."""
         if record.get("status") != "ok":
             return None
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(record, sort_keys=True))
-        os.replace(tmp, path)
+        write_json_atomic(path, record)
+        if self.shared is not None:
+            self.shared.store(key, record)
         return path
 
     def __contains__(self, key: str) -> bool:

@@ -1,47 +1,43 @@
-"""Pluggable campaign executors behind one async ``submit``/``shutdown`` protocol.
+"""Campaign executors: two plain methods and a name.
 
-:class:`~repro.campaign.runner.CampaignRunner` no longer hardwires a
-process pool: every backend implements :class:`BaseExecutor` — an async
-``submit(fn, *args)`` returning the scenario record, plus ``shutdown()``
-— and advertises what it can do through class-level capability flags.
-Three implementations ship:
+An executor is where the pending scenarios of a campaign run.  The whole
+protocol is :class:`BaseExecutor`: ``run(payloads, *, trace_dir,
+check_invariants, timeout)`` executes every payload through
+:func:`~repro.campaign.runner.run_scenario` and returns an iterator of
+``(position, record)`` in completion order; ``close()`` releases the
+backend; ``name`` is what ``--executor`` selects and the report carries.
 
 ``in-process``
-    Runs scenarios sequentially on the caller's event loop.  Zero
-    concurrency, zero subprocesses: the deterministic debugging backend
-    (breakpoints and profilers see straight through it).
-
+    A ``for`` loop in the calling process: breakpoints and profilers see
+    straight through it.  Holding a :class:`repro.replay.WhatIfSession`
+    is all ``--warm-start`` is.
 ``process-pool``
-    The previous hardwired behavior, extracted: scenarios fan out over a
-    :class:`concurrent.futures.ProcessPoolExecutor`.  A hard worker
-    death (OOM kill, segfault) surfaces as :class:`ExecutorBroken` and
-    the runner re-runs the affected scenarios in-process.
-
+    ``pool.submit`` + :func:`concurrent.futures.as_completed`.
 ``queue-worker``
-    Distributed: scenarios land in a filesystem-backed shared queue
-    (:mod:`repro.campaign.queue`) and independent worker processes —
-    spawned locally or started on other hosts with
-    ``elastisim campaign worker --queue-dir`` — claim, execute, and
-    publish results with lease-based crash recovery.
+    Distributed (:mod:`repro.campaign.queue`): scenarios land in a shared
+    directory, worker processes on any host claim and publish them, one
+    loop polls for the results.
 
-All backends feed the same ``run_scenario`` entry point, so ``result``
-fingerprints are byte-identical across every executor — the serial /
-parallel / cached identity contract extends to the whole matrix.
+``run_scenario`` already turns a crashing *scenario* into a ``failed``
+record; a backend that loses its *workers* raises :class:`ExecutorBroken`
+from the iterator and the runner re-runs in-process every position it
+was not handed.  Every backend feeds the one ``run_scenario``, so
+``result`` fingerprints are byte-identical across executors.
 """
 
 from __future__ import annotations
 
-import asyncio
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
-from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, Type
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Type
 
 from repro.campaign.spec import CampaignError
 
 #: Scenario records are plain dicts on both sides of the protocol.
 ScenarioRecord = Dict[str, Any]
+#: What ``run`` returns: ``(position, record)`` pairs in completion order.
+Records = Iterator[Tuple[int, ScenarioRecord]]
 
 
 class ExecutorError(CampaignError):
@@ -49,64 +45,64 @@ class ExecutorError(CampaignError):
 
 
 class ExecutorBroken(Exception):
-    """The backend lost a scenario: a worker died, not the scenario itself.
+    """The backend lost its workers (a scenario that crashes is a record).
 
-    ``run_scenario`` already converts scenario failures into ``failed``
-    records, so ``submit`` raising this means the *executor* broke
-    underneath the work.  The runner responds by re-running the affected
-    scenarios in-process, where per-scenario isolation still applies.
+    Raised from the iterator :meth:`BaseExecutor.run` returns.  Both real
+    breakages are wholesale — a ``BrokenProcessPool`` poisons every
+    in-flight future, the queue raises only once *all* spawned workers
+    have exited — so one exception says it all.
     """
 
 
 class BaseExecutor(ABC):
-    """Async submit/shutdown protocol every campaign backend implements.
+    """What every campaign backend implements: ``name``, ``run``, ``close``."""
 
-    ``submit`` awaits one scenario to completion and returns its record;
-    concurrency comes from the runner gathering many submits at once.
-    Capability flags are class-level so callers (and tests) can reason
-    about a backend without instantiating it.
-    """
-
-    #: Registry name (the ``--executor`` value).
-    name: ClassVar[str] = "base"
-    #: True when scenarios may run concurrently.
-    parallel: ClassVar[bool] = False
-    #: True when scenarios run in other processes (own memory, own pins).
-    isolates_processes: ClassVar[bool] = False
-    #: True when work may be picked up by workers on other hosts.
-    distributed: ClassVar[bool] = False
+    #: Registry name (the ``--executor`` value) and the report's label.
+    name: str = "base"
 
     @abstractmethod
-    async def submit(
-        self, fn: Callable[..., ScenarioRecord], /, *args: Any
-    ) -> ScenarioRecord:
-        """Execute ``fn(*args)`` and return the scenario record."""
+    def run(
+        self,
+        payloads: Sequence[ScenarioRecord],
+        *,
+        trace_dir: Optional[str] = None,
+        check_invariants: bool = False,
+        timeout: Optional[float] = None,
+    ) -> Records:
+        """Execute every payload through ``run_scenario`` (which takes the
+        three options under these names); yield each record as it completes."""
 
-    async def shutdown(self, cancel: bool = False) -> None:
-        """Release backend resources; with ``cancel`` drop queued work."""
+    def close(self) -> None:
+        """Release backend resources."""
         return None
 
 
 class InProcessExecutor(BaseExecutor):
-    """Sequential execution on the caller's loop: the debugging backend."""
+    """The ``for`` loop, in submission order: the debugging backend.
+
+    With ``session`` (a :class:`repro.replay.WhatIfSession`) scenarios
+    that share a workload prefix replay only their suffix.
+    """
 
     name = "in-process"
 
-    async def submit(
-        self, fn: Callable[..., ScenarioRecord], /, *args: Any
-    ) -> ScenarioRecord:
-        # Runs synchronously on the event loop: submits complete strictly
-        # in submission order, which is exactly the deterministic serial
-        # semantics this backend promises.
-        return fn(*args)
+    def __init__(self, *, session: Any = None) -> None:
+        self._session = session
+        if session is not None:
+            self.name = "in-process+warm-start"
+
+    def run(self, payloads: Sequence[ScenarioRecord], **options: Any) -> Records:
+        # Imported here: the runner module imports this one.
+        from repro.campaign.runner import run_scenario
+
+        for position, payload in enumerate(payloads):
+            yield position, run_scenario(payload, session=self._session, **options)
 
 
 class ProcessPoolCampaignExecutor(BaseExecutor):
-    """The extracted pre-executor behavior: fan out over worker processes."""
+    """Fan out over the worker processes of one machine."""
 
     name = "process-pool"
-    parallel = True
-    isolates_processes = True
 
     def __init__(self, *, workers: Optional[int] = None) -> None:
         if workers is not None and int(workers) < 1:
@@ -114,26 +110,26 @@ class ProcessPoolCampaignExecutor(BaseExecutor):
         self._workers = int(workers) if workers is not None else None
         self._pool: Optional[ProcessPoolExecutor] = None
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def run(self, payloads: Sequence[ScenarioRecord], **options: Any) -> Records:
+        from repro.campaign.runner import run_scenario
+
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self._workers)
-        return self._pool
-
-    async def submit(
-        self, fn: Callable[..., ScenarioRecord], /, *args: Any
-    ) -> ScenarioRecord:
-        loop = asyncio.get_running_loop()
         try:
-            return await loop.run_in_executor(self._ensure_pool(), partial(fn, *args))
+            futures = {
+                self._pool.submit(run_scenario, payload, **options): position
+                for position, payload in enumerate(payloads)
+            }
+            for future in as_completed(futures):
+                yield futures[future], future.result()
         except BrokenProcessPool as exc:
-            # One hard worker death poisons every in-flight future; each
-            # affected submit reports broken and the runner re-runs the
-            # survivors in-process.
+            # One hard worker death (OOM kill, segfault) poisons every
+            # future still in flight.
             raise ExecutorBroken(f"process pool broke: {exc}") from exc
 
-    async def shutdown(self, cancel: bool = False) -> None:
+    def close(self) -> None:
         if self._pool is not None:
-            self._pool.shutdown(wait=not cancel, cancel_futures=cancel)
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
 
@@ -159,9 +155,9 @@ def executor_names() -> Tuple[str, ...]:
 def make_executor(name: str, **options: Any) -> BaseExecutor:
     """Build a registered executor by name.
 
-    Options are backend-specific (``workers`` everywhere; ``queue_dir``,
-    ``lease_s``, ``store`` … for ``queue-worker``); unknown names raise
-    :class:`ExecutorError` listing the registry.
+    Options are backend-specific (``workers`` for the pool and the queue;
+    ``queue_dir``, ``lease_s``, ``store_dir`` … for ``queue-worker``);
+    unknown names raise :class:`ExecutorError` listing the registry.
     """
     types = _executor_types()
     if name not in types:
@@ -181,6 +177,7 @@ __all__ = [
     "ExecutorError",
     "InProcessExecutor",
     "ProcessPoolCampaignExecutor",
+    "Records",
     "ScenarioRecord",
     "executor_names",
     "make_executor",

@@ -25,14 +25,18 @@ double execution when a slow worker races its own reclaimed task is
 harmless — both sides write byte-identical results.
 
 **Dedupe.**  Tasks carry their content-address key; workers consult the
-shared artifact store (:mod:`repro.campaign.store`) before running and
-publish fresh results back to it, so a fleet serving many campaigns
-computes each distinct scenario once.
+result cache the manifest names (:class:`~repro.campaign.cache.ResultCache`,
+local tree plus shared tree) before running and publish fresh results
+back to it, so a fleet serving many campaigns computes each distinct
+scenario once.
+
+**Coordination.**  :class:`QueueWorkerExecutor` enqueues everything, then
+runs *one* loop: per tick it lists ``results/`` once, scavenges expired
+claims once and checks its fleet once, however many scenarios are pending.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import socket
@@ -44,14 +48,16 @@ import uuid
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from repro._atomic import write_json_atomic
+from repro.campaign.cache import ResultCache
 from repro.campaign.executors import (
     BaseExecutor,
     ExecutorBroken,
     ExecutorError,
+    Records,
     ScenarioRecord,
 )
 from repro.campaign.spec import DEFAULT_SALT, CampaignError, scenario_key
-from repro.campaign.store import ArtifactStore
 
 #: Manifest schema version; bump on incompatible layout changes.
 QUEUE_FORMAT = 1
@@ -62,13 +68,6 @@ DEFAULT_LEASE_S = 30.0
 
 class QueueError(CampaignError):
     """Raised for malformed or missing queue directories."""
-
-
-def _write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, path)
 
 
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
@@ -127,7 +126,7 @@ class ScenarioQueue:
             queue.increments_dir,
         ):
             directory.mkdir(parents=True, exist_ok=True)
-        _write_json_atomic(root / cls.MANIFEST, manifest)
+        write_json_atomic(root / cls.MANIFEST, manifest)
         return queue
 
     @classmethod
@@ -155,7 +154,7 @@ class ScenarioQueue:
 
     def enqueue(self, task_id: str, payload: Dict[str, Any], key: str) -> None:
         """Publish one scenario; visible to workers once the rename lands."""
-        _write_json_atomic(
+        write_json_atomic(
             self.tasks_dir / f"{task_id}.json",
             {"id": task_id, "key": key, "scenario": payload},
         )
@@ -202,9 +201,7 @@ class ScenarioQueue:
         )
         try:
             fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        except FileExistsError:
-            return False
-        except OSError:
+        except OSError:  # FileExistsError: somebody else won
             return False
         try:
             os.write(fd, payload.encode("utf-8"))
@@ -261,10 +258,14 @@ class ScenarioQueue:
         return self._result_path(task_id).is_file()
 
     def write_result(self, task_id: str, record: ScenarioRecord) -> None:
-        _write_json_atomic(self._result_path(task_id), record)
+        write_json_atomic(self._result_path(task_id), record)
 
     def read_result(self, task_id: str) -> Optional[ScenarioRecord]:
         return _read_json(self._result_path(task_id))
+
+    def finished(self) -> List[str]:
+        """Ids of the tasks with a published result: one listing of ``results/``."""
+        return sorted(p.stem for p in self.results_dir.glob("*.json"))
 
     def append_increment(self, worker: str, record: ScenarioRecord) -> None:
         """Append a result line to this worker's JSONL increment stream.
@@ -319,13 +320,13 @@ def worker_loop(
     max_tasks: Optional[int] = None,
     exit_when_idle: bool = False,
     wait_for_queue_s: float = 60.0,
-    store: Optional[ArtifactStore] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> int:
     """Pull scenarios from a shared queue until it drains; returns tasks run.
 
     This is the body of ``elastisim campaign worker``: claim, heartbeat,
-    execute (or answer from the shared artifact store), publish, repeat.
+    execute (or answer from the result cache the manifest names), publish,
+    repeat.
     The loop also scavenges expired claims each pass, so a fleet heals
     itself after any member dies.  Exit conditions: the queue is closed
     and fully drained; ``exit_when_idle`` and nothing is claimable;
@@ -337,15 +338,13 @@ def worker_loop(
     wid = worker_id or _default_worker_id()
     lease = queue.lease_s if lease_s is None else float(lease_s)
     options = queue.manifest.get("options", {})
-    if store is None:
-        store_dir = queue.manifest.get("store_dir")
-        cache_dir = queue.manifest.get("cache_dir")
-        if store_dir or cache_dir:
-            store = ArtifactStore(
-                cache_dir,
-                shared_root=store_dir,
-                salt=queue.manifest.get("salt") or DEFAULT_SALT,
-            )
+    store: Optional[ResultCache] = None
+    store_dir = queue.manifest.get("store_dir")
+    cache_dir = queue.manifest.get("cache_dir")
+    if store_dir or cache_dir:
+        store = ResultCache(
+            cache_dir, shared_root=store_dir, salt=queue.manifest.get("salt") or DEFAULT_SALT
+        )
     say = log or (lambda message: None)
     executed = 0
 
@@ -466,18 +465,18 @@ class QueueWorkerExecutor(BaseExecutor):
     ``workers`` local worker processes are spawned on construction
     (``workers=0`` relies entirely on externally started workers —
     ``elastisim campaign worker --queue-dir`` on any host sharing the
-    filesystem).  ``submit`` enqueues and then polls for the result
-    file; the executor also scavenges expired claims, so scenarios
-    orphaned by a killed worker are re-claimed by the rest of the fleet.
-    If every *spawned* worker dies and no external worker picks a task
-    up within a lease, the submit raises :class:`ExecutorBroken` and the
-    runner re-runs that scenario in-process.
+    filesystem).  ``run`` enqueues every payload and then polls; it also
+    scavenges expired claims, so scenarios orphaned by a killed worker
+    are re-claimed by the rest of the fleet.  If every *spawned* worker
+    has exited and no external worker finishes the rest within a lease,
+    the iterator raises :class:`ExecutorBroken`.
+
+    Workers read their run options from the queue manifest, written on
+    construction from ``run_options`` — which the runner fills with what
+    it passes to ``run``, so ``run`` itself has nothing to do with them.
     """
 
     name = "queue-worker"
-    parallel = True
-    isolates_processes = True
-    distributed = True
 
     def __init__(
         self,
@@ -505,63 +504,59 @@ class QueueWorkerExecutor(BaseExecutor):
             options=run_options,
         )
         self._counter = 0
-        self._spawn_requested = int(workers)
         self._spawned: List["subprocess.Popen[bytes]"] = [
             spawn_worker(self.queue.root) for _ in range(max(0, int(workers)))
         ]
 
     def _fleet_dead(self) -> bool:
         """True when local workers were requested and all have exited."""
-        return self._spawn_requested > 0 and all(
+        return bool(self._spawned) and all(
             proc.poll() is not None for proc in self._spawned
         )
 
-    async def submit(
-        self, fn: Callable[..., ScenarioRecord], /, *args: Any
-    ) -> ScenarioRecord:
-        # Remote workers always execute the canonical entry point; the
-        # protocol's fn is accepted for uniformity but must match it.
-        from repro.campaign.runner import run_scenario
-
-        if fn is not run_scenario:
-            raise ExecutorError("queue-worker executor can only run run_scenario")
-        payload = args[0]
-        self._counter += 1
-        task_id = f"{self._counter:06d}"
-        # Content address of the physics part (labels excluded), matching
-        # the runner's cache keys: workers dedupe through the shared store
-        # on exactly the same addresses.
-        spec_part = {k: v for k, v in payload.items() if k not in ("name", "params")}
-        key = scenario_key(spec_part, salt=self._salt)
-        self.queue.enqueue(task_id, payload, key)
+    def run(self, payloads: Sequence[ScenarioRecord], **options: Any) -> Records:
+        waiting: Dict[str, int] = {}
+        for position, payload in enumerate(payloads):
+            self._counter += 1
+            task_id = f"{self._counter:06d}"
+            # Content address of the physics part (labels excluded), matching
+            # the runner's cache keys: workers dedupe through the shared tree
+            # on exactly the same addresses.
+            spec_part = {k: v for k, v in payload.items() if k not in ("name", "params")}
+            self.queue.enqueue(task_id, payload, scenario_key(spec_part, salt=self._salt))
+            waiting[task_id] = position
         grace_until: Optional[float] = None
         while True:
-            record = self.queue.read_result(task_id)
-            if record is not None:
-                return record
+            for task_id in self.queue.finished():
+                if task_id in waiting:
+                    record = self.queue.read_result(task_id)
+                    if record is not None:
+                        yield waiting.pop(task_id), record
+            if not waiting:
+                return
             # Executor-side scavenging: even a fleet of one dead worker
             # cannot strand a claim past its lease.
             self.queue.reclaim_stale()
             if self._fleet_dead():
-                # Give external workers one lease to pick the task up
+                # Give external workers one lease to finish the rest
                 # before declaring it lost.
                 now = time.monotonic()
                 if grace_until is None:
                     grace_until = now + self._lease_s
                 elif now >= grace_until:
                     raise ExecutorBroken(
-                        f"all spawned queue workers exited with task "
-                        f"{task_id} unfinished"
+                        f"all spawned queue workers exited with "
+                        f"{len(waiting)} task(s) unfinished"
                     )
-            await asyncio.sleep(self._poll_s)
+            time.sleep(self._poll_s)
 
-    async def shutdown(self, cancel: bool = False) -> None:
+    def close(self) -> None:
         self.queue.close()
-        deadline = time.monotonic() + (0.0 if cancel else 10.0)
+        deadline = time.monotonic() + 10.0
         for proc in self._spawned:
-            while proc.poll() is None and time.monotonic() < deadline:
-                await asyncio.sleep(0.05)
-            if proc.poll() is None:
+            try:
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
                 proc.terminate()
         for proc in self._spawned:
             try:

@@ -26,7 +26,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.campaign.aggregate import StreamingAggregator
+from repro.campaign.aggregate import StreamingAggregator, iter_jsonl_records
 
 #: Schema tag on report payloads.
 REPORT_SCHEMA = "elastisim-campaign-report/1"
@@ -122,20 +122,7 @@ class CampaignStudyReport:
 
     def fold_jsonl(self, path: Union[str, Path]) -> int:
         """Fold a ``scenarios.jsonl`` stream or worker increment shard."""
-        folded = 0
-        with Path(path).open() as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # trailing partial line from a killed worker
-                if isinstance(record, dict):
-                    self.fold_record(record)
-                    folded += 1
-        return folded
+        return self.fold_records(iter_jsonl_records(path))
 
     def fold_paths(self, paths: Iterable[Union[str, Path]]) -> int:
         return sum(self.fold_jsonl(path) for path in paths)

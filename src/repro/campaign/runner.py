@@ -1,32 +1,33 @@
-"""Campaign execution over pluggable executors, with caching and isolation.
+"""The campaign loop: cache pass, one executor, one iteration, one report.
 
 :class:`CampaignRunner` takes an expanded scenario list and produces a
 :class:`CampaignReport`:
 
-* cache hits are answered without touching a worker;
-* misses fan out over a pluggable backend
-  (:mod:`repro.campaign.executors`): ``in-process``, ``process-pool``
-  (the default), or the distributed ``queue-worker`` —
-  ``workers <= 1`` degrades to a plain in-process loop, same results,
-  same report;
+* cache hits are answered without executing anything;
+* the misses go to **one** executor (:mod:`repro.campaign.executors`) —
+  the instance or name given, else ``in-process`` for one worker or one
+  pending scenario and ``process-pool`` otherwise — and come back through
+  one ``for position, record in executor.run(...)``;
 * one crashing scenario is recorded as ``status="failed"`` and the rest
   of the campaign carries on, including after a hard backend death
-  (:class:`~repro.campaign.executors.ExecutorBroken`): the stranded
-  scenarios are re-run in-process;
+  (:class:`~repro.campaign.executors.ExecutorBroken`): whatever the
+  broken executor had not handed over is re-run through the in-process
+  executor;
 * a scenario overrunning ``scenario_timeout`` seconds is recorded as
   ``failed`` with ``error_kind: "timeout"`` instead of hanging the sweep.
 
-Scenario records keep the deterministic physics (``result``) strictly
-separated from volatile run metadata (``wall_s``, ``cached``): the same
-spec and seed always produce a byte-identical ``result`` section — on
-*every* executor — which is what the regression checker
-(:mod:`repro.campaign.compare`) diffs.
+:func:`run_scenario` is the one envelope every executor (and every queue
+worker) runs a scenario in.  Scenario records keep the deterministic
+physics (``result``) strictly separated from volatile run metadata
+(``wall_s``, ``cached``): the same spec and seed always produce a
+byte-identical ``result`` section — on *every* executor — which is what
+the regression checker (:mod:`repro.campaign.compare`) diffs.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -37,6 +38,7 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.executors import (
     BaseExecutor,
     ExecutorBroken,
+    InProcessExecutor,
     executor_names,
     make_executor,
 )
@@ -141,6 +143,8 @@ def run_scenario(
     trace_dir: Optional[str] = None,
     check_invariants: bool = False,
     timeout: Optional[float] = None,
+    *,
+    session: Any = None,
 ) -> Dict[str, Any]:
     """Execute one scenario record end to end (runs inside workers).
 
@@ -153,6 +157,13 @@ def run_scenario(
     ``check_invariants`` the flight-recorder invariant checker audits the
     run and failures come back as ``status="invariant_violation"`` with
     the individual violations attached.
+
+    With ``session`` (a :class:`repro.replay.WhatIfSession`; in-process
+    only, and neither traced nor audited) the scenario runs through it:
+    the first of each compatibility group is cold-run with snapshots,
+    later members replay only the suffix after their workload diverges.
+    Results are byte-identical to cold runs; records gain ``warm_start``
+    (and ``events_saved`` when warm).
     """
     started = time.perf_counter()
     record: Dict[str, Any] = {
@@ -160,75 +171,38 @@ def run_scenario(
         "params": scenario.get("params", {}),
     }
     try:
-        from repro.batch import Simulation
-
         with _scenario_deadline(timeout):
-            sim = Simulation.from_spec(scenario)
-            until = scenario.get("sim", {}).get("until")
-            trace: Optional[Path] = None
-            if trace_dir is not None:
-                directory = Path(trace_dir)
-                directory.mkdir(parents=True, exist_ok=True)
-                trace = directory / f"{_safe_name(record['name'])}.trace.jsonl"
-                record["trace"] = str(trace)
-            try:
-                monitor = sim.run(
-                    until=until, trace=trace, check_invariants=check_invariants
-                )
-            except Exception as exc:
-                from repro.tracing import InvariantViolation
-
-                if not isinstance(exc, InvariantViolation):
-                    raise
-                record["status"] = "invariant_violation"
-                record["error"] = str(exc)
-                record["violations"] = [v.as_dict() for v in exc.violations]
-            else:
-                result = monitor.run_record()
-                result["invocations"] = sim.batch.invocations
+            if session is not None:
+                outcome = session.run(scenario)
                 record["status"] = "ok"
-                record["result"] = result
-    except ScenarioTimeout as exc:
-        record["status"] = "failed"
-        record["error"] = f"ScenarioTimeout: {exc}"
-        record["error_kind"] = "timeout"
-    except Exception as exc:  # noqa: BLE001 - isolation boundary by design
-        record["status"] = "failed"
-        record["error"] = f"{type(exc).__name__}: {exc}"
-        record["error_kind"] = "exception"
-    record["wall_s"] = time.perf_counter() - started
-    return record
+                record["result"] = outcome.record
+                record["warm_start"] = outcome.warm
+                if outcome.warm:
+                    record["events_saved"] = outcome.events_saved
+            else:
+                from repro.batch import Simulation
 
+                sim = Simulation.from_spec(scenario)
+                until = scenario.get("sim", {}).get("until")
+                trace: Optional[Path] = None
+                if trace_dir is not None:
+                    directory = Path(trace_dir)
+                    directory.mkdir(parents=True, exist_ok=True)
+                    trace = directory / f"{_safe_name(record['name'])}.trace.jsonl"
+                    record["trace"] = str(trace)
+                try:
+                    sim.run(until=until, trace=trace, check_invariants=check_invariants)
+                except Exception as exc:
+                    from repro.tracing import InvariantViolation
 
-def run_scenario_warm(
-    scenario: Dict[str, Any],
-    session: Any,
-    timeout: Optional[float] = None,
-) -> Dict[str, Any]:
-    """Warm-start variant of :func:`run_scenario` (serial in-process only).
-
-    ``session`` is a :class:`repro.replay.WhatIfSession`: the first
-    scenario of each compatibility group (identical spec apart from its
-    inline jobs) is cold-run with periodic snapshots, later members
-    restore the latest checkpoint before their workload diverges and
-    replay only the suffix.  Results are byte-identical to cold runs;
-    records gain ``warm_start`` (and ``events_saved`` when warm).  The
-    same isolation contract as :func:`run_scenario` applies: failures
-    come back as ``status="failed"`` records, never exceptions.
-    """
-    started = time.perf_counter()
-    record: Dict[str, Any] = {
-        "name": scenario.get("name", "scenario"),
-        "params": scenario.get("params", {}),
-    }
-    try:
-        with _scenario_deadline(timeout):
-            outcome = session.run(scenario)
-        record["status"] = "ok"
-        record["result"] = outcome.record
-        record["warm_start"] = outcome.warm
-        if outcome.warm:
-            record["events_saved"] = outcome.events_saved
+                    if not isinstance(exc, InvariantViolation):
+                        raise
+                    record["status"] = "invariant_violation"
+                    record["error"] = str(exc)
+                    record["violations"] = [v.as_dict() for v in exc.violations]
+                else:
+                    record["status"] = "ok"
+                    record["result"] = sim.run_record()
     except ScenarioTimeout as exc:
         record["status"] = "failed"
         record["error"] = f"ScenarioTimeout: {exc}"
@@ -258,7 +232,7 @@ class CampaignReport:
         cache_hits: int,
         executed: int,
         workers: int,
-        executor: str = "serial",
+        executor: str,
     ) -> None:
         self.name = name
         self.records = records
@@ -329,7 +303,7 @@ class CampaignReport:
 
 
 class CampaignRunner:
-    """Run a scenario grid over a pluggable executor, reusing cached results."""
+    """Run a scenario grid over one executor, reusing cached results."""
 
     def __init__(
         self,
@@ -354,7 +328,7 @@ class CampaignRunner:
             raise CampaignError("scenario names must be unique within a campaign")
         self.scenarios = list(scenarios)
         self.name = name
-        self.workers = max(1, int(workers)) if workers is not None else _default_workers()
+        self.workers = max(1, int(workers)) if workers is not None else os.cpu_count() or 1
         self.cache = cache
         self.force = force
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
@@ -369,27 +343,23 @@ class CampaignRunner:
         self.scenario_timeout = (
             float(scenario_timeout) if scenario_timeout is not None else None
         )
-        if isinstance(executor, BaseExecutor):
-            self.executor: Optional[BaseExecutor] = executor
-            self.executor_name: Optional[str] = executor.name
-        else:
-            self.executor = None
-            if executor is not None and executor not in executor_names():
-                raise CampaignError(
-                    f"unknown executor {executor!r} "
-                    f"(available: {', '.join(executor_names())})"
-                )
-            self.executor_name = executor
+        #: The executor instance given, or the registry name given, or None.
+        self.executor = executor
+        if isinstance(executor, str) and executor not in executor_names():
+            raise CampaignError(
+                f"unknown executor {executor!r} "
+                f"(available: {', '.join(executor_names())})"
+            )
         self.executor_options = dict(executor_options or {})
         self.warm_start = bool(warm_start)
         if self.warm_start:
-            # Warm starts share one snapshot cache, so they run serially
-            # in-process; snapshots also cannot coexist with the flight
-            # recorder, ruling out tracing and invariant audits.
-            if self.executor is not None or self.executor_name is not None:
+            # Warm starts share one snapshot cache — a session held by the
+            # in-process executor; snapshots also cannot coexist with the
+            # flight recorder, ruling out tracing and invariant audits.
+            if executor is not None:
                 raise CampaignError(
-                    "warm_start runs serially in-process and cannot be "
-                    "combined with an explicit executor"
+                    "warm_start runs on the in-process executor and cannot "
+                    "be combined with an explicit executor"
                 )
             if self.trace_dir is not None or check_invariants:
                 raise CampaignError(
@@ -441,39 +411,30 @@ class CampaignRunner:
             if progress is not None:
                 progress(record)
 
-        explicit = self.executor is not None or self.executor_name is not None
-        if not pending:
-            label = "cache"
-        elif self.warm_start:
-            # Serial by design: every scenario feeds (or reuses) the shared
-            # snapshot cache, so later grid points replay only their suffix.
-            label = "serial+warm-start"
-            from repro.replay import WhatIfSession
-
-            session = WhatIfSession()
-            for index in pending:
-                finish(
-                    index,
-                    run_scenario_warm(
-                        payloads[index], session, self.scenario_timeout
-                    ),
-                )
-        elif not explicit and (self.workers <= 1 or len(pending) <= 1):
-            # No executor machinery for trivially serial work: the plain
-            # loop keeps debugging transparent and avoids event-loop setup.
-            label = "serial"
-            for index in pending:
-                finish(
-                    index,
-                    run_scenario(
-                        payloads[index],
-                        self.trace_dir,
-                        self.check_invariants,
-                        self.scenario_timeout,
-                    ),
-                )
-        else:
-            label = self._dispatch(payloads, pending, finish)
+        # One executor, one iteration.  A broken backend has handed over
+        # only part of its work: what is still missing afterwards goes
+        # through the in-process executor, where the same per-scenario
+        # isolation applies, instead of killing the campaign.
+        label = "cache"
+        if pending:
+            executor = self._choose_executor(len(pending))
+            label = executor.name
+            todo = pending
+            while todo:
+                try:
+                    for position, record in executor.run(
+                        [payloads[index] for index in todo],
+                        trace_dir=self.trace_dir,
+                        check_invariants=self.check_invariants,
+                        timeout=self.scenario_timeout,
+                    ):
+                        finish(todo[position], record)
+                except ExecutorBroken:
+                    pass
+                finally:
+                    executor.close()
+                todo = [index for index in todo if records[index] is None]
+                executor = InProcessExecutor()
 
         final = [r for r in records if r is not None]
         assert len(final) == len(payloads)
@@ -487,23 +448,30 @@ class CampaignRunner:
             executor=label,
         )
 
-    # -- executor dispatch ---------------------------------------------------
+    def _choose_executor(self, pending_count: int) -> BaseExecutor:
+        """The instance given, the name given, else what the work calls for."""
+        if isinstance(self.executor, BaseExecutor):
+            return self.executor
+        if self.warm_start:
+            # Every scenario feeds (or reuses) the session's snapshots, so
+            # later grid points replay only their suffix.
+            from repro.replay import WhatIfSession
 
-    def _build_executor(self, pending_count: int) -> BaseExecutor:
-        """Materialise the configured backend for this run."""
-        name = self.executor_name or DEFAULT_EXECUTOR
+            return InProcessExecutor(session=WhatIfSession())
+        if self.executor is None and (self.workers <= 1 or pending_count <= 1):
+            return InProcessExecutor()
+        name = self.executor or DEFAULT_EXECUTOR
         options = dict(self.executor_options)
         if name != "in-process":
             options.setdefault("workers", min(self.workers, max(1, pending_count)))
         if name == "queue-worker":
             # Workers must agree with this runner on content addresses and
-            # run options, and should dedupe through the same store.
+            # run options, and should dedupe through the same trees.
             options.setdefault("salt", self.salt)
             if self.cache is not None:
                 options.setdefault("cache_dir", str(self.cache.root))
-                shared = getattr(self.cache, "shared", None)
-                if shared is not None:
-                    options.setdefault("store_dir", str(shared.root))
+                if self.cache.shared is not None:
+                    options.setdefault("store_dir", str(self.cache.shared.root))
             options.setdefault(
                 "run_options",
                 {
@@ -514,74 +482,14 @@ class CampaignRunner:
             )
         return make_executor(name, **options)
 
-    def _dispatch(
-        self,
-        payloads: List[Dict[str, Any]],
-        pending: List[int],
-        finish: Callable[[int, Dict[str, Any]], None],
-    ) -> str:
-        """Fan pending scenarios out over the configured executor.
-
-        ``run_scenario`` already converts ordinary exceptions into failed
-        records inside the worker, so the only thing that reaches this
-        level is the backend itself breaking (a pool worker OOM-killed, a
-        queue fleet dying) — surfaced as :class:`ExecutorBroken` per
-        affected submit.  Those scenarios are re-run in-process, where the
-        same per-scenario isolation applies, instead of killing the
-        campaign.
-        """
-        broken: List[int] = []
-
-        async def drive() -> str:
-            executor = self.executor or self._build_executor(len(pending))
-
-            async def one(index: int) -> None:
-                try:
-                    record = await executor.submit(
-                        run_scenario,
-                        payloads[index],
-                        self.trace_dir,
-                        self.check_invariants,
-                        self.scenario_timeout,
-                    )
-                except ExecutorBroken:
-                    broken.append(index)
-                else:
-                    finish(index, record)
-
-            try:
-                await asyncio.gather(*(one(index) for index in pending))
-            finally:
-                await executor.shutdown()
-            return executor.name
-
-        label = asyncio.run(drive())
-        for index in sorted(broken):
-            finish(
-                index,
-                run_scenario(
-                    payloads[index],
-                    self.trace_dir,
-                    self.check_invariants,
-                    self.scenario_timeout,
-                ),
-            )
-        return label
-
 
 def result_fingerprint(record: Dict[str, Any]) -> str:
     """Canonical serialisation of the deterministic part of a record.
 
-    Two runs of the same scenario spec — serial or parallel, cached or
-    fresh, on any executor — must agree byte-for-byte on this string.
+    Two runs of the same scenario spec — cached or fresh, on any
+    executor — must agree byte-for-byte on this string.
     """
     return canonical_json(record.get("result", {}))
-
-
-def _default_workers() -> int:
-    import os
-
-    return os.cpu_count() or 1
 
 
 __all__ = [

@@ -174,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes (default: all cores; 1 = serial)",
+        help="worker processes (default: all cores; 1 = in-process)",
     )
     crun.add_argument(
         "--cache-dir",
@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     crun.add_argument(
         "--store-dir",
         default=None,
-        help="shared artifact store root layered over the local cache "
+        help="shared result tree layered over the local cache "
         "(default $ELASTISIM_STORE_DIR; unset = local cache only)",
     )
     crun.add_argument(
@@ -254,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     crun.add_argument(
         "--warm-start",
         action="store_true",
-        help="serial in-process mode where grid scenarios sharing a "
+        help="in-process mode where grid scenarios sharing a "
         "workload prefix reuse one snapshotted base run and replay only "
         "their suffix (results stay byte-identical; see docs/REPLAY.md)",
     )
@@ -686,12 +686,10 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     output_dir = _writable_dir(args.output_dir or Path("campaign-results") / name)
     if args.fingerprints is not None:
         _writable_dir(Path(args.fingerprints).parent)
-    # ArtifactStore without a shared root behaves exactly like the plain
-    # local cache; --store-dir / $ELASTISIM_STORE_DIR arm the shared layer.
+    # Without a shared root this is the plain local cache.
+    store_dir = args.store_dir or os.environ.get("ELASTISIM_STORE_DIR") or None
     cache = (
-        None
-        if args.no_cache
-        else campaign.ArtifactStore(args.cache_dir, shared_root=args.store_dir)
+        None if args.no_cache else campaign.ResultCache(args.cache_dir, shared_root=store_dir)
     )
     executor = args.executor or settings.get("executor")
     executor_options: dict = {}
@@ -959,8 +957,8 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         target = args.resume_at * total
         snap = min(snapshots, key=lambda s: abs(s.processed_events - target))
         resumed_sim = Simulation.resume(snap)
-        resumed = resumed_sim.run().run_record()
-        resumed["invocations"] = resumed_sim.batch.invocations
+        resumed_sim.run()
+        resumed = resumed_sim.run_record()
         cold_path = dump(cold, "cold_record.json")
         resumed_path = dump(resumed, "resumed_record.json")
         identical = json.dumps(cold, sort_keys=True) == json.dumps(
@@ -994,8 +992,8 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
     print(f"record: {record_path}")
     if args.verify:
         sim = Simulation.from_spec(edited)
-        reference = sim.run(until=edited.get("sim", {}).get("until")).run_record()
-        reference["invocations"] = sim.batch.invocations
+        sim.run(until=edited.get("sim", {}).get("until"))
+        reference = sim.run_record()
         identical = json.dumps(reference, sort_keys=True) == json.dumps(
             result.record, sort_keys=True
         )
@@ -1164,8 +1162,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - last-resort traceback shield
-        # The tracing error classes are resolved here, on the error path,
-        # so a clean run never imports the flight recorder for them.
+        # These error classes are resolved here, on the error path, so a
+        # clean run never imports the flight recorder for them.
+        from repro.application import ApplicationError
+        from repro.engine import EngineError
         from repro.tracing import InvariantViolation, TraceError
 
         if isinstance(exc, InvariantViolation):
@@ -1173,7 +1173,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             for violation in exc.violations:
                 print(f"  {violation}", file=sys.stderr)
             return EXIT_REGRESSION
-        if isinstance(exc, TraceError):
+        # Application / engine errors are workload mistakes found mid-run:
+        # a negative flops expression, a PFS task on a platform without one.
+        if isinstance(exc, (TraceError, ApplicationError, EngineError)):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

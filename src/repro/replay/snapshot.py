@@ -18,7 +18,6 @@ it means some state holder has no owner and would be silently dropped.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Union
@@ -123,20 +122,14 @@ class Snapshot:
     def save(self, path: Union[str, Path]) -> None:
         """Write the snapshot as JSON (``inf`` round-trips as Infinity).
 
-        Atomically: a reader of ``path`` sees the previous file or the
-        whole new one, never a prefix — the document goes to a temporary
-        file beside it, which then takes its name.  (Not ``fsync``ed: a
-        snapshot is a cache of a run that can be repeated, so surviving a
-        crashed *process* is the point, not a crashed machine.)
+        Atomically, from any number of threads: a reader of ``path`` sees
+        the previous file or the whole new one, never a prefix (see
+        :func:`repro._atomic.write_json_atomic`).
         """
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(self.to_dict()))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        # Imported on first save: loading and resuming need no writer.
+        from repro._atomic import write_json_atomic
+
+        write_json_atomic(Path(path), self.to_dict(), sort_keys=False)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Snapshot":

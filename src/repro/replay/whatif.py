@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -56,12 +56,8 @@ def run_with_snapshots(
     from repro.batch import Simulation
 
     sim = Simulation.from_spec(spec)
-    monitor = sim.run(
-        snapshot_every=snapshot_every, snapshot_callback=snapshot_callback
-    )
-    record = monitor.run_record()
-    record["invocations"] = sim.batch.invocations
-    return record, list(sim.snapshots)
+    sim.run(snapshot_every=snapshot_every, snapshot_callback=snapshot_callback)
+    return sim.run_record(), list(sim.snapshots)
 
 
 def _inline_jobs(spec: dict) -> Optional[List[dict]]:
@@ -182,7 +178,8 @@ def splice_snapshot(snapshot: Snapshot, edited_spec: dict, diff: dict) -> Snapsh
     # run ended *before* it (all_done fires at the last common finish), so
     # the boundary does not exist in the edited timeline.
     finished = snapshot.state["batch"]["finished_count"]
-    num_edited = len(_inline_jobs(edited_spec))
+    edited_jobs = _inline_jobs(edited_spec)
+    num_edited = len(edited_jobs)
     if finished >= num_edited:
         raise ReplayError(
             f"snapshot has {finished} finished jobs but the edited workload "
@@ -193,7 +190,7 @@ def splice_snapshot(snapshot: Snapshot, edited_spec: dict, diff: dict) -> Snapsh
     state = doc["state"]
     env_state = state["env"]
     batch_state = state["batch"]
-    edit_order, edit_map = _job_map(_inline_jobs(edited_spec))
+    edit_order, edit_map = _job_map(edited_jobs)
 
     # Jobs touched by the edit must still be pristine: pending in the
     # captured run, so a fresh job built from the edited spec needs no
@@ -296,14 +293,12 @@ class WhatIfResult:
         return self.events_total - (self.events_replayed or 0)
 
 
-def _cold_record(spec: dict) -> Tuple[dict, int]:
+def _cold_record(spec: dict) -> dict:
     from repro.batch import Simulation
 
     sim = Simulation.from_spec(spec)
-    monitor = sim.run(until=spec.get("sim", {}).get("until"))
-    record = monitor.run_record()
-    record["invocations"] = sim.batch.invocations
-    return record, sim.env.processed_events
+    sim.run(until=spec.get("sim", {}).get("until"))
+    return sim.run_record()
 
 
 def whatif(
@@ -342,7 +337,7 @@ def whatif(
                 f"t={diff['divergence_time']:g}"
             )
     if reason is not None:
-        record, _ = _cold_record(edited_spec)
+        record = _cold_record(edited_spec)
         return WhatIfResult(record=record, warm=False, reason=reason, diff=diff)
 
     snap = max(eligible, key=lambda s: s.processed_events)
@@ -350,16 +345,14 @@ def whatif(
         spliced = splice_snapshot(snap, edited_spec, diff)
         sim = restore_simulation(spliced)
     except ReplayError as exc:
-        record, _ = _cold_record(edited_spec)
+        record = _cold_record(edited_spec)
         return WhatIfResult(
             record=record, warm=False, reason=f"splice failed: {exc}", diff=diff
         )
-    monitor = sim.run()
+    sim.run()
     total = sim.env.processed_events
-    record = monitor.run_record()
-    record["invocations"] = sim.batch.invocations
     return WhatIfResult(
-        record=record,
+        record=sim.run_record(),
         warm=True,
         snapshot_time=snap.time,
         snapshot_events=snap.processed_events,
@@ -401,7 +394,7 @@ class WhatIfSession:
         """Run one scenario, warm-starting when a compatible base exists."""
         key = self.compatibility_key(spec)
         if key is None:
-            record, _ = _cold_record(spec)
+            record = _cold_record(spec)
             self.stats["cold"] += 1
             return WhatIfResult(
                 record=record, warm=False, reason="scenario cannot warm-start"

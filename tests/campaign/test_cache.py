@@ -1,8 +1,10 @@
-"""Content-addressed result cache: hits, misses, and invalidation."""
+"""Content-addressed result cache: hits, misses, invalidation, shared tree."""
 
 import json
+import sys
+import threading
 
-from repro.campaign import ResultCache, ScenarioSpec
+from repro.campaign import CampaignRunner, ResultCache, ScenarioSpec, result_fingerprint
 
 PLATFORM = {
     "nodes": {"count": 8, "flops": 1e12},
@@ -85,6 +87,37 @@ class TestRobustness:
         leftovers = [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
         assert leftovers == []
 
+    def test_four_threads_storing_one_key_tear_nothing(self, tmp_path):
+        # The embedding-application case: several threads of one process
+        # finish the same scenario.  A temp name shared by the process let
+        # one thread rename (or truncate) another's half-written file.
+        cache = ResultCache(tmp_path)
+        key = make_scenario().key()
+        record = ok_record(padding="x" * 4096)
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(300):
+                    cache.store(key, record)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")] == []
+        assert cache.lookup(key) == record
+
     def test_clear_drops_everything(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store(make_scenario().key(), ok_record())
@@ -108,3 +141,80 @@ class TestDefaultLocation:
         cache = ResultCache(tmp_path)
         key = make_scenario().key()
         assert cache.path_for(key) == tmp_path / key[:2] / f"{key}.json"
+
+
+KEY = "ab" + "0" * 62
+
+
+class TestSharedRoot:
+    """``shared_root=``: a second tree the same keys resolve in."""
+
+    def test_local_only_is_a_plain_cache(self, tmp_path):
+        cache = ResultCache(tmp_path / "local")
+        assert cache.shared is None
+        cache.store(KEY, ok_record())
+        assert cache.lookup(KEY) == ok_record()
+        assert cache.shared_hits == 0
+
+    def test_write_through_lands_in_both_trees(self, tmp_path):
+        cache = ResultCache(tmp_path / "local", shared_root=tmp_path / "shared")
+        cache.store(KEY, ok_record())
+        assert ResultCache(tmp_path / "local").lookup(KEY) == ok_record()
+        assert ResultCache(tmp_path / "shared").lookup(KEY) == ok_record()
+
+    def test_read_through_with_copy_back(self, tmp_path):
+        # Another host populated the shared tree; this host's local tree
+        # is empty.
+        ResultCache(tmp_path / "shared").store(KEY, ok_record())
+        cache = ResultCache(tmp_path / "local", shared_root=tmp_path / "shared")
+        assert cache.lookup(KEY) == ok_record()
+        # hits / misses count the local tree; the shared tree's answer is
+        # counted apart.
+        assert (cache.hits, cache.misses, cache.shared_hits) == (0, 1, 1)
+        # Copy-back: the next lookup is answered locally.
+        assert ResultCache(tmp_path / "local").lookup(KEY) == ok_record()
+        assert cache.lookup(KEY) == ok_record()
+        assert (cache.hits, cache.misses, cache.shared_hits) == (1, 1, 1)
+
+    def test_miss_everywhere_is_none(self, tmp_path):
+        cache = ResultCache(tmp_path / "local", shared_root=tmp_path / "shared")
+        assert cache.lookup(KEY) is None
+        assert (cache.hits, cache.misses, cache.shared_hits) == (0, 1, 0)
+
+    def test_failed_records_never_stored(self, tmp_path):
+        cache = ResultCache(tmp_path / "local", shared_root=tmp_path / "shared")
+        cache.store(KEY, {"status": "failed", "error": "boom"})
+        assert cache.lookup(KEY) is None
+        assert ResultCache(tmp_path / "shared").lookup(KEY) is None
+
+    def test_two_hosts_share_results_through_the_store(self, tmp_path):
+        """Distinct local caches, one shared tree: compute once, reuse."""
+        scenarios = [make_scenario(seed=seed) for seed in (3, 4)]
+        host_a = ResultCache(tmp_path / "a", shared_root=tmp_path / "shared")
+        first = CampaignRunner(scenarios, workers=1, cache=host_a).run()
+        assert first.executed == 2
+
+        host_b = ResultCache(tmp_path / "b", shared_root=tmp_path / "shared")
+        second = CampaignRunner(scenarios, workers=1, cache=host_b).run()
+        assert second.executed == 0
+        assert second.cache_hits == 2
+        assert host_b.shared_hits == 2
+        assert [result_fingerprint(r) for r in second.records] == [
+            result_fingerprint(r) for r in first.records
+        ]
+
+    def test_cached_records_are_byte_identical(self, tmp_path):
+        scenario = make_scenario()
+        cache = ResultCache(tmp_path / "local", shared_root=tmp_path / "shared")
+        fresh = CampaignRunner([scenario], workers=1, cache=cache).run()
+        cached = CampaignRunner([scenario], workers=1, cache=cache).run()
+        assert cached.records[0]["cached"] is True
+        assert result_fingerprint(cached.records[0]) == result_fingerprint(
+            fresh.records[0]
+        )
+        # The stored payload is canonical JSON on disk in both trees.
+        local_path = cache.path_for(fresh.records[0]["key"])
+        shared_path = cache.shared.path_for(fresh.records[0]["key"])
+        assert json.loads(local_path.read_text()) == json.loads(
+            shared_path.read_text()
+        )

@@ -1,4 +1,4 @@
-"""Executor protocol: capability flags, fingerprint identity, failure paths."""
+"""Executor protocol: two methods and a name, fingerprint identity, failure paths."""
 
 import json
 import threading
@@ -69,14 +69,6 @@ class TestProtocol:
             "queue-worker",
         )
 
-    def test_capability_flags(self):
-        assert not InProcessExecutor.parallel
-        assert not InProcessExecutor.distributed
-        assert ProcessPoolCampaignExecutor.parallel
-        assert ProcessPoolCampaignExecutor.isolates_processes
-        assert QueueWorkerExecutor.distributed
-        assert QueueWorkerExecutor.isolates_processes
-
     def test_all_backends_implement_base(self):
         for cls in (
             InProcessExecutor,
@@ -103,39 +95,32 @@ class TestProtocol:
             CampaignRunner([make_scenario()], executor="carrier-pigeon")
 
 
+def _backend(name, tmp_path):
+    """``CampaignRunner`` keywords selecting ``name`` (or an instance)."""
+    if name == "instance":
+        return {"executor": ProcessPoolCampaignExecutor(workers=2)}
+    if name == "queue-worker":
+        options = {"queue_dir": tmp_path / "queue", "workers": 1, "lease_s": 15.0}
+        return {"executor": name, "executor_options": options}
+    return {"executor": name}
+
+
 class TestFingerprintIdentity:
-    """The serial/parallel/cached identity contract, across the matrix."""
+    """The in-process/parallel/cached identity contract, across the matrix."""
 
     @pytest.fixture(scope="class")
     def reference(self):
         report = CampaignRunner(small_grid(), workers=1).run()
+        assert report.executor == "in-process"
         assert [r["status"] for r in report.records] == ["ok"] * 4
         return [result_fingerprint(r) for r in report.records]
 
-    @pytest.mark.parametrize("name", ["in-process", "process-pool"])
-    def test_backend_matches_serial_reference(self, name, reference):
-        report = CampaignRunner(small_grid(), workers=2, executor=name).run()
-        assert report.executor == name
-        assert [result_fingerprint(r) for r in report.records] == reference
-
-    def test_queue_worker_matches_serial_reference(self, reference, tmp_path):
-        report = CampaignRunner(
-            small_grid(),
-            workers=2,
-            executor="queue-worker",
-            executor_options={
-                "queue_dir": tmp_path / "queue",
-                "workers": 1,
-                "lease_s": 15.0,
-            },
-        ).run()
-        assert report.executor == "queue-worker"
-        assert [result_fingerprint(r) for r in report.records] == reference
-
-    def test_explicit_executor_instance(self, reference):
-        report = CampaignRunner(
-            small_grid(), workers=2, executor=ProcessPoolCampaignExecutor(workers=2)
-        ).run()
+    @pytest.mark.parametrize(
+        "name", ["in-process", "process-pool", "queue-worker", "instance"]
+    )
+    def test_backend_matches_serial_reference(self, name, reference, tmp_path):
+        report = CampaignRunner(small_grid(), workers=2, **_backend(name, tmp_path)).run()
+        assert report.executor == ("process-pool" if name == "instance" else name)
         assert [result_fingerprint(r) for r in report.records] == reference
 
 
@@ -173,8 +158,8 @@ class TestScenarioTimeout:
         assert kinds[scenarios[0].name] == "timeout"
         assert statuses[scenarios[1].name] == "ok"
 
-    def test_timeout_on_asyncio_executor_thread(self):
-        # What an embedding application's ``to_thread`` worker is: a thread
+    def test_timeout_on_a_non_main_thread(self):
+        # What an embedding application's worker thread is: a thread
         # other than the main one, which cannot receive signals; the
         # watchdog must deliver the deadline there too.
         records = []
@@ -248,29 +233,78 @@ class TestScenarioTimeout:
         assert time.perf_counter() - start < 10.0
 
 
-class _BrokenOnceExecutor(BaseExecutor):
-    """Raises ExecutorBroken for every other submit."""
+class _BrokenHalfwayExecutor(BaseExecutor):
+    """Hands over every other position, then loses its workers."""
 
-    name = "broken-once"
+    name = "broken-halfway"
 
     def __init__(self):
-        self.calls = 0
+        self.closed = False
 
-    async def submit(self, fn, /, *args):
-        self.calls += 1
-        if self.calls % 2 == 1:
-            raise ExecutorBroken("simulated backend death")
-        return fn(*args)
+    def run(self, payloads, *, trace_dir=None, check_invariants=False, timeout=None):
+        for position in range(0, len(payloads), 2):
+            yield position, run_scenario(
+                payloads[position], trace_dir, check_invariants, timeout
+            )
+        raise ExecutorBroken("simulated backend death")
+
+    def close(self):
+        self.closed = True
+
+
+class _PoolLosingAWorker(ProcessPoolCampaignExecutor):
+    """A real process pool; one worker is SIGKILLed (as the OOM killer
+    would) as soon as the first record is in."""
+
+    handed = 0
+
+    def run(self, payloads, **options):
+        for item in super().run(payloads, **options):
+            self.handed += 1
+            yield item
+            if self.handed == 1:
+                next(iter(self._pool._processes.values())).kill()
 
 
 class TestBrokenExecutor:
-    def test_broken_submits_rerun_in_process(self):
-        grid = small_grid()
-        reference = [
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return [
             result_fingerprint(r)
-            for r in CampaignRunner(grid, workers=1).run().records
+            for r in CampaignRunner(small_grid(), workers=1).run().records
         ]
-        report = CampaignRunner(grid, executor=_BrokenOnceExecutor()).run()
+
+    def test_broken_submits_rerun_in_process(self, reference):
+        executor = _BrokenHalfwayExecutor()
+        seen = []
+        report = CampaignRunner(small_grid(), executor=executor).run(
+            progress=lambda record: seen.append(record["name"])
+        )
+        assert executor.closed
+        assert report.executor == "broken-halfway"
+        assert [r["status"] for r in report.records] == ["ok"] * 4
+        assert [result_fingerprint(r) for r in report.records] == reference
+        # Every scenario is handed over exactly once: the two the executor
+        # finished, then the two it stranded.
+        names = [s.name for s in small_grid()]
+        assert seen == [names[0], names[2], names[1], names[3]]
+
+    def test_killed_pool_worker_still_ends_in_a_complete_report(self, reference):
+        # The pool is broken for good and poisons every future in flight;
+        # the campaign must neither hang nor lose a scenario.
+        executor = _PoolLosingAWorker(workers=2)
+        done = []
+        thread = threading.Thread(
+            target=lambda: done.append(
+                CampaignRunner(small_grid(), workers=2, executor=executor).run()
+            )
+        )
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        (report,) = done
+        assert executor.handed < 4  # the pool did break mid-campaign
+        assert report.executor == "process-pool"
         assert [r["status"] for r in report.records] == ["ok"] * 4
         assert [result_fingerprint(r) for r in report.records] == reference
 
@@ -279,6 +313,6 @@ class TestReportShape:
     def test_campaign_dict_carries_executor(self):
         report = CampaignRunner([make_scenario()], workers=1).run()
         payload = report.as_dict()
-        assert payload["campaign"]["executor"] == "serial"
+        assert payload["campaign"]["executor"] == "in-process"
         fingerprint = result_fingerprint(report.records[0])
         assert "wall_s" not in json.loads(fingerprint)

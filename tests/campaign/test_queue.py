@@ -2,15 +2,16 @@
 
 import json
 import os
+import threading
 import time
 
 import pytest
 
 from repro.campaign import (
-    ArtifactStore,
     CampaignRunner,
     QueueError,
     QueueWorkerExecutor,
+    ResultCache,
     ScenarioQueue,
     ScenarioSpec,
     result_fingerprint,
@@ -149,7 +150,7 @@ class TestWorkerLoop:
         scenario = make_scenario()
         record = run_scenario(scenario.as_record())
         key = scenario_key(scenario.canonical(), salt="test-salt")
-        store = ArtifactStore(tmp_path / "local", shared_root=tmp_path / "shared")
+        store = ResultCache(tmp_path / "local", shared_root=tmp_path / "shared")
         store.store(key, record)
 
         queue = ScenarioQueue.create(
@@ -190,6 +191,39 @@ class TestQueueWorkerExecutor:
         report = CampaignRunner(scenarios, workers=2, executor=executor).run()
         assert [r["status"] for r in report.records] == ["ok"] * 3
         assert [result_fingerprint(r) for r in report.records] == reference
+
+    def test_coordinator_polls_once_per_tick_not_once_per_scenario(self, tmp_path):
+        """24 pending scenarios, one inline worker: per poll tick the
+        coordinator lists ``results/`` once and scans ``claims/`` at most
+        once — it used to do both once per pending scenario."""
+        scenarios = [make_scenario(seed=seed) for seed in range(24)]
+        executor = QueueWorkerExecutor(
+            queue_dir=tmp_path / "q", workers=0, lease_s=30.0, salt="test-salt"
+        )
+        calls = {"finished": 0, "reclaim_stale": 0}
+        for name in calls:
+            original = getattr(executor.queue, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            # Instance attributes: the worker thread opens a queue object
+            # of its own, so only the coordinator's calls are counted.
+            setattr(executor.queue, name, counted)
+        worker = threading.Thread(
+            target=worker_loop,
+            args=(tmp_path / "q",),
+            kwargs={"worker_id": "inline", "poll_s": 0.01},
+        )
+        worker.start()
+        report = CampaignRunner(scenarios, executor=executor).run()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert [r["status"] for r in report.records] == ["ok"] * 24
+        # A tick sleeps poll_s (0.05 s) and never less, whatever is pending.
+        assert 1 <= calls["finished"] <= report.wall_s / 0.05 + 1
+        assert calls["reclaim_stale"] <= calls["finished"]
 
     def test_whole_fleet_dead_falls_back_in_process(self, tmp_path):
         scenarios = [make_scenario(seed=3)]

@@ -1,8 +1,8 @@
 """Campaign warm-start: grid scenarios share one snapshotted base run.
 
-``CampaignRunner(..., warm_start=True)`` routes scenarios through a
+``CampaignRunner(..., warm_start=True)`` hands the in-process executor a
 :class:`repro.replay.WhatIfSession`; results must be fingerprint-
-identical to a plain serial campaign, with warm scenarios flagged in
+identical to a plain in-process campaign, with warm scenarios flagged in
 their records.
 """
 
@@ -62,7 +62,7 @@ class TestWarmStartCampaign:
         assert [result_fingerprint(r) for r in cold.records] == [
             result_fingerprint(r) for r in warm.records
         ]
-        assert warm.executor == "serial+warm-start"
+        assert warm.executor == "in-process+warm-start"
         assert len(warm.ok) == 4
 
     def test_warm_flags_and_savings_recorded(self):

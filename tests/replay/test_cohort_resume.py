@@ -10,6 +10,8 @@ written atomically and a damaged one is a ``ReplayError``.
 """
 
 import json
+import sys
+import threading
 from copy import deepcopy
 
 import pytest
@@ -379,9 +381,9 @@ def test_save_replaces_the_file_atomically(tmp_path, monkeypatch):
 
     # A writer that dies mid-document leaves the old file whole and no
     # debris behind.
-    import repro.replay.snapshot as module
+    import repro._atomic as module
 
-    def dying_dumps(doc):
+    def dying_dumps(doc, **options):
         raise OSError("disk full")
 
     monkeypatch.setattr(module.json, "dumps", dying_dumps)
@@ -404,6 +406,38 @@ def test_save_replaces_the_file_atomically(tmp_path, monkeypatch):
     assert seen == [first.processed_events]
     assert Snapshot.load(path).processed_events == second.processed_events
     assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
+
+
+def test_two_threads_saving_one_path_tear_nothing(tmp_path):
+    # The temp name used to be shared by every thread of a process: one
+    # thread could rename, or truncate, the other's half-written file.
+    _, _, snapshots = snapshot_run(_spec(), 200)
+    path = tmp_path / "snap.json"
+    errors = []
+
+    def hammer(snap):
+        try:
+            for _ in range(300):
+                snap.save(path)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=hammer, args=(snap,)) for snap in snapshots[:2]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
+    assert Snapshot.load(path).processed_events in {
+        snap.processed_events for snap in snapshots[:2]
+    }
 
 
 def _wide_spec():

@@ -290,6 +290,45 @@ class TestRun:
         assert "Traceback" not in err
 
 
+def _one_task_workload(task):
+    job = {
+        "id": 1,
+        "type": "rigid",
+        "submit_time": 0,
+        "num_nodes": 2,
+        "application": {"phases": [{"tasks": [task]}]},
+    }
+    return {"jobs": [job]}
+
+
+class TestWorkloadMistakesFoundMidRun:
+    """A workload mistake is not a simulator bug: exit 3, never 70."""
+
+    @pytest.mark.parametrize(
+        "task, complaint",
+        [
+            ({"type": "cpu", "flops": "-1e12"}, "negative"),
+            ({"type": "cpu", "flops": "nope * 2"}, "nope"),
+            ({"type": "pfs_read", "bytes": 1e9}, "needs a PFS"),
+        ],
+        ids=["negative-flops", "unknown-variable", "no-pfs"],
+    )
+    def test_exit_is_input_with_one_error_line(self, task, complaint, tmp_path, capsys):
+        platform = {k: v for k, v in PLATFORM.items() if k != "pfs"}
+        platform_file = tmp_path / "platform.json"
+        platform_file.write_text(json.dumps(platform))
+        workload_file = tmp_path / "workload.json"
+        workload_file.write_text(json.dumps(_one_task_workload(task)))
+        code = main(
+            ["run", "--platform", str(platform_file), "--workload", str(workload_file)]
+        )
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert complaint in err
+        assert "internal error" not in err and "Traceback" not in err
+
+
 CAMPAIGN = {
     "name": "cli-campaign",
     "platform": {
@@ -334,6 +373,34 @@ class TestCampaign:
         assert all(json.loads(line)["status"] == "ok" for line in lines)
         out = capsys.readouterr().out
         assert "2/2 scenarios ok" in out
+
+    def test_store_dir_is_the_flag_else_the_environment(
+        self, campaign_file, tmp_path, monkeypatch
+    ):
+        # $ELASTISIM_STORE_DIR is resolved here, by the one command that
+        # offers it; ResultCache itself reads no such variable.
+        def run(label, *extra):
+            argv = ["campaign", "run", "--spec", str(campaign_file), "--workers", "1",
+                    "--quiet", "--output-dir", str(tmp_path / f"out-{label}"),
+                    "--cache-dir", str(tmp_path / f"cache-{label}"), *extra]  # fmt: skip
+            assert main(argv) == EXIT_OK
+
+        def entries(root):
+            return sorted(p.name for p in root.glob("??/*.json"))
+
+        monkeypatch.delenv("ELASTISIM_STORE_DIR", raising=False)
+        run("plain")
+        assert len(entries(tmp_path / "cache-plain")) == 2
+        monkeypatch.setenv("ELASTISIM_STORE_DIR", str(tmp_path / "env-shared"))
+        run("env")
+        assert entries(tmp_path / "env-shared") == entries(tmp_path / "cache-plain")
+        run("flag", "--store-dir", str(tmp_path / "flag-shared"), "--force")
+        assert entries(tmp_path / "flag-shared") == entries(tmp_path / "cache-plain")
+        # Another host: empty local cache, everything from the shared tree.
+        run("other-host")
+        aggregate = json.loads((tmp_path / "out-other-host" / "campaign.json").read_text())
+        assert aggregate["campaign"]["cache_hits"] == 2
+        assert aggregate["campaign"]["executor"] == "cache"
 
     def test_campaign_run_missing_spec(self, tmp_path, capsys):
         code = main(["campaign", "run", "--spec", str(tmp_path / "ghost.json")])
@@ -570,14 +637,15 @@ class TestCampaignExecutors:
     def test_executor_flag_and_fingerprint_identity(
         self, campaign_file, tmp_path, capsys
     ):
-        serial = self.run_with(campaign_file, tmp_path, "serial")
+        chosen = self.run_with(campaign_file, tmp_path, "chosen")
         in_process = self.run_with(
             campaign_file, tmp_path, "inproc", "--executor", "in-process"
         )
         # The contract the CI matrix fan-in enforces: byte-identical files.
-        assert in_process == serial
-        assert "(in-process)" in capsys.readouterr().out
-        names = set(json.loads(serial))
+        assert in_process == chosen
+        # One worker: in-process is also what the runner chooses unasked.
+        assert capsys.readouterr().out.count("(in-process)") == 2
+        names = set(json.loads(chosen))
         assert names == {"fcfs/seed=0", "easy/seed=0"}
 
     def test_parser_executor_choices_mirror_the_registry(self):

@@ -11,7 +11,9 @@ truth, and check that everything deferred still resolves when wanted.
 The same file guards what keeps the reference engine off that path: one
 engine option, ``reference``, on a constructor chain — no process-global
 switch, no environment variable (counts and names only, read off the
-source tree and the signatures).
+source tree and the signatures) — and what keeps the campaign loop one
+synchronous loop: no ``asyncio`` anywhere in the package, an executor of
+two methods and a name, a runner with the parameters it had.
 """
 
 import ast
@@ -199,12 +201,11 @@ def test_no_global_statement_and_no_environment_read_but_the_directories():
         ("campaign/cache.py", "os.environ.get('XDG_CACHE_HOME')"),
         ("campaign/cache.py", "os.environ.get(CACHE_DIR_ENV)"),
         ("campaign/queue.py", "dict(os.environ)"),  # handed to the worker it spawns
-        ("campaign/store.py", "os.environ.get(STORE_DIR_ENV)"),
+        ("cli.py", "os.environ.get('ELASTISIM_STORE_DIR')"),  # campaign run --store-dir
     ]
     from repro.campaign.cache import CACHE_DIR_ENV
-    from repro.campaign.store import STORE_DIR_ENV
 
-    assert (CACHE_DIR_ENV, STORE_DIR_ENV) == ("ELASTISIM_CACHE_DIR", "ELASTISIM_STORE_DIR")
+    assert CACHE_DIR_ENV == "ELASTISIM_CACHE_DIR"
 
 
 def test_one_engine_option_spelled_reference_on_the_constructor_chain():
@@ -238,6 +239,49 @@ def test_one_engine_option_spelled_reference_on_the_constructor_chain():
         "fuzz/oracles.py:run_scenario_record",
         "sharing/model.py:__init__",
     ]
+
+
+def test_no_coroutine_and_no_asyncio_import_in_the_package():
+    found = []
+    for name, tree in _source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.AsyncFunctionDef, ast.AsyncFor, ast.AsyncWith, ast.Await)):
+                found.append(f"{name}:{node.lineno}: {type(node).__name__}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                if any(module.split(".")[0] == "asyncio" for module in modules):
+                    found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_an_in_process_campaign_never_loads_asyncio():
+    report = _fresh(
+        "import sys; from repro.campaign import CampaignRunner, ScenarioSpec; "
+        f"scenario = {SCENARIO!r}; "
+        "specs = [ScenarioSpec(platform=scenario['platform'], workload=scenario['workload'], "
+        "algorithm=a) for a in ('fcfs', 'easy')]; "
+        "report = CampaignRunner(specs, executor='in-process').run(); "
+        "code = 0 if len(report.ok) == 2 and report.executor == 'in-process' else 1; " + _REPORT
+    )
+    assert report["exit"] == 0
+    assert "asyncio" not in report["loaded"]
+
+
+def test_executor_protocol_is_two_methods_and_a_name_and_the_runner_kept_its_parameters():
+    from repro.campaign import BaseExecutor, CampaignRunner
+
+    assert sorted(n for n in vars(BaseExecutor) if not n.startswith("_")) == [
+        "close", "name", "run",
+    ]  # fmt: skip
+    assert list(inspect.signature(BaseExecutor.run).parameters) == [
+        "self", "payloads", "trace_dir", "check_invariants", "timeout",
+    ]  # fmt: skip
+    assert not hasattr(CampaignRunner, "_dispatch")
+    # The parent's (PR 20) parameters, by name and in order: this PR adds none.
+    assert list(inspect.signature(CampaignRunner.__init__).parameters) == [
+        "self", "scenarios", "name", "workers", "cache", "force", "salt", "trace_dir",
+        "check_invariants", "executor", "executor_options", "scenario_timeout", "warm_start",
+    ]  # fmt: skip
 
 
 SCENARIO = {
