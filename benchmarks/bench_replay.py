@@ -23,6 +23,12 @@ how fast the engine gets between two of them.  25 ms is what the earlier
 a 2.28 s run over nine checkpoints — so the gate binds exactly as it did
 then and does not loosen or tighten when the base run speeds up.  The
 share is still reported (``capture_overhead_pct``), as information.
+
+Two more rows are information only (walls, ungated): reading a saved
+checkpoint set back — ``Snapshot.load`` verifies every file and parses
+none — and one ``whatif`` from that set, which parses the one ``state``
+section it resumes from.  They run the same scenario with its workload
+written out inline, which is what ``whatif`` can diff.
 """
 
 import json
@@ -203,6 +209,76 @@ def test_replay_resume_90(benchmark):
     )
 
 
+@pytest.mark.benchmark(group="replay")
+def test_replay_whatif_from_saved_set(benchmark, tmp_path):
+    """Save the checkpoints, load them back, replay one late edit from them."""
+    from repro.replay import Snapshot, run_with_snapshots, whatif
+    from repro.workload import WorkloadSpec, generate_workload, workload_to_dict
+
+    base = _e5_spec()
+    generate = dict(base["workload"]["generate"])
+    seed = generate.pop("seed")
+    jobs = generate_workload(WorkloadSpec(**generate), seed=seed)
+    base["workload"] = {"inline": workload_to_dict(jobs)}
+    record, snapshots = run_with_snapshots(base, _SNAPSHOT_EVERY)
+    assert record["processed_events"] == _state["cold_events"]
+    for index, snapshot in enumerate(snapshots):
+        snapshot.save(tmp_path / f"{index:04d}.json")
+    files = sorted(tmp_path.glob("*.json"))
+
+    # The edit: twice the work for the first job submitted after the last
+    # checkpoint but one — the replay starts there.
+    boundary = snapshots[-2].time
+    edited_jobs = list(base["workload"]["inline"]["jobs"])
+    at = next(i for i, job in enumerate(edited_jobs) if job["submit_time"] > boundary)
+    job = edited_jobs[at]
+    phase = job["application"]["phases"][0]
+    edited_jobs[at] = {
+        **job,
+        "walltime": 2 * job["walltime"],
+        "application": {
+            **job["application"],
+            "phases": [{**phase, "iterations": 2 * phase["iterations"]}],
+        },
+    }
+    edited = {**base, "workload": {"inline": {"jobs": edited_jobs}}}
+
+    def run():
+        best_load = best_whatif = float("inf")
+        for _ in range(_REPEATS):
+            start = time.perf_counter()
+            loaded = [Snapshot.load(path) for path in files]
+            middle = time.perf_counter()
+            result = whatif(base, edited, snapshots=loaded)
+            end = time.perf_counter()
+            best_load = min(best_load, middle - start)
+            best_whatif = min(best_whatif, end - middle)
+        return loaded, result, best_load, best_whatif
+
+    loaded, result, load_wall, whatif_wall = benchmark.pedantic(run, rounds=1, iterations=1)
+    cold = Simulation.from_spec(edited)
+    cold.run()
+    intact = all(
+        a.to_dict() == b.to_dict() for a, b in zip(loaded[-2:], snapshots[-2:])
+    )
+    _state["load_ms"] = 1e3 * load_wall
+    _state["whatif_saved_set_ms"] = 1e3 * whatif_wall
+    _rows.append(
+        [f"load {len(files)} checkpoints", 0, load_wall, 0.0, int(intact)]  # no run to speed up
+    )
+    _rows.append(
+        [
+            "whatif from saved set",
+            result.events_replayed,
+            whatif_wall,
+            _state["cold_wall"] / whatif_wall,
+            int(result.warm and result.record == cold.run_record()),
+        ]
+    )
+    assert result.warm, result.reason
+    assert result.snapshot_events == snapshots[-2].processed_events
+
+
 _HEADER = ["mode", "events_replayed", "wall_s", "speedup", "identical"]
 
 
@@ -233,7 +309,9 @@ def test_replay_report(benchmark):
             "cold_events": _state["cold_events"],
             "speedup_50": _state["speedup_50"],
             "speedup_90": _state["speedup_90"],
+            "load_ms": _state["load_ms"],
+            "whatif_saved_set_ms": _state["whatif_saved_set_ms"],
         },
     )
-    assert len(_rows) == 4, "cold/capture/resume tests must run first"
+    assert len(_rows) == 6, "cold/capture/resume/saved-set tests must run first"
     assert all(row[4] == 1 for row in _rows)

@@ -15,7 +15,7 @@ Subcommands::
     elastisim trace convert t.jsonl t.json
     elastisim trace check   t.jsonl [--nodes N]
     elastisim profile   [--jobs N] [--nodes N] [--cprofile] [--output p.json]
-    elastisim whatif    --base s.json [--edited s2.json | --resume-at F]
+    elastisim whatif    --base s.json [--edited s2.json [--checkpoints DIR] | --resume-at F]
     elastisim fuzz run     [--seed N] [--count N] [--algorithms a,b] [...]
     elastisim fuzz shrink  reproducer.json [--output-dir DIR] [--bisect]
     elastisim fuzz replay  reproducer.json [...]
@@ -454,6 +454,14 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="checkpoint cadence of the base run in processed events "
         "(default 2000)",
+    )
+    whatif.add_argument(
+        "--checkpoints",
+        default=None,
+        metavar="DIR",
+        help="with --edited: keep the base run's checkpoints in DIR — "
+        "replay from the set found there when it was taken from --base "
+        "by this simulator version, else run the base once and save it",
     )
     whatif.add_argument(
         "--resume-at",
@@ -929,10 +937,23 @@ def _split_csv(value: Optional[str]) -> Optional[List[str]]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
+def _load_scenario(path: str) -> dict:
+    """A scenario file of ``whatif``; a wrong shape is the file's mistake
+    (``ValueError``: exit 3), not something for the simulator to trip on."""
+    spec = json.loads(Path(path).read_text())
+    if not isinstance(spec, dict) or not all(
+        isinstance(spec.get(key), dict) for key in ("platform", "workload")
+    ):
+        raise ValueError(
+            f"{path}: a scenario is a JSON object with a 'platform' and a 'workload' object"
+        )
+    return spec
+
+
 def _cmd_whatif(args: argparse.Namespace) -> int:
     from repro.replay import run_with_snapshots, whatif
 
-    base = json.loads(Path(args.base).read_text())
+    base = _load_scenario(args.base)
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
 
@@ -978,8 +999,13 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         print("provide --edited (replay an edit) or --resume-at (self-test)",
               file=sys.stderr)
         return EXIT_USAGE
-    edited = json.loads(Path(args.edited).read_text())
-    result = whatif(base, edited, snapshot_every=args.snapshot_every)
+    edited = _load_scenario(args.edited)
+    snapshots = None
+    if args.checkpoints is not None:
+        from repro.replay.whatif import _checkpoint_set
+
+        snapshots = _checkpoint_set(base, Path(args.checkpoints), args.snapshot_every)
+    result = whatif(base, edited, snapshots=snapshots, snapshot_every=args.snapshot_every)
     record_path = dump(result.record, "whatif_record.json")
     if result.warm:
         print(

@@ -18,13 +18,19 @@ it means some state holder has no owner and would be silently dropped.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional, Union
 
+from repro import __version__
 
-#: Bump whenever the snapshot document layout changes incompatibly.
-SCHEMA_VERSION = 5
+#: Bump whenever the snapshot document or file layout changes incompatibly.
+SCHEMA_VERSION = 6
+
+#: Written into every file header: a checkpoint saved by another simulator
+#: version verifies but is never resumed from (``whatif`` runs cold).
+_SALT = f"elastisim-snapshot-v{__version__}"
+#: The section lines of a snapshot file, in file order.
+_SECTIONS = ("spec", "state")
 
 
 class ReplayError(Exception):
@@ -73,21 +79,55 @@ class SidRegistry:
         return len(self._by_sid)
 
 
-@dataclass
 class Snapshot:
-    """A complete, self-describing simulation state at a quiet boundary."""
+    """A complete, self-describing simulation state at a quiet boundary.
 
-    schema_version: int
-    #: Simulated time of the boundary.
-    time: float
-    #: Events processed up to (and including) the boundary.
-    processed_events: int
-    #: The scenario spec the run was built from (``Simulation.from_spec``);
-    #: restore rebuilds the static object graph from it and overlays state.
-    spec: dict
-    #: Per-module state dicts keyed "env" / "model" / "batch" / "platform"
-    #: / "jobs" / "monitor" / "scheduler".
-    state: dict
+    ``spec`` is the scenario spec the run was built from
+    (``Simulation.from_spec``): restore rebuilds the static object graph
+    from it and overlays ``state``, the per-module state dicts keyed "env"
+    / "model" / "batch" / "platform" / "jobs" / "monitor" / "scheduler".
+    A snapshot that came from :meth:`load` holds both as the verified
+    bytes of their file sections and parses each on first access.
+    """
+
+    def __init__(
+        self, schema_version: int, time: float, processed_events: int, spec: dict, state: dict
+    ) -> None:
+        self.schema_version = schema_version
+        #: Simulated time of the boundary.
+        self.time = time
+        #: Events processed up to (and including) the boundary.
+        self.processed_events = processed_events
+        #: Jobs finished by the boundary.
+        self.finished_jobs: int = state["batch"]["finished_count"]
+        self._salt = _SALT
+        #: Section name -> its document, or the bytes of its file line.
+        self._sections: Dict[str, Union[dict, bytes]] = {"spec": spec, "state": state}
+        self._spec_sha: Optional[str] = None
+
+    def _section(self, name: str) -> dict:
+        doc = self._sections[name]
+        if isinstance(doc, bytes):
+            doc = self._sections[name] = json.loads(doc)
+        return doc
+
+    spec = property(lambda self: self._section("spec"))
+    state = property(lambda self: self._section("state"))
+
+    def _mismatch(self, base_spec: dict) -> Optional[str]:
+        """Why a run of ``base_spec`` must not resume from this checkpoint
+        — written by another simulator version, or taken from a run of
+        another spec — or None.  The spec is compared in memory or, while
+        its section is still sealed (and stays so), by the header's digest
+        against ``base_spec`` serialised the way :meth:`save` does."""
+        if self._salt != _SALT:
+            return f"checkpoint written by another simulator version ({self._salt})"
+        mine = self._sections["spec"]
+        if isinstance(mine, dict):
+            same = mine is base_spec or mine == base_spec
+        else:
+            same = self._spec_sha == _sha256(json.dumps(base_spec).encode())
+        return None if same else "checkpoint was not taken from the base scenario"
 
     def to_dict(self) -> dict:
         return {
@@ -102,51 +142,101 @@ class Snapshot:
     def from_dict(cls, doc: dict) -> "Snapshot":
         if not isinstance(doc, dict):
             raise ReplayError(f"snapshot document is a {type(doc).__name__}, not an object")
-        version = doc.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ReplayError(
-                f"snapshot schema version {version!r} not supported "
-                f"(expected {SCHEMA_VERSION})"
-            )
+        _check_version(doc)
         try:
             return cls(
-                schema_version=version,
+                schema_version=doc["schema_version"],
                 time=doc["time"],
                 processed_events=doc["processed_events"],
                 spec=doc["spec"],
                 state=doc["state"],
             )
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise ReplayError(f"snapshot document lacks the key {exc}") from None
 
     def save(self, path: Union[str, Path]) -> None:
-        """Write the snapshot as JSON (``inf`` round-trips as Infinity).
+        """Write the snapshot file: a one-line JSON header (schema version,
+        simulator salt, ``time``, ``processed_events``, ``finished_jobs``,
+        each section's byte length and SHA-256, its own SHA-256), then one
+        line of JSON per section, ``spec`` and ``state`` (``inf`` round-trips
+        as Infinity).
 
         Atomically, from any number of threads: a reader of ``path`` sees
         the previous file or the whole new one, never a prefix (see
-        :func:`repro._atomic.write_json_atomic`).
+        :func:`repro._atomic.write_atomic`).
         """
         # Imported on first save: loading and resuming need no writer.
-        from repro._atomic import write_json_atomic
+        from repro._atomic import write_atomic
 
-        write_json_atomic(Path(path), self.to_dict(), sort_keys=False)
+        lines = [
+            doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+            for doc in map(self._sections.get, _SECTIONS)
+        ]
+        header = {
+            "schema_version": self.schema_version,
+            "salt": self._salt,
+            "time": self.time,
+            "processed_events": self.processed_events,
+            "finished_jobs": self.finished_jobs,
+            "sections": {
+                name: {"bytes": len(line), "sha256": _sha256(line)}
+                for name, line in zip(_SECTIONS, lines)
+            },
+        }
+        header["sha256"] = _sha256(json.dumps(header).encode())
+        write_atomic(Path(path), b"\n".join([json.dumps(header).encode(), *lines, b""]))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Snapshot":
-        """Read a snapshot file; anything but a whole, current-schema
-        document — truncated, not JSON, a key missing — is a
-        :class:`ReplayError`."""
+        """Read a snapshot file and verify it whole: anything but a
+        current-schema header followed by exactly the sections it
+        describes, each of the stated length and digest — truncated, torn,
+        a flipped byte, not JSON, a key missing — is a :class:`ReplayError`
+        here, not at first use.  A section is parsed on first access."""
+        first, _, body = Path(path).read_bytes().partition(b"\n")
         try:
-            doc = json.loads(Path(path).read_text())
+            header = json.loads(first)
+            if not isinstance(header, dict):
+                raise ReplayError("the header is not a JSON object")
+            _check_version(header)
+            if header.pop("sha256") != _sha256(json.dumps(header).encode()):
+                raise ReplayError("the header is damaged")
+            snapshot = cls.__new__(cls)
+            for key in ("schema_version", "time", "processed_events", "finished_jobs"):
+                setattr(snapshot, key, header[key])
+            snapshot._salt, sealed = header["salt"], header["sections"]
+            snapshot._spec_sha = sealed["spec"]["sha256"]
+            snapshot._sections = {}
+            start = 0
+            for name in _SECTIONS:
+                end = start + sealed[name]["bytes"]
+                line = snapshot._sections[name] = body[start:end]
+                if body[end : end + 1] != b"\n" or _sha256(line) != sealed[name]["sha256"]:
+                    raise ReplayError(f"section {name!r} is truncated or damaged")
+                start = end + 1
+            if start != len(body):
+                raise ReplayError("bytes after the last section")
         except ValueError as exc:  # JSONDecodeError, bad UTF-8
             raise ReplayError(f"{path}: not a snapshot file ({exc})") from None
-        try:
-            return cls.from_dict(doc)
+        except (KeyError, TypeError) as exc:
+            raise ReplayError(f"{path}: malformed snapshot header ({exc})") from None
         except ReplayError as exc:
             raise ReplayError(f"{path}: {exc}") from None
+        return snapshot
 
     def __repr__(self) -> str:
-        return (
-            f"<Snapshot t={self.time:g} events={self.processed_events} "
-            f"schema=v{self.schema_version}>"
+        return f"<Snapshot t={self.time:g} events={self.processed_events} v{self.schema_version}>"
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib  # on first save or load: ``import repro.replay`` stays without it
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def _check_version(doc: dict) -> None:
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ReplayError(
+            f"snapshot schema version {version!r} not supported (expected {SCHEMA_VERSION})"
         )

@@ -60,6 +60,26 @@ def run_with_snapshots(
     return sim.run_record(), list(sim.snapshots)
 
 
+def _checkpoint_set(base_spec: dict, directory, snapshot_every: int) -> List[Snapshot]:
+    """The base run's checkpoints kept in ``directory`` (``elastisim whatif
+    --checkpoints``): loaded — headers only — when every file there
+    verifies and was taken from ``base_spec`` by this simulator version;
+    otherwise the base is run once and its set replaces what was there."""
+    kept = sorted(directory.glob("checkpoint-*.json"))
+    try:
+        snapshots = [Snapshot.load(path) for path in kept]
+    except ReplayError:
+        snapshots = []
+    one_run = len({(snap._salt, snap._spec_sha) for snap in snapshots}) == 1
+    if not one_run or snapshots[0]._mismatch(base_spec):
+        for path in kept:
+            path.unlink()
+        _, snapshots = run_with_snapshots(base_spec, snapshot_every)
+        for index, snap in enumerate(snapshots):
+            snap.save(directory / f"checkpoint-{index:04d}.json")
+    return snapshots
+
+
 def _inline_jobs(spec: dict) -> Optional[List[dict]]:
     """The inline job list of ``spec``, or None if the workload is not inline."""
     workload = spec.get("workload")
@@ -158,14 +178,17 @@ def _as_rank(rank: Any) -> list:
 
 
 def splice_snapshot(snapshot: Snapshot, edited_spec: dict, diff: dict) -> Snapshot:
-    """A copy of ``snapshot`` edited to continue as the edited scenario.
+    """``snapshot`` edited to continue as the edited scenario.
 
     Assumes eligibility (every touched submit time strictly after the
     snapshot time) — verified here as a hard error, since violating it
     silently corrupts the replay.  The splice touches four things: the
     embedded spec, the pending submit-timer records, the captured event
     queue, and the processed-event counter (one submitter bootstrap
-    event per job added or removed at time zero).
+    event per job added or removed at time zero).  Only the path to them
+    is copied, one level at a time: ``edited_spec`` is referenced and
+    every other sub-tree is shared with ``snapshot`` — restoring reads a
+    snapshot and never writes to it (docs/REPLAY.md, "What-if replay").
     """
     changed = set(diff["added"]) | set(diff["removed"]) | set(diff["modified"])
     if snapshot.time >= diff["divergence_time"]:
@@ -177,7 +200,7 @@ def splice_snapshot(snapshot: Snapshot, edited_spec: dict, diff: dict) -> Snapsh
     # surviving job had already finished by this snapshot, the edited cold
     # run ended *before* it (all_done fires at the last common finish), so
     # the boundary does not exist in the edited timeline.
-    finished = snapshot.state["batch"]["finished_count"]
+    finished = snapshot.finished_jobs
     edited_jobs = _inline_jobs(edited_spec)
     num_edited = len(edited_jobs)
     if finished >= num_edited:
@@ -186,10 +209,9 @@ def splice_snapshot(snapshot: Snapshot, edited_spec: dict, diff: dict) -> Snapsh
             f"only has {num_edited}; the edited run ends before this boundary"
         )
 
-    doc = deepcopy(snapshot.to_dict())
-    state = doc["state"]
-    env_state = state["env"]
-    batch_state = state["batch"]
+    state = dict(snapshot.state)
+    env_state = state["env"] = dict(state["env"])
+    batch_state = state["batch"] = dict(state["batch"])
     edit_order, edit_map = _job_map(edited_jobs)
 
     # Jobs touched by the edit must still be pristine: pending in the
@@ -260,9 +282,13 @@ def splice_snapshot(snapshot: Snapshot, edited_spec: dict, diff: dict) -> Snapsh
     batch_state["submitters"] = submitters
     shift = inserted - dropped
     env_state["processed_events"] += shift
-    doc["processed_events"] += shift
-    doc["spec"] = deepcopy(edited_spec)
-    return Snapshot.from_dict(doc)
+    return Snapshot(
+        schema_version=snapshot.schema_version,
+        time=snapshot.time,
+        processed_events=snapshot.processed_events + shift,
+        spec=edited_spec,
+        state=state,
+    )
 
 
 @dataclass
@@ -325,22 +351,24 @@ def whatif(
         reason = "specs differ outside the inline job list"
     else:
         num_edited = len(_inline_jobs(edited_spec))
+        # Chosen from what a file's header carries: no section is parsed.
         eligible = [
             s
             for s in snapshots
-            if s.time < diff["divergence_time"]
-            and s.state["batch"]["finished_count"] < num_edited
+            if s.time < diff["divergence_time"] and s.finished_jobs < num_edited
         ]
         if not eligible:
             reason = (
                 f"no snapshot before the divergence at "
                 f"t={diff['divergence_time']:g}"
             )
+        else:
+            snap = max(eligible, key=lambda s: s.processed_events)
+            reason = snap._mismatch(base_spec)  # never resume foreign state
     if reason is not None:
         record = _cold_record(edited_spec)
         return WhatIfResult(record=record, warm=False, reason=reason, diff=diff)
 
-    snap = max(eligible, key=lambda s: s.processed_events)
     try:
         spliced = splice_snapshot(snap, edited_spec, diff)
         sim = restore_simulation(spliced)

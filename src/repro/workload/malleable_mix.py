@@ -19,7 +19,6 @@ wrapper that materialises a ``workload: {"swf": {...}}`` scenario block
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from math import inf
 from pathlib import Path
@@ -273,6 +272,8 @@ def jobs_from_swf_block(
         raise SwfError(f"cannot read SWF trace {path}: {exc}") from None
     pinned = block.get("sha256")
     if pinned is not None:
+        import hashlib  # first use: `import repro` stays without it
+
         actual = hashlib.sha256(payload).hexdigest()
         if actual != pinned:
             raise SwfError(

@@ -6,6 +6,7 @@ checkpoint must produce the same ``run_record`` and the same
 byte, after a JSON round-trip of the snapshot document.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -43,6 +44,16 @@ def snapshot_run(spec, snapshot_every, reference=False):
 def json_roundtrip(snapshot):
     """The snapshot as it would come back from disk."""
     return Snapshot.from_dict(json.loads(json.dumps(snapshot.to_dict())))
+
+
+def reseal_header(data, **fields):
+    """The file with header ``fields`` replaced (``None``: removed) and the
+    header's own digest recomputed — a whole file that says something else."""
+    line, _, body = data.partition(b"\n")
+    header = {**json.loads(line), **fields}
+    header = {k: v for k, v in header.items() if v is not None and k != "sha256"}
+    header["sha256"] = hashlib.sha256(json.dumps(header).encode()).hexdigest()
+    return json.dumps(header).encode() + b"\n" + body
 
 
 def assert_resume_identical(spec, snapshot_every=40, roundtrip=True, reference=False):

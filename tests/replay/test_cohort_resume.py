@@ -29,6 +29,7 @@ from tests.replay.helpers import (
     assert_resume_identical,
     cold_run,
     fingerprint,
+    reseal_header,
     snapshot_run,
 )
 
@@ -298,7 +299,7 @@ def test_rows_of_a_dissolved_exchange_keep_both_links_across_restore():
 def test_version_1_snapshots_are_refused_cleanly():
     _, _, snapshots = snapshot_run(_spec(), 200)
     doc = snapshots[0].to_dict()
-    assert doc["schema_version"] == SCHEMA_VERSION == 5
+    assert doc["schema_version"] == SCHEMA_VERSION == 6
     doc["schema_version"] = 1  # the per-activity slot layout of older builds
     with pytest.raises(ReplayError, match="schema version 1 not supported"):
         Snapshot.from_dict(doc)
@@ -314,7 +315,7 @@ def _refused_with_the_one_line_message(tmp_path, version):
         Snapshot.load(path)
     message = str(caught.value)
     assert message.endswith(
-        f"snapshot schema version {version} not supported (expected 5)"
+        f"snapshot schema version {version} not supported (expected 6)"
     )
     assert "\n" not in message
 
@@ -334,6 +335,11 @@ def test_schema_4_files_are_refused_with_the_one_line_message(tmp_path):
     _refused_with_the_one_line_message(tmp_path, 4)
 
 
+def test_schema_5_files_are_refused_with_the_one_line_message(tmp_path):
+    # the whole document as one JSON object: no header, no sealed sections
+    _refused_with_the_one_line_message(tmp_path, 5)
+
+
 @pytest.mark.parametrize("reference", ENGINES)
 def test_a_snapshot_file_resumes_on_the_engine_that_wrote_it(reference, tmp_path):
     _, _, snapshots = snapshot_run(_io_spec(), 25, reference)
@@ -349,26 +355,70 @@ def test_a_snapshot_file_resumes_on_the_engine_that_wrote_it(reference, tmp_path
     assert (fingerprint(sim), sim.env.processed_events) == cold_run(_io_spec())
 
 
+def _flip_digit_in_line(number):
+    """One digit changed: the line is still valid JSON, of the same length —
+    the damage the pre-digest loader let through."""
+
+    def damage(data):
+        lines = data.split(b"\n")
+        start = sum(len(line) + 1 for line in lines[:number])
+        at = next(
+            i for i in range(start + len(lines[number]) // 2, len(data)) if data[i : i + 1].isdigit()
+        )
+        swap = b"7" if data[at : at + 1] != b"7" else b"3"
+        assert json.loads((data[:at] + swap + data[at + 1 :]).split(b"\n")[number])
+        return data[:at] + swap + data[at + 1 :]
+
+    return damage
+
+
+def _swap_section_lines(data):
+    header, spec, state, last = data.split(b"\n")
+    return b"\n".join([header, state, spec, last])
+
+
 @pytest.mark.parametrize(
     "damage",
     [
-        pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
-        pytest.param(lambda text: "", id="empty"),
-        pytest.param(lambda text: "snapshot? no.", id="not-json"),
-        pytest.param(lambda text: "[1, 2, 3]", id="not-an-object"),
-        pytest.param(
-            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "state"}),
-            id="key-missing",
-        ),
+        pytest.param(lambda data: data[: len(data) // 2], id="truncated"),
+        pytest.param(lambda data: data[:-1], id="last-newline-missing"),
+        pytest.param(lambda data: data + b"{}\n", id="trailing-bytes"),
+        pytest.param(lambda data: b"", id="empty"),
+        pytest.param(lambda data: b"snapshot? no.", id="not-json"),
+        pytest.param(lambda data: b"[1, 2, 3]\n" + data.partition(b"\n")[2], id="not-an-object"),
+        pytest.param(lambda data: reseal_header(data, sections=None), id="key-missing"),
+        pytest.param(lambda data: reseal_header(data, finished_jobs=None), id="header-key-missing"),
+        pytest.param(lambda data: reseal_header(data, sections=[1, 2]), id="header-key-mistyped"),
+        pytest.param(_flip_digit_in_line(0), id="digit-flipped-in-header"),
+        pytest.param(_flip_digit_in_line(1), id="digit-flipped-in-spec"),
+        pytest.param(_flip_digit_in_line(2), id="digit-flipped-in-state"),
+        pytest.param(_swap_section_lines, id="section-lines-swapped"),
     ],
 )
 def test_a_damaged_snapshot_file_is_a_replay_error(tmp_path, damage):
+    """Caught by ``Snapshot.load`` itself, before any section is parsed."""
     _, _, snapshots = snapshot_run(_spec(), 200)
     path = tmp_path / "snap.json"
     snapshots[0].save(path)
-    path.write_text(damage(path.read_text()))
+    path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(ReplayError, match="snap.json"):
         Snapshot.load(path)
+
+
+def test_every_truncation_of_a_snapshot_file_is_a_replay_error(tmp_path):
+    _, _, snapshots = snapshot_run(_spec(), 200)
+    path = tmp_path / "snap.json"
+    snapshots[0].save(path)
+    data = path.read_bytes()
+    header_end = data.index(b"\n")
+    # Every length through the header, then a stride through the sections.
+    lengths = [*range(header_end + 2), *range(header_end + 2, len(data), 97)]
+    for length in lengths:
+        path.write_bytes(data[:length])
+        with pytest.raises(ReplayError, match="snap.json"):
+            Snapshot.load(path)
+    path.write_bytes(data)
+    assert Snapshot.load(path).to_dict() == snapshots[0].to_dict()
 
 
 def test_save_replaces_the_file_atomically(tmp_path, monkeypatch):

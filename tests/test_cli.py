@@ -329,6 +329,94 @@ class TestWorkloadMistakesFoundMidRun:
         assert "internal error" not in err and "Traceback" not in err
 
 
+def _whatif_scenario(**edits):
+    """Six two-node jobs 25 s apart; ``edits`` maps a job id to its node count."""
+    jobs = [
+        {
+            "id": jid,
+            "submit_time": 25.0 * (jid - 1),
+            "num_nodes": edits.get(f"job{jid}", 2),
+            "application": {
+                "phases": [{"tasks": [{"type": "cpu", "flops": 4e10}], "iterations": 3}]
+            },
+        }
+        for jid in range(1, 7)
+    ]
+    return {"platform": PLATFORM, "workload": {"inline": {"jobs": jobs}}, "algorithm": "easy"}
+
+
+class TestWhatIf:
+    @pytest.fixture()
+    def files(self, tmp_path):
+        base, edited = tmp_path / "base.json", tmp_path / "edited.json"
+        base.write_text(json.dumps(_whatif_scenario()))
+        edited.write_text(json.dumps(_whatif_scenario(job6=5)))
+        return base, edited
+
+    @pytest.mark.parametrize("option", ["--base", "--edited"])
+    @pytest.mark.parametrize(
+        "content", ["[1, 2]", '{"platform": 5}'], ids=["not-an-object", "platform-not-an-object"]
+    )
+    def test_a_misshapen_scenario_file_is_an_input_error(
+        self, option, content, files, tmp_path, capsys
+    ):
+        # Were exit 70 (AttributeError: 'list' object ...) and exit 5 / exit 0.
+        argv = {"--base": str(files[0]), "--edited": str(files[1])}
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        argv[option] = str(bad)
+        code = main(
+            ["whatif", *[part for pair in argv.items() for part in pair],
+             "--output-dir", str(tmp_path / "out")]
+        )  # fmt: skip
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bad.json" in err
+        assert not any(name in err for name in ("'list'", "'int'", "object has no", "Error:"))
+
+    def test_checkpoints_are_recorded_once_and_replayed_from_after(
+        self, files, tmp_path, capsys, monkeypatch
+    ):
+        from repro import Simulation
+
+        built = []
+        real = Simulation.from_spec.__func__
+
+        def counting(cls, spec, **options):
+            built.append(options.get("start_processes", True))
+            return real(cls, spec, **options)
+
+        monkeypatch.setattr(Simulation, "from_spec", classmethod(counting))
+        records = []
+        for out in ("first", "second"):
+            code = main(
+                ["whatif", "--base", str(files[0]), "--edited", str(files[1]),
+                 "--snapshot-every", "25", "--checkpoints", str(tmp_path / "set"),
+                 "--output-dir", str(tmp_path / out)]
+            )  # fmt: skip
+            assert code == EXIT_OK
+            assert capsys.readouterr().out.startswith("warm replay from checkpoint")
+            records.append((tmp_path / out / "whatif_record.json").read_bytes())
+        assert records[0] == records[1]
+        # First call: the base run, then the restore.  Second: the restore only.
+        assert built == [True, False, False]
+        kept = sorted(p.name for p in (tmp_path / "set").iterdir())
+        assert kept and all(name.startswith("checkpoint-") for name in kept)
+
+        # Another base: its set replaces the one found, nothing is resumed wrong.
+        files[0].write_text(json.dumps(_whatif_scenario(job5=3)))
+        code = main(
+            ["whatif", "--base", str(files[0]), "--edited", str(files[1]), "--verify",
+             "--snapshot-every", "25", "--checkpoints", str(tmp_path / "set"),
+             "--output-dir", str(tmp_path / "third")]
+        )  # fmt: skip
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("warm replay from checkpoint") and "byte-identical=True" in out
+        assert built[3:] == [True, False, True]  # new base run, restore, --verify's cold run
+
+
 CAMPAIGN = {
     "name": "cli-campaign",
     "platform": {

@@ -102,6 +102,25 @@ def test_bare_import_stays_inside_the_budget(statement):
     assert report["count"] <= MODULE_BUDGET
 
 
+@pytest.mark.parametrize("statement", ["import repro.cli", "import repro.replay"])
+def test_hashing_and_the_atomic_writer_load_on_first_save_or_load(statement, tmp_path):
+    # Sealed snapshot files hash their sections: in ``save`` and ``load``,
+    # not at import.  ``import repro.cli`` stood at 158 modules when they came.
+    report = _fresh(
+        f"import sys; {statement}; early = [m for m in ('hashlib', 'repro._atomic') "
+        "if m in sys.modules]; count = len(sys.modules); "
+        "from repro.replay import Snapshot, run_with_snapshots; "
+        f"snap = run_with_snapshots({SCENARIO!r}, 20)[1][0]; snap.save(sys.argv[1]); "
+        "Snapshot.load(sys.argv[1]); import json; print(json.dumps({'early': early, "
+        "'count': count, 'late': [m for m in ('hashlib', 'repro._atomic') if m in sys.modules]}))",
+        str(tmp_path / "snap.json"),
+    )
+    assert report["early"] == []
+    assert report["late"] == ["hashlib", "repro._atomic"]
+    if statement == "import repro.cli":
+        assert report["count"] <= 158
+
+
 def test_public_names_import_without_heavy_dependencies():
     report = _fresh(
         "from repro import Simulation, load_platform, load_workload; code = 0; " + _REPORT

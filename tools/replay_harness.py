@@ -1,9 +1,10 @@
 """Byte-identity harness for snapshot/resume (developer tool).
 
-Cold-runs scenarios with periodic snapshots, resumes every snapshot,
-and asserts the resumed ``run_record`` and ``processed_events`` are
-byte-identical to the cold run.  Also cross-checks that taking
-snapshots does not perturb the run itself.
+Cold-runs scenarios with periodic snapshots, resumes every snapshot —
+after a save → load round-trip through a snapshot file — and asserts the
+resumed ``run_record`` and ``processed_events`` are byte-identical to the
+cold run.  Also cross-checks that taking snapshots does not perturb the
+run itself.
 
 Usage: PYTHONPATH=src python tools/replay_harness.py [seeds...]
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 from repro.batch import Simulation
 from repro.fuzz.generate import generate_scenario
@@ -38,28 +41,31 @@ def check_scenario(spec, snapshot_every=40, roundtrip=True) -> list:
             f"snapshotting perturbed the run: events {plain_pe} -> {cold_pe}"
         )
 
-    for i, snap in enumerate(sim.snapshots):
-        if roundtrip:
-            snap = Snapshot.from_dict(json.loads(json.dumps(snap.to_dict())))
-        try:
-            rsim = Simulation.resume(snap)
-            rrec = record_of(rsim.run())
-        except Exception as exc:  # noqa: BLE001 - harness reports all failures
-            fails.append(
-                f"snap[{i}] t={snap.time:g} ev={snap.processed_events}: "
-                f"{type(exc).__name__}: {exc}"
-            )
-            continue
-        if rrec != cold_rec:
-            fails.append(
-                f"snap[{i}] t={snap.time:g} ev={snap.processed_events}: "
-                "record diverged"
-            )
-        elif rsim.env.processed_events != cold_pe:
-            fails.append(
-                f"snap[{i}] t={snap.time:g} ev={snap.processed_events}: "
-                f"processed {rsim.env.processed_events} != {cold_pe}"
-            )
+    with tempfile.TemporaryDirectory() as scratch:
+        for i, snap in enumerate(sim.snapshots):
+            if roundtrip:
+                path = Path(scratch) / f"{i:04d}.json"
+                snap.save(path)
+                snap = Snapshot.load(path)
+            try:
+                rsim = Simulation.resume(snap)
+                rrec = record_of(rsim.run())
+            except Exception as exc:  # noqa: BLE001 - harness reports all failures
+                fails.append(
+                    f"snap[{i}] t={snap.time:g} ev={snap.processed_events}: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+                continue
+            if rrec != cold_rec:
+                fails.append(
+                    f"snap[{i}] t={snap.time:g} ev={snap.processed_events}: "
+                    "record diverged"
+                )
+            elif rsim.env.processed_events != cold_pe:
+                fails.append(
+                    f"snap[{i}] t={snap.time:g} ev={snap.processed_events}: "
+                    f"processed {rsim.env.processed_events} != {cold_pe}"
+                )
     return fails
 
 
