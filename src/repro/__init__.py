@@ -21,6 +21,7 @@ Quickstart
 10
 """
 
+from repro._input import InputError
 from repro.batch import BatchError, BatchSystem, Simulation
 from repro.job import Job, JobState, JobType
 from repro.monitoring import Monitor
@@ -44,6 +45,7 @@ __all__ = [
     "ApplicationModel",
     "BatchError",
     "BatchSystem",
+    "InputError",
     "Job",
     "JobState",
     "JobType",

@@ -29,17 +29,18 @@ Format::
       ]
     }
 
-Task ``type`` ∈ {cpu, comm, pfs_read, pfs_write, bb_read, bb_write, delay,
-evolving_request}.  Magnitude fields accept numbers or expression strings
-(see :mod:`repro.expressions`).
+Magnitude fields take a number or an expression string (see
+:mod:`repro.expressions`); every field of every task type is tabled in
+``docs/API.md`` ("Input formats").
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, Union
 
+from repro._input import CHOICE, FLAG, FRACTION, GE0, GT0, LIST, MAGNITUDE, REQUIRED, TEXT
+from repro._input import read, read_json
 from repro.application.model import ApplicationModel, Phase
 from repro.application.tasks import (
     ApplicationError,
@@ -57,135 +58,92 @@ from repro.application.tasks import (
     Task,
 )
 
+_APPLICATION = (
+    ("phases", LIST, REQUIRED, None),
+    ("data_per_node", MAGNITUDE, 0, GE0),
+    ("name", TEXT, "application", None),
+)
+_PHASE = (
+    ("tasks", LIST, REQUIRED, None),
+    ("iterations", MAGNITUDE, 1, GT0),
+    ("scheduling_point", FLAG, True, None),
+    ("parallel", FLAG, False, None),
+    ("name", TEXT, None, None),
+)
+_TYPE = ("type", CHOICE, REQUIRED, (
+    "cpu", "gpu", "comm", "pfs_read", "pfs_write", "bb_read", "bb_write",
+    "delay", "evolving_request",
+))  # fmt: skip
+_NAME = ("name", TEXT, None, None)
+_SPREAD = ("distribution", CHOICE, Distribution.EVEN, {d.value: d for d in Distribution})
+_PATTERN = ("pattern", CHOICE, CommPattern.ALL_TO_ALL, {p.value: p for p in CommPattern})
+_FLOPS, _BYTES = ("flops", MAGNITUDE, REQUIRED, GE0), ("bytes", MAGNITUDE, REQUIRED, GE0)
+_IO = (_TYPE, _BYTES, _SPREAD, _NAME)
+#: Per task type: its class and its rows.  Row 1 is the magnitude the class
+#: takes first; every later row is a keyword of the class by the same name.
+_TASKS = {
+    "cpu": (CpuTask, (_TYPE, _FLOPS, _SPREAD, ("serial_fraction", MAGNITUDE, 0, FRACTION), _NAME)),
+    "gpu": (GpuTask, (_TYPE, _FLOPS, _SPREAD, _NAME)),
+    "comm": (CommTask, (_TYPE, _BYTES, _PATTERN, _NAME)),
+    "pfs_read": (PfsReadTask, _IO),
+    "pfs_write": (PfsWriteTask, _IO),
+    "bb_read": (BbReadTask, _IO),
+    "bb_write": (BbWriteTask, _IO + (("charge", FLAG, True, None),)),
+    "delay": (DelayTask, (_TYPE, ("seconds", MAGNITUDE, REQUIRED, GE0), _NAME)),
+    "evolving_request": (
+        EvolvingRequest,
+        (_TYPE, ("num_nodes", MAGNITUDE, REQUIRED, GT0), ("blocking", FLAG, False, None), _NAME),
+    ),
+}
 
-def _distribution(spec: Dict[str, Any], context: str) -> Distribution:
-    raw = spec.get("distribution", "even")
+
+def _task(spec: Any, path: str) -> Task:
     try:
-        return Distribution(raw)
-    except ValueError:
-        raise ApplicationError(
-            f"{context}: unknown distribution {raw!r}; "
-            f"expected one of {[d.value for d in Distribution]}"
-        ) from None
-
-
-def _require(spec: Dict[str, Any], key: str, context: str) -> Any:
-    if key not in spec:
-        raise ApplicationError(f"{context}: missing required key {key!r}")
-    return spec[key]
+        cls, table = _TASKS[spec["type"]]
+    except (KeyError, TypeError):
+        # No such type, no type, not an object: read against rows that start
+        # with the ``type`` row, which is the one to say so.
+        cls, table = Task, _IO
+    values = read(spec, table, path, ApplicationError)
+    del values["type"]
+    try:
+        return cls(values.pop(table[1][0]), **values)
+    except ApplicationError as exc:  # an expression that does not compile
+        raise ApplicationError(f"{path}: {exc}") from None
 
 
 def task_from_dict(spec: Dict[str, Any]) -> Task:
     """Build a single task from its JSON object."""
-    if not isinstance(spec, dict):
-        raise ApplicationError(f"Task spec must be an object, got {spec!r}")
-    kind = _require(spec, "type", "task")
-    name = spec.get("name")
-    context = f"task {name or kind!r}"
-
-    if kind == "cpu":
-        return CpuTask(
-            _require(spec, "flops", context),
-            distribution=_distribution(spec, context),
-            serial_fraction=spec.get("serial_fraction", 0),
-            name=name,
-        )
-    if kind == "gpu":
-        return GpuTask(
-            _require(spec, "flops", context),
-            distribution=_distribution(spec, context),
-            name=name,
-        )
-    if kind == "comm":
-        raw_pattern = spec.get("pattern", "alltoall")
-        try:
-            pattern = CommPattern(raw_pattern)
-        except ValueError:
-            raise ApplicationError(
-                f"{context}: unknown pattern {raw_pattern!r}; "
-                f"expected one of {[p.value for p in CommPattern]}"
-            ) from None
-        return CommTask(_require(spec, "bytes", context), pattern=pattern, name=name)
-    if kind == "pfs_read":
-        return PfsReadTask(
-            _require(spec, "bytes", context),
-            distribution=_distribution(spec, context),
-            name=name,
-        )
-    if kind == "pfs_write":
-        return PfsWriteTask(
-            _require(spec, "bytes", context),
-            distribution=_distribution(spec, context),
-            name=name,
-        )
-    if kind == "bb_read":
-        return BbReadTask(
-            _require(spec, "bytes", context),
-            distribution=_distribution(spec, context),
-            name=name,
-        )
-    if kind == "bb_write":
-        return BbWriteTask(
-            _require(spec, "bytes", context),
-            distribution=_distribution(spec, context),
-            charge=bool(spec.get("charge", True)),
-            name=name,
-        )
-    if kind == "delay":
-        return DelayTask(_require(spec, "seconds", context), name=name)
-    if kind == "evolving_request":
-        return EvolvingRequest(
-            _require(spec, "num_nodes", context),
-            blocking=bool(spec.get("blocking", False)),
-            name=name,
-        )
-    raise ApplicationError(
-        f"{context}: unknown task type {kind!r}; expected one of "
-        "cpu/gpu/comm/pfs_read/pfs_write/bb_read/bb_write/delay/evolving_request"
-    )
+    return _task(spec, "task")
 
 
 def phase_from_dict(spec: Dict[str, Any], index: int) -> Phase:
     """Build a phase from its JSON object."""
-    if not isinstance(spec, dict):
-        raise ApplicationError(f"Phase {index}: spec must be an object")
-    tasks_spec = _require(spec, "tasks", f"phase {index}")
-    if not isinstance(tasks_spec, list) or not tasks_spec:
-        raise ApplicationError(f"Phase {index}: 'tasks' must be a non-empty list")
-    tasks = [task_from_dict(t) for t in tasks_spec]
-    return Phase(
-        tasks,
-        iterations=spec.get("iterations", 1),
-        scheduling_point=bool(spec.get("scheduling_point", True)),
-        parallel=bool(spec.get("parallel", False)),
-        name=spec.get("name", f"phase{index}"),
-    )
+    path = f"phases[{index}]"
+    values = read(spec, _PHASE, path, ApplicationError)
+    tasks = [_task(t, f"{path}.tasks[{i}]") for i, t in enumerate(values.pop("tasks"))]
+    values["name"] = values["name"] or f"phase{index}"
+    try:
+        return Phase(tasks, **values)
+    except ApplicationError as exc:
+        raise ApplicationError(f"{path}: {exc}") from None
 
 
 def application_from_dict(spec: Dict[str, Any]) -> ApplicationModel:
-    """Build an :class:`ApplicationModel` from a parsed JSON description."""
-    if not isinstance(spec, dict):
-        raise ApplicationError(
-            f"Application spec must be an object, got {type(spec).__name__}"
-        )
-    phases_spec = _require(spec, "phases", "application")
-    if not isinstance(phases_spec, list) or not phases_spec:
-        raise ApplicationError("application: 'phases' must be a non-empty list")
-    phases = [phase_from_dict(p, i) for i, p in enumerate(phases_spec)]
-    return ApplicationModel(
-        phases,
-        data_per_node=spec.get("data_per_node", 0),
-        name=spec.get("name", "application"),
-    )
+    """Build an :class:`ApplicationModel` from a parsed JSON description.
+
+    Every message starts with a path relative to ``spec``
+    (``phases[0].tasks[1].flops …``), so a caller that holds the
+    application under a key prefixes that key.
+    """
+    values = read(spec, _APPLICATION, "", ApplicationError)
+    phases = [phase_from_dict(p, i) for i, p in enumerate(values.pop("phases"))]
+    try:
+        return ApplicationModel(phases, **values)
+    except ApplicationError as exc:
+        raise ApplicationError(f"data_per_node: {exc}") from None
 
 
 def load_application(path: Union[str, Path]) -> ApplicationModel:
     """Load an application model from a JSON file."""
-    path = Path(path)
-    try:
-        spec = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ApplicationError(f"Application file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ApplicationError(f"Invalid JSON in {path}: {exc}") from exc
-    return application_from_dict(spec)
+    return application_from_dict(read_json(path, ApplicationError))

@@ -5,12 +5,13 @@ from __future__ import annotations
 from enum import Enum
 from typing import Mapping, Optional, Union
 
+from repro._input import InputError
 from repro.expressions import Expression, ExpressionError, compiled_expression
 
 ExprLike = Union[str, int, float, Expression]
 
 
-class ApplicationError(Exception):
+class ApplicationError(InputError):
     """Raised for invalid application models."""
 
 

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from copy import deepcopy
 from math import inf
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
+from repro._input import FLAG, GE0, GT0, INTEGER, LIST, NUMBER, OBJECT, REQUIRED, TEXT
+from repro._input import InputError, read
 from repro.des import Environment, Event, Process, SimulationError
 from repro.engine import JobExecutor
-from repro.failures import Failure
-from repro.job import Job, JobState, ReconfigurationOrder
+from repro.failures import Failure, FailureError, generate_failures
+from repro.job import Job, JobError, JobState, ReconfigurationOrder
 from repro.monitoring import Monitor
-from repro.platform import Node, Platform
+from repro.platform import Node, Platform, platform_from_dict
 from repro.scheduler import Algorithm, Invocation, InvocationType, SchedulerContext, get_algorithm
 from repro.sharing import FairShareModel
 
@@ -45,7 +48,7 @@ class BatchSystem:
             raise BatchError("Duplicate job ids in workload")
         for job in jobs:
             if job.min_nodes > platform.num_nodes:
-                raise BatchError(
+                raise JobError(
                     f"{job.name} needs at least {job.min_nodes} nodes, "
                     f"platform has {platform.num_nodes}"
                 )
@@ -121,7 +124,7 @@ class BatchSystem:
         self.failures: List[Failure] = list(failures or ())
         for failure in self.failures:
             if not 0 <= failure.node_index < platform.num_nodes:
-                raise BatchError(
+                raise FailureError(
                     f"Failure targets node {failure.node_index}, platform "
                     f"has {platform.num_nodes}"
                 )
@@ -851,6 +854,131 @@ class BatchSystem:
         tracer.end(("hold", node.index), now)
 
 
+#: Default of a scenario's ``sim``: read, never written.  ``null`` is not
+#: taken for it, because callers do ``spec.get("sim", {}).get("until")``.
+_NO_SIM: dict = {}
+_SCENARIO = (
+    ("platform", OBJECT, REQUIRED, None),
+    ("workload", OBJECT, REQUIRED, None),
+    ("algorithm", TEXT, "easy", 1),
+    ("seed", INTEGER, 0, GE0),
+    ("sim", OBJECT, _NO_SIM, None),
+    ("name", TEXT, None, None),  # report labels: carried, not read
+    ("params", OBJECT, None, None),
+)
+_WORKLOAD = (  # the first of the four that is given decides
+    ("generate", OBJECT, None, None),
+    ("file", TEXT, None, 1),
+    ("inline", OBJECT, None, None),
+    ("swf", OBJECT, None, None),
+    ("sha256", TEXT, None, None),  # the pin campaign loading puts beside ``file``
+    ("name", TEXT, None, None),  # a campaign's label of one of its ``workloads``
+)
+_SIM = (
+    ("invocation_interval", NUMBER, None, GT0),
+    ("requeue_on_failure", FLAG, False, None),
+    ("max_requeues", INTEGER, 3, GE0),
+    ("checkpoint_restart", FLAG, False, None),
+    ("until", NUMBER, None, GT0),  # for ``Simulation.run``
+    ("failures", OBJECT, None, None),
+)
+_FAILURES = (
+    ("trace", LIST, None, None),
+    ("mtbf", NUMBER, None, GT0),
+    ("mean_repair", NUMBER, 300.0, GT0),
+    ("seed", INTEGER, None, GE0),
+    ("horizon", NUMBER, None, GT0),
+)
+_FAILURE = (
+    ("time", NUMBER, REQUIRED, GE0),
+    ("node", INTEGER, REQUIRED, GE0),
+    ("downtime", NUMBER, REQUIRED, GT0),
+)
+
+
+_SCALARS = frozenset((str, float, int, bool, type(None)))
+
+
+def _copied(value):
+    """A deep copy of JSON-shaped data, which a checked scenario is, at a
+    third of ``deepcopy``'s cost; whatever else it holds is deep-copied."""
+    kind = type(value)
+    if kind is dict:
+        return {key: _copied(item) for key, item in value.items()}
+    if kind is list:
+        return [_copied(item) for item in value]
+    return value if kind in _SCALARS else deepcopy(value)
+
+
+def _under(key: str, load, *args, **kwargs):
+    """``load(...)``, its input errors prefixed with the key it was read under."""
+    try:
+        return load(*args, **kwargs)
+    except InputError as exc:
+        raise type(exc)(f"{key}.{exc}") from None
+
+
+def _read_platform(spec: dict) -> Platform:
+    return _under("platform", platform_from_dict, spec)
+
+
+def _read_workload(block: dict):
+    """A scenario's ``workload`` block, checked: its kind, and what there is
+    to build from — ``(WorkloadSpec, own seed)`` of a ``generate`` block, the
+    ``swf`` block, the jobs of a ``file`` or an ``inline`` workload."""
+    from repro.workload import WorkloadError, WorkloadSpec, load_workload, workload_from_dict
+    from repro.workload.generator import _GENERATE
+    from repro.workload.malleable_mix import _read_swf_block
+
+    given = read(block, _WORKLOAD, "workload", WorkloadError)
+    if given["generate"] is not None:
+        fields = read(given["generate"], _GENERATE, "workload.generate", WorkloadError)
+        own_seed = fields.pop("seed")
+        generate = WorkloadSpec(**fields)
+        _under("workload.generate", generate.validate)
+        return "generate", (generate, own_seed)
+    if given["file"] is not None:
+        return "file", load_workload(given["file"])
+    if given["inline"] is not None:
+        return "inline", _under("workload.inline", workload_from_dict, given["inline"])
+    if given["swf"] is not None:
+        _under("workload", _read_swf_block, given["swf"])
+        return "swf", given["swf"]
+    raise WorkloadError(
+        "workload.generate, workload.file, workload.inline or workload.swf is required"
+    )
+
+
+def _read_sim(sim) -> tuple:
+    """A scenario's ``sim`` block, checked: :class:`Simulation`'s keyword
+    options, and the ``failures`` block (None without one)."""
+    options = read(sim, _SIM, "sim", InputError)
+    del options["until"]
+    failing = options.pop("failures")
+    if failing:
+        failing = read(failing, _FAILURES, "sim.failures", FailureError)
+        if failing["trace"] is not None:
+            failing["trace"] = [
+                read(entry, _FAILURE, f"sim.failures.trace[{i}]", FailureError)
+                for i, entry in enumerate(failing["trace"])
+            ]
+        elif failing["mtbf"] is None:
+            raise FailureError("sim.failures.trace or sim.failures.mtbf is required")
+    return options, failing or None
+
+
+#: What checks each part of a scenario.  Loading a campaign runs each once
+#: per distinct fragment of its grid; :func:`_read_scenario` runs all three.
+_PART_READERS = {"platform": _read_platform, "workload": _read_workload, "sim": _read_sim}
+
+
+def _read_scenario(spec) -> tuple:
+    """A scenario, checked: its top-level values and what the three part
+    readers made of ``platform``, ``workload`` and ``sim``."""
+    top = read(spec, _SCENARIO, "", InputError)
+    return (top, *(check(top[part]) for part, check in _PART_READERS.items()))
+
+
 class Simulation:
     """Top-level façade: build, run, and collect results.
 
@@ -927,77 +1055,41 @@ class Simulation:
         worker — platforms carry node state and must never be shared
         between runs, let alone pickled across processes mid-flight.
 
-        Recognised keys: ``platform`` (a :func:`platform_from_dict` spec),
-        ``workload`` (``{"generate": {<WorkloadSpec fields>}}``,
-        ``{"file": <path>}``, an explicit inline job list
-        ``{"inline": {<workload_from_dict spec>}}``, or an SWF
-        trace-conversion block ``{"swf": {<jobs_from_swf_block keys>}}``),
-        ``algorithm``,
-        ``seed``, and ``sim`` (``invocation_interval``,
-        ``requeue_on_failure``, ``max_requeues``, ``checkpoint_restart``,
-        and optional ``failures`` — either a synthetic-trace block with
-        ``mtbf``/``mean_repair``/``seed`` or an explicit
-        ``{"trace": [{"time", "node", "downtime"}, ...]}`` list).  Unknown
-        top-level keys (report labels like ``name``/``params``) are ignored.
+        Keys: ``platform`` (a :func:`platform_from_dict` spec), ``workload``
+        (one of ``{"generate": {<WorkloadSpec fields>}}``, ``{"file":
+        <path>}``, ``{"inline": {<workload_from_dict spec>}}``, ``{"swf":
+        {<jobs_from_swf_block keys>}}``), ``algorithm``, ``seed``, ``sim``
+        (``invocation_interval``, ``requeue_on_failure``, ``max_requeues``,
+        ``checkpoint_restart``, ``until`` — which :meth:`run` takes, not this
+        — and ``failures``: ``mtbf`` / ``mean_repair`` / ``seed`` /
+        ``horizon``, or an explicit ``{"trace": [{"time", "node",
+        "downtime"}, ...]}``), and the report labels ``name`` / ``params``;
+        ``docs/API.md`` tables every field.  Anything wrong is an
+        :class:`~repro.InputError` whose message starts with the path
+        (``sim.failures.mtbf must be …``).
         ``reference`` is :class:`Simulation`'s: not part of the scenario.
         """
-        from repro.failures import Failure, generate_failures
-        from repro.platform import platform_from_dict
-        from repro.workload import (
-            WorkloadSpec,
-            generate_workload,
-            load_workload,
-            workload_from_dict,
-        )
+        from repro.workload import generate_workload, jobs_from_swf_block
 
-        try:
-            platform_spec = dict(spec["platform"])
-            workload_spec = dict(spec["workload"])
-        except (KeyError, TypeError) as exc:
-            raise BatchError(f"scenario spec needs 'platform' and 'workload': {exc}")
-        platform = platform_from_dict(platform_spec)
-
-        seed = int(spec.get("seed", 0))
-        if "generate" in workload_spec:
-            generate = dict(workload_spec["generate"])
-            seed = int(generate.pop("seed", seed))
-            try:
-                workload = generate_workload(WorkloadSpec(**generate), seed=seed)
-            except TypeError as exc:
-                raise BatchError(f"bad workload generate block: {exc}") from None
-        elif "file" in workload_spec:
-            workload = load_workload(workload_spec["file"])
-        elif "inline" in workload_spec:
-            workload = workload_from_dict(workload_spec["inline"])
-        elif "swf" in workload_spec:
-            from repro.workload import jobs_from_swf_block
-
-            block = dict(workload_spec["swf"])
-            workload = jobs_from_swf_block(block, seed=seed)
+        top, platform, (kind, made), (options, failing) = _read_scenario(spec)
+        seed = top["seed"]
+        if kind == "generate":
+            generate, own_seed = made
+            if own_seed is not None:
+                seed = own_seed  # of the failure trace too, as it always was
+            workload = generate_workload(generate, seed=seed)
+        elif kind == "swf":
+            workload = _under("workload", jobs_from_swf_block, made, seed=seed)
         else:
-            raise BatchError(
-                "workload spec needs a 'generate' block, a 'file' path, "
-                "an 'inline' workload, or an 'swf' trace block"
-            )
-
-        sim = dict(spec.get("sim", {}))
-        sim.pop("until", None)  # a run() argument, not a constructor one
+            workload = made
         failures = None
-        failure_spec = sim.pop("failures", None)
-        if failure_spec and "trace" in failure_spec:
-            try:
-                failures = [
-                    Failure(
-                        time=f["time"],
-                        node_index=f["node"],
-                        downtime=f["downtime"],
-                    )
-                    for f in failure_spec["trace"]
-                ]
-            except (KeyError, TypeError) as exc:
-                raise BatchError(f"bad failure trace entry: {exc}") from None
-        elif failure_spec:
-            horizon = failure_spec.get("horizon")
+        if failing and failing["trace"] is not None:
+            failures = [
+                Failure(time=f["time"], node_index=f["node"], downtime=f["downtime"])
+                for f in failing["trace"]
+            ]
+        elif failing:
+            horizon = failing["horizon"]
             if horizon is None:
                 horizon = max(j.submit_time for j in workload) + 10 * max(
                     (j.walltime for j in workload if j.walltime != inf),
@@ -1006,28 +1098,20 @@ class Simulation:
             failures = generate_failures(
                 num_nodes=platform.num_nodes,
                 horizon=horizon,
-                mtbf=failure_spec["mtbf"],
-                mean_repair=failure_spec.get("mean_repair", 300.0),
-                seed=int(failure_spec.get("seed", seed)),
+                mtbf=failing["mtbf"],
+                mean_repair=failing["mean_repair"],
+                seed=seed if failing["seed"] is None else failing["seed"],
             )
-        interval = sim.pop("invocation_interval", None)
-        known = {"requeue_on_failure", "max_requeues", "checkpoint_restart"}
-        unknown = set(sim) - known
-        if unknown:
-            raise BatchError(f"unknown sim options: {sorted(unknown)}")
         instance = cls(
             platform,
             workload,
-            algorithm=spec.get("algorithm", "easy"),
-            invocation_interval=interval,
+            algorithm=top["algorithm"],
             failures=failures,
             start_processes=start_processes,
             reference=reference,
-            **sim,
+            **options,
         )
-        from copy import deepcopy
-
-        instance.spec = deepcopy(dict(spec))
+        instance.spec = _copied(spec)
         return instance
 
     @property

@@ -289,7 +289,11 @@ class StreamingAggregator:
         summary = record.get("result", {}).get("summary", {})
         for metric in self.metrics:
             value = summary.get(metric)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if (
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+            ):
                 self._accumulators[metric].add(value)
 
     def fold_jsonl(self, path: Union[str, Path]) -> int:

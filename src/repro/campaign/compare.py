@@ -19,11 +19,12 @@ Exit codes: 0 clean (or ``--soft``), 1 regressions, 2 usage/input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+
+from repro._input import InputError, read_json
 
 #: Metrics where a *decrease* is a regression.
 HIGHER_IS_BETTER = ("util", "completed", "speedup", "throughput", "hits")
@@ -32,7 +33,7 @@ HIGHER_IS_BETTER = ("util", "completed", "speedup", "throughput", "hits")
 DEFAULT_TOLERANCE = 0.05
 
 
-class CompareError(Exception):
+class CompareError(InputError):
     """Raised for unreadable or malformed reports."""
 
 
@@ -128,8 +129,15 @@ def _rows_by_label(report: Mapping[str, Any]) -> Dict[str, Mapping[str, Any]]:
     report = _normalize_report(report)
     header = report.get("header")
     rows = report.get("rows")
-    if not isinstance(header, list) or not header or not isinstance(rows, list):
-        raise CompareError("report needs 'header' and 'rows' (write_bench_json shape)")
+    if (
+        not isinstance(header, list)
+        or not header
+        or not isinstance(header[0], str)
+        or not isinstance(rows, list)
+    ):
+        raise CompareError(
+            "report needs 'header', column names, and 'rows' (write_bench_json shape)"
+        )
     label = header[0]
     out: Dict[str, Mapping[str, Any]] = {}
     for row in rows:
@@ -190,15 +198,7 @@ def _is_number(value: Any) -> bool:
 
 
 def load_report(path: Union[str, Path]) -> Dict[str, Any]:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise CompareError(f"cannot read report: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CompareError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise CompareError(f"report must be a JSON object: {path}")
-    return payload
+    return read_json(path, CompareError)
 
 
 def _parse_tolerances(pairs: Sequence[str]) -> Dict[str, float]:

@@ -42,6 +42,19 @@ from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro import __version__
+from repro._input import (
+    COUNT,
+    GE0,
+    INTEGER,
+    LIST,
+    NUMBER,
+    OBJECT,
+    REQUIRED,
+    TEXT,
+    InputError,
+    read,
+    read_json,
+)
 from repro.expressions import ExpressionError, compile_expression
 
 #: Bump when the scenario schema or result-record schema changes in a way
@@ -60,7 +73,7 @@ _LITERAL_KEYS = frozenset({"name", "topology", "file", "type_mix"})
 _WORKLOAD_KINDS = ("generate", "file", "inline", "swf")
 
 
-class CampaignError(Exception):
+class CampaignError(InputError):
     """Raised for malformed campaign or scenario specifications."""
 
 
@@ -161,8 +174,7 @@ class ScenarioSpec:
             raise CampaignError(f"algorithm must be a non-empty string: {self.algorithm!r}")
         if not any(k in self.workload for k in _WORKLOAD_KINDS):
             raise CampaignError(
-                "workload spec needs a 'generate' block, a 'file' path, "
-                "an 'inline' workload, or an 'swf' trace block"
+                "workload.generate, workload.file, workload.inline or workload.swf is required"
             )
         if not self.name:
             self.name = self._auto_name()
@@ -243,16 +255,31 @@ def _resolve(value: Any, variables: Mapping[str, Any]) -> Any:
     return value
 
 
-def _as_list(spec: Mapping[str, Any], singular: str, plural: str, default: Any) -> List[Any]:
-    if singular in spec and plural in spec:
+_CAMPAIGN = (
+    ("name", TEXT, None, 1),
+    ("platform", OBJECT, None, None),
+    ("platforms", LIST, None, (OBJECT, None)),
+    ("workload", OBJECT, None, None),
+    ("workloads", LIST, None, (OBJECT, None)),
+    ("algorithm", TEXT, None, 1),
+    ("algorithms", LIST, None, (TEXT, 1)),
+    ("seeds", LIST, None, (INTEGER, GE0)),
+    ("num_seeds", INTEGER, None, COUNT),
+    ("base_seed", INTEGER, 0, GE0),
+    ("sim", OBJECT, None, None),
+    ("grid", OBJECT, None, None),
+    ("scenario_timeout", NUMBER, None, (0, False, 31_536_000)),  # a year: a timer takes no more
+    ("executor", TEXT, None, 1),
+)
+
+
+def _one_or_many(values: Mapping[str, Any], singular: str, plural: str, default: Any) -> List[Any]:
+    if values[singular] is not None and values[plural] is not None:
         raise CampaignError(f"give either {singular!r} or {plural!r}, not both")
-    if plural in spec:
-        values = spec[plural]
-        if not isinstance(values, (list, tuple)) or not values:
-            raise CampaignError(f"{plural!r} must be a non-empty list")
-        return list(values)
-    if singular in spec:
-        return [spec[singular]]
+    if values[plural] is not None:
+        return list(values[plural])
+    if values[singular] is not None:
+        return [values[singular]]
     if default is None:
         raise CampaignError(f"campaign spec needs {singular!r} or {plural!r}")
     return [default]
@@ -261,52 +288,32 @@ def _as_list(spec: Mapping[str, Any], singular: str, plural: str, default: Any) 
 def expand_campaign(spec: Mapping[str, Any]) -> List[ScenarioSpec]:
     """Expand a campaign mapping into its flat scenario list.
 
-    Recognised keys: ``name``, ``platform``/``platforms``,
-    ``workload``/``workloads``, ``algorithm``/``algorithms``, ``seeds``
-    (or ``num_seeds`` + optional ``base_seed``), ``sim``, ``grid``.
+    Keys: ``name``, ``platform``/``platforms``, ``workload``/``workloads``,
+    ``algorithm``/``algorithms``, ``seeds`` (or ``num_seeds`` + optional
+    ``base_seed``), ``sim``, ``grid``, and the runner's ``scenario_timeout``
+    / ``executor`` (``docs/API.md`` tables them).
     """
-    unknown = set(spec) - {
-        "name",
-        "platform",
-        "platforms",
-        "workload",
-        "workloads",
-        "algorithm",
-        "algorithms",
-        "seeds",
-        "num_seeds",
-        "base_seed",
-        "sim",
-        "grid",
-        "scenario_timeout",
-        "executor",
-    }
-    if unknown:
-        raise CampaignError(f"unknown campaign keys: {sorted(unknown)}")
-    campaign_run_settings(spec)  # validate runner-level keys early
+    values = read(spec, _CAMPAIGN, "", CampaignError)
+    platforms = _one_or_many(values, "platform", "platforms", None)
+    workloads = _one_or_many(values, "workload", "workloads", None)
+    algorithms = _one_or_many(values, "algorithm", "algorithms", "easy")
 
-    platforms = _as_list(spec, "platform", "platforms", None)
-    workloads = _as_list(spec, "workload", "workloads", None)
-    algorithms = _as_list(spec, "algorithm", "algorithms", "easy")
-    for algorithm in algorithms:
-        if not isinstance(algorithm, str):
-            raise CampaignError(f"algorithm names must be strings: {algorithm!r}")
-
-    if "seeds" in spec and "num_seeds" in spec:
+    if values["seeds"] is not None and values["num_seeds"] is not None:
         raise CampaignError("give either 'seeds' or 'num_seeds', not both")
-    if "num_seeds" in spec:
-        base = int(spec.get("base_seed", 0))
-        seeds = [derive_seed(base, i) for i in range(int(spec["num_seeds"]))]
+    if values["num_seeds"] is not None:
+        seeds = [derive_seed(values["base_seed"], i) for i in range(values["num_seeds"])]
     else:
-        seeds = [int(s) for s in spec.get("seeds", [0])]
-        if not seeds:
-            raise CampaignError("'seeds' must be a non-empty list")
+        seeds = values["seeds"] or [0]
 
-    sim = dict(spec.get("sim", {}))
-    grid = dict(spec.get("grid", {}))
-    for axis, values in grid.items():
-        if not isinstance(values, (list, tuple)) or not values:
-            raise CampaignError(f"grid axis {axis!r} must be a non-empty list")
+    sim = values["sim"] or {}
+    grid = values["grid"] or {}
+    read(grid, tuple((axis, LIST, REQUIRED, None) for axis in grid), "grid", CampaignError)
+    for axis, points in grid.items():
+        for index, point in enumerate(points):
+            try:  # a point becomes a report label: it must be canonical JSON
+                canonicalize(point)
+            except CampaignError as exc:
+                raise CampaignError(f"grid.{axis}[{index}]: {exc}") from None
     axis_names = sorted(grid)
     axis_values = [grid[name] for name in axis_names]
 
@@ -324,11 +331,7 @@ def expand_campaign(spec: Mapping[str, Any]) -> List[ScenarioSpec]:
                         if label_platform:
                             params["platform"] = platform.get("name", f"p{p_index}")
                         if label_workload:
-                            params["workload"] = (
-                                workload.get("name", f"w{w_index}")
-                                if isinstance(workload, Mapping)
-                                else f"w{w_index}"
-                            )
+                            params["workload"] = workload.get("name", f"w{w_index}")
                         scenarios.append(
                             ScenarioSpec(
                                 platform=_resolve(platform, variables),
@@ -349,35 +352,48 @@ def expand_campaign(spec: Mapping[str, Any]) -> List[ScenarioSpec]:
 def load_campaign_spec(path: Union[str, Path]) -> Dict[str, Any]:
     """Parse a campaign file into its raw mapping (JSON, or TOML by extension)."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CampaignError(f"cannot read campaign file: {exc}") from None
-    if path.suffix.lower() == ".toml":
-        import tomllib
+    if path.suffix.lower() != ".toml":
+        return read_json(path, CampaignError)
+    import tomllib
 
-        try:
-            spec = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise CampaignError(f"invalid TOML in {path}: {exc}") from None
-    else:
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CampaignError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(spec, Mapping):
-        raise CampaignError(f"campaign file must hold an object, got {type(spec).__name__}")
-    return dict(spec)
+    try:
+        return tomllib.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CampaignError(f"{path}: cannot read the file ({exc.strerror or exc})") from None
+    except UnicodeDecodeError:
+        raise CampaignError(f"{path}: not UTF-8 text") from None
+    except tomllib.TOMLDecodeError as exc:
+        raise CampaignError(f"{path}: not TOML ({exc})") from None
 
 
 def load_campaign(path: Union[str, Path]) -> List[ScenarioSpec]:
-    """Load and expand a campaign file (JSON, or TOML by extension)."""
+    """Load, expand and check a campaign file (JSON, or TOML by extension).
+
+    Every distinct platform, workload and ``sim`` fragment the grid
+    produces is read once by what :meth:`Simulation.from_spec
+    <repro.batch.Simulation.from_spec>` reads it with, so a field that is
+    wrong is an error naming its first scenario, before anything runs.
+    """
+    from repro.batch.system import _PART_READERS
+
     path = Path(path)
     spec = load_campaign_spec(path)
-    scenarios = expand_campaign(spec)
-    base = path.parent
-    for scenario in scenarios:
-        _pin_workload_file(scenario, base)
+    try:
+        scenarios = expand_campaign(spec)
+        checked = set()
+        for scenario in scenarios:
+            _pin_workload_file(scenario, path.parent)
+            for part, check in _PART_READERS.items():
+                value = getattr(scenario, part)
+                fragment = (part, json.dumps(value, sort_keys=True, default=str))
+                if fragment not in checked:
+                    checked.add(fragment)
+                    try:
+                        check(value)
+                    except InputError as exc:
+                        raise CampaignError(f"scenario {scenario.name}: {exc}") from None
+    except CampaignError as exc:
+        raise CampaignError(f"{path}: {exc}") from None
     return scenarios
 
 
@@ -397,8 +413,8 @@ def _pin_workload_file(scenario: ScenarioSpec, base: Path) -> None:
         targets.append(swf)
     for block in targets:
         ref = block.get("file")
-        if ref is None:
-            continue
+        if not isinstance(ref, str):
+            continue  # absent — or wrong, which the check of the block says better
         resolved = Path(ref)
         if not resolved.is_absolute():
             resolved = base / resolved
@@ -422,34 +438,17 @@ def campaign_run_settings(spec: Mapping[str, Any]) -> Dict[str, Any]:
     they are excluded from scenario content keys, and CLI flags override
     them.  Returns only the keys actually present.
     """
+    values = read(spec, _CAMPAIGN, "", CampaignError)
     out: Dict[str, Any] = {}
-    timeout = spec.get("scenario_timeout")
-    if timeout is not None:
-        if (
-            not isinstance(timeout, (int, float))
-            or isinstance(timeout, bool)
-            or timeout <= 0
-        ):
-            raise CampaignError(
-                f"scenario_timeout must be a positive number of seconds, "
-                f"got {timeout!r}"
-            )
-        out["scenario_timeout"] = float(timeout)
-    executor = spec.get("executor")
-    if executor is not None:
-        if not isinstance(executor, str) or not executor:
-            raise CampaignError(
-                f"executor must be a backend name string, got {executor!r}"
-            )
-        out["executor"] = executor
+    if values["scenario_timeout"] is not None:
+        out["scenario_timeout"] = float(values["scenario_timeout"])
+    if values["executor"] is not None:
+        out["executor"] = values["executor"]
     return out
 
 
 def campaign_name(spec: Mapping[str, Any], default: str = "campaign") -> str:
-    name = spec.get("name", default)
-    if not isinstance(name, str) or not name:
-        raise CampaignError(f"campaign name must be a non-empty string: {name!r}")
-    return name
+    return read(spec, _CAMPAIGN, "", CampaignError)["name"] or default
 
 
 def scenarios_from_grid(

@@ -35,10 +35,12 @@ code  meaning
 0     success
 1     regression or invariant violation found
 2     usage error (bad flags, nothing to do)
-3     bad input (platform / workload / campaign files)
+3     something given is wrong: an :class:`~repro.InputError` (every
+      file format's error class is one; the message starts with the
+      file or the dotted path of the field) or an ``OSError``
 4     unknown algorithm or scheduler misconfiguration
 5     simulation or campaign runtime failure
-70    internal error (a bug worth reporting)
+70    a bug: any other exception.  No input file reaches it.
 ====  ========================================================
 """
 
@@ -52,11 +54,12 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import __version__
+from repro._input import InputError, read_json
 from repro.batch import BatchError, Simulation
 from repro.monitoring import render_gantt
-from repro.platform import PlatformError, load_platform
+from repro.platform import load_platform
 from repro.scheduler import SchedulerError
-from repro.workload import WorkloadError, load_workload
+from repro.workload import load_workload
 
 # Import rule (docs/INTERNALS.md): nothing heavier than ``import repro`` up
 # here; every handler imports its own subsystem when it runs.
@@ -581,35 +584,31 @@ def _writable_dir(path: str | os.PathLike[str]) -> Path:
     return out
 
 
+def _simulation(args: argparse.Namespace, sim: dict) -> Simulation:
+    """The scenario ``run`` / ``trace record`` flags describe, built the one way."""
+    return Simulation.from_spec(
+        {
+            "platform": read_json(args.platform, InputError),
+            "workload": {"file": args.workload},
+            "algorithm": args.algorithm,
+            "sim": sim,
+        }
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     out = _writable_dir(args.output_dir) if args.output_dir is not None else None
     if args.trace is not None:
         _writable_dir(Path(args.trace).parent)
-    platform = load_platform(args.platform)
-    jobs = load_workload(args.workload)
-    failures = None
+    options = {"invocation_interval": args.interval, "until": args.until}
     if args.mtbf is not None:
-        from repro.failures import generate_failures
-
-        horizon = max(j.submit_time for j in jobs) + 10 * max(
-            (j.walltime for j in jobs if j.walltime != float("inf")),
-            default=86400.0,
-        )
-        failures = generate_failures(
-            num_nodes=platform.num_nodes,
-            horizon=horizon,
-            mtbf=args.mtbf,
-            mean_repair=args.mean_repair,
-            seed=args.failure_seed,
-        )
-        print(f"injecting {len(failures)} node failures (MTBF {args.mtbf:g} s)")
-    sim = Simulation(
-        platform,
-        jobs,
-        algorithm=args.algorithm,
-        invocation_interval=args.interval,
-        failures=failures,
-    )
+        options["failures"] = {
+            "mtbf": args.mtbf, "mean_repair": args.mean_repair, "seed": args.failure_seed
+        }
+    sim = _simulation(args, options)
+    platform, jobs = sim.batch.platform, sim.batch.jobs
+    if args.mtbf is not None:
+        print(f"injecting {len(sim.batch.failures)} node failures (MTBF {args.mtbf:g} s)")
     monitor = sim.run(
         until=args.until, trace=args.trace, check_invariants=args.check_invariants
     )
@@ -809,6 +808,9 @@ def _cmd_campaign_aggregate(args: argparse.Namespace) -> int:
     if not shards:
         print("nothing to aggregate: no JSONL shards found", file=sys.stderr)
         return EXIT_USAGE
+    if args.compression is not None and args.compression < 1:
+        print("--compression must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     aggregator = (
         StreamingAggregator(compression=args.compression)
         if args.compression is not None
@@ -863,30 +865,24 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignError, compare
+    if args.campaign_command == "compare":
+        from repro.campaign import compare
 
-    try:
-        if args.campaign_command == "compare":
-            return compare.main(args.compare_args)
-        if args.campaign_command == "worker":
-            return _cmd_campaign_worker(args)
-        if args.campaign_command == "aggregate":
-            return _cmd_campaign_aggregate(args)
-        if args.campaign_command == "report":
-            return _cmd_campaign_report(args)
-        return _cmd_campaign_run(args)
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return compare.main(args.compare_args)
+    if args.campaign_command == "worker":
+        return _cmd_campaign_worker(args)
+    if args.campaign_command == "aggregate":
+        return _cmd_campaign_aggregate(args)
+    if args.campaign_command == "report":
+        return _cmd_campaign_report(args)
+    return _cmd_campaign_run(args)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.tracing import check_trace, convert_jsonl_to_chrome
 
     if args.trace_command == "record":
-        platform = load_platform(args.platform)
-        jobs = load_workload(args.workload)
-        sim = Simulation(platform, jobs, algorithm=args.algorithm)
+        sim = _simulation(args, {})
         sim.run(trace=args.output, check_invariants=args.check)
         print(
             f"trace written to {args.output} "
@@ -938,15 +934,14 @@ def _split_csv(value: Optional[str]) -> Optional[List[str]]:
 
 
 def _load_scenario(path: str) -> dict:
-    """A scenario file of ``whatif``; a wrong shape is the file's mistake
-    (``ValueError``: exit 3), not something for the simulator to trip on."""
-    spec = json.loads(Path(path).read_text())
-    if not isinstance(spec, dict) or not all(
-        isinstance(spec.get(key), dict) for key in ("platform", "workload")
-    ):
-        raise ValueError(
-            f"{path}: a scenario is a JSON object with a 'platform' and a 'workload' object"
-        )
+    """A scenario file of ``whatif``, checked before anything looks inside."""
+    from repro.batch.system import _read_scenario
+
+    spec = read_json(path, InputError)
+    try:
+        _read_scenario(spec)
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return spec
 
 
@@ -1060,7 +1055,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.fuzz_command == "shrink":
-        data = json.loads(Path(args.input).read_text())
+        data = read_json(args.input, InputError)
         scenario = data.get("scenario", data)
         oracles = _split_csv(getattr(args, "oracles", None)) or data.get("oracles")
         failures = replay_scenario(scenario, oracles=oracles)
@@ -1178,7 +1173,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PlatformError, WorkloadError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SchedulerError as exc:
@@ -1188,24 +1183,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - last-resort traceback shield
-        # These error classes are resolved here, on the error path, so a
-        # clean run never imports the flight recorder for them.
-        from repro.application import ApplicationError
-        from repro.engine import EngineError
-        from repro.tracing import InvariantViolation, TraceError
+        # Resolved here, on the error path, so a clean run never imports
+        # the flight recorder for it.
+        from repro.tracing import InvariantViolation
 
-        if isinstance(exc, InvariantViolation):
-            print(f"invariant violation: {exc}", file=sys.stderr)
-            for violation in exc.violations:
-                print(f"  {violation}", file=sys.stderr)
-            return EXIT_REGRESSION
-        # Application / engine errors are workload mistakes found mid-run:
-        # a negative flops expression, a PFS task on a platform without one.
-        if isinstance(exc, (TraceError, ApplicationError, EngineError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        if not isinstance(exc, InvariantViolation):
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        for violation in exc.violations:
+            print(f"  {violation}", file=sys.stderr)
+        return EXIT_REGRESSION
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -44,24 +44,19 @@ from repro.des.events import (
 from repro.des.exceptions import Interrupt, SimulationError, StopSimulation
 from repro.des.process import Process
 from repro.des.environment import Environment, EmptySchedule
-from repro.des.resources import Container, PriorityResource, Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
     "EmptySchedule",
     "Environment",
     "Event",
     "Interrupt",
     "NORMAL",
     "PENDING",
-    "PriorityResource",
     "Process",
-    "Resource",
     "SimulationError",
-    "Store",
     "StopSimulation",
     "Timeout",
     "URGENT",

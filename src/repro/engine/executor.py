@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Collection, Dict, Generator, List, Optional, Protocol, Sequence
 
+from repro._input import InputError
 from repro.application import (
     BbReadTask,
     BbWriteTask,
@@ -23,7 +24,7 @@ from repro.platform import Node, Platform, Route
 from repro.sharing import Activity, FairShareModel, Fanout, SharedResource
 
 
-class EngineError(Exception):
+class EngineError(InputError):
     """Raised when a job's model cannot run on the given platform."""
 
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping, Sequence, Union
 
+from repro._input import InputError
+
 Numeric = Union[int, float]
 
 
-class ExpressionError(Exception):
+class ExpressionError(InputError):
     """Raised on parse errors or evaluation failures (e.g. unknown names)."""
 
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
+from repro._input import InputError
+
 if TYPE_CHECKING:  # pragma: no cover - numpy loads when a generator first runs
     import numpy as np
 
 
-class FailureError(Exception):
+class FailureError(InputError):
     """Raised for invalid failure descriptions."""
 
 
@@ -64,6 +66,12 @@ def generate_failures(
         raise FailureError("horizon must be > 0")
     if mtbf <= 0 or mean_repair <= 0:
         raise FailureError("mtbf and mean_repair must be > 0")
+    expected = num_nodes * horizon / (mtbf + mean_repair)
+    if expected > 1e6:
+        raise FailureError(
+            f"mtbf {mtbf:g} s over a horizon of {horizon:g} s on {num_nodes} nodes "
+            f"is about {expected:.3g} failures: more than a run can hold"
+        )
 
     if rng is None:
         import numpy as np

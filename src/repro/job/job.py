@@ -6,10 +6,11 @@ from enum import Enum
 from math import inf
 from typing import Dict, List, Optional, Sequence
 
+from repro._input import InputError
 from repro.application import ApplicationModel
 
 
-class JobError(Exception):
+class JobError(InputError):
     """Raised on invalid job descriptions or illegal state transitions."""
 
 

@@ -7,10 +7,11 @@ from enum import Enum
 from math import inf
 from typing import Callable, List, Optional, Tuple
 
+from repro._input import InputError
 from repro.sharing import SharedResource
 
 
-class PlatformError(Exception):
+class PlatformError(InputError):
     """Raised for invalid platform descriptions or illegal state changes."""
 
 

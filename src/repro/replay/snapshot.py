@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from repro._input import InputError
 from repro import __version__
 
 #: Bump whenever the snapshot document or file layout changes incompatibly.
@@ -33,7 +34,7 @@ _SALT = f"elastisim-snapshot-v{__version__}"
 _SECTIONS = ("spec", "state")
 
 
-class ReplayError(Exception):
+class ReplayError(InputError):
     """Raised for snapshots that cannot be captured, loaded, or restored."""
 
 

@@ -51,7 +51,7 @@ from math import inf, isfinite
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Union
 
-from repro.tracing.tracer import TraceRecord, read_jsonl
+from repro.tracing.tracer import TraceError, TraceRecord, read_jsonl
 
 
 @dataclass(slots=True)
@@ -406,11 +406,20 @@ def check_trace(
     num_nodes: Optional[int] = None,
 ) -> List[Violation]:
     """Post-hoc check of a saved JSONL trace (path) or record iterable."""
-    if isinstance(source, (str, Path)):
-        records: Iterable[TraceRecord] = read_jsonl(source)
-    else:
-        records = source
-    return InvariantChecker(num_nodes=num_nodes).check(records)
+    checker = InvariantChecker(num_nodes=num_nodes)
+    if not isinstance(source, (str, Path)):
+        return checker.check(source)
+    # What a file's ``args`` hold is anybody's guess: a handler that trips
+    # over them found a malformed record, not a bug.
+    for number, record in enumerate(read_jsonl(source), start=1):
+        try:
+            checker.feed(record)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise TraceError(
+                f"{source}: record {number}, a {record.kind}, has args that no "
+                f"{record.kind} record carries: {record.args}"
+            ) from None
+    return checker.finish()
 
 
 # -- monitor-side consistency ------------------------------------------------

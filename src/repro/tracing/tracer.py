@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from repro._input import CHOICE, GE0, NUMBER, OBJECT, REQUIRED, TEXT, InputError, read
+
 #: Bumped whenever the record schema changes shape.
 SCHEMA_VERSION = 1
 
@@ -44,7 +46,7 @@ KERNEL_TRACK = "kernel"
 _KNOWN_TRACKS = (SCHEDULER_TRACK, SOLVER_TRACK, BATCH_TRACK, KERNEL_TRACK)
 
 
-class TraceError(Exception):
+class TraceError(InputError):
     """Raised for malformed traces (import, export, or validation)."""
 
 
@@ -102,18 +104,21 @@ class TraceRecord:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "TraceRecord":
-        try:
-            return cls(
-                time=float(payload["time"]),
-                kind=str(payload["kind"]),
-                phase=str(payload["ph"]),
-                track=str(payload["track"]),
-                name=str(payload["name"]),
-                dur=float(payload.get("dur", 0.0)),
-                args=dict(payload.get("args", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceError(f"malformed trace record {payload!r}: {exc}") from None
+        values = read(payload, _RECORD, "", TraceError)
+        values["phase"] = values.pop("ph")
+        values["args"] = dict(values["args"] or {})
+        return cls(**values)
+
+
+_RECORD = (
+    ("time", NUMBER, REQUIRED, None),
+    ("kind", TEXT, REQUIRED, None),
+    ("ph", CHOICE, REQUIRED, ("I", "X")),
+    ("track", TEXT, REQUIRED, None),
+    ("name", TEXT, REQUIRED, None),
+    ("dur", NUMBER, 0.0, GE0),
+    ("args", OBJECT, None, None),
+)
 
 
 class Tracer:
@@ -323,12 +328,15 @@ def _json_safe_args(args: Dict[str, Any]) -> Dict[str, Any]:
 
 def read_jsonl(source: Union[str, Path, Iterable[str]]) -> List[TraceRecord]:
     """Load a JSONL trace (path or iterable of lines) back into records."""
+    where = "line "  # what a message starts with, before the line number
     if isinstance(source, (str, Path)):
-        path = Path(source)
+        where = f"{source}:"
         try:
-            lines: Iterable[str] = path.read_text().splitlines()
-        except FileNotFoundError:
-            raise TraceError(f"trace file not found: {path}") from None
+            lines: Iterable[str] = Path(source).read_text(encoding="utf-8").splitlines()
+        except OSError as exc:
+            raise TraceError(f"{source}: cannot read the file ({exc.strerror or exc})") from None
+        except UnicodeDecodeError:
+            raise TraceError(f"{source}: not UTF-8 text") from None
     else:
         lines = source
     records: List[TraceRecord] = []
@@ -339,20 +347,22 @@ def read_jsonl(source: Union[str, Path, Iterable[str]]) -> List[TraceRecord]:
             continue
         try:
             payload = json.loads(line)
+            if not header_seen and isinstance(payload, dict):
+                header_seen = True
+                if payload.get("schema") == "elastisim-trace":
+                    version = payload.get("version")
+                    if version != SCHEMA_VERSION:
+                        raise TraceError(
+                            f"unsupported trace version {version!r} "
+                            f"(this build reads version {SCHEMA_VERSION})"
+                        )
+                    continue
+                # Headerless traces (hand-written fixtures) are accepted.
+            records.append(TraceRecord.from_dict(payload))
         except json.JSONDecodeError as exc:
-            raise TraceError(f"line {lineno}: not JSON: {exc}") from None
-        if not header_seen:
-            header_seen = True
-            if payload.get("schema") == "elastisim-trace":
-                version = payload.get("version")
-                if version != SCHEMA_VERSION:
-                    raise TraceError(
-                        f"unsupported trace version {version!r} "
-                        f"(this build reads version {SCHEMA_VERSION})"
-                    )
-                continue
-            # Headerless traces (hand-written fixtures) are accepted.
-        records.append(TraceRecord.from_dict(payload))
+            raise TraceError(f"{where}{lineno}: not JSON ({exc})") from None
+        except TraceError as exc:
+            raise TraceError(f"{where}{lineno}: {exc}") from None
     return records
 
 

@@ -10,10 +10,11 @@ for production traces.  Every random draw flows from one seed, so a given
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import inf
 from typing import TYPE_CHECKING, List
 
+from repro._input import COUNT, FRACTION, GE0, GE1, GT0, INTEGER, NUMBER
 from repro.application import ApplicationModel, Phase
 from repro.application.tasks import (
     CommPattern,
@@ -24,6 +25,7 @@ from repro.application.tasks import (
 )
 from repro.job import Job, JobClass, JobType
 from repro.workload.apportion import largest_remainder
+from repro.workload.loader import WorkloadError
 
 if TYPE_CHECKING:  # pragma: no cover - numpy loads when a generator first runs
     import numpy as np
@@ -144,30 +146,60 @@ class WorkloadSpec:
 
     def validate(self) -> None:
         if self.num_jobs < 1:
-            raise ValueError("num_jobs must be >= 1")
+            raise WorkloadError("num_jobs must be >= 1")
         if self.mean_interarrival < 0:
-            raise ValueError("mean_interarrival must be >= 0")
+            raise WorkloadError("mean_interarrival must be >= 0")
         if not 1 <= self.min_request <= self.max_request:
-            raise ValueError("need 1 <= min_request <= max_request")
+            raise WorkloadError("need 1 <= min_request <= max_request")
         mix = self.malleable_fraction + self.moldable_fraction + self.evolving_fraction
         if min(self.malleable_fraction, self.moldable_fraction, self.evolving_fraction) < 0:
-            raise ValueError("type fractions must be >= 0")
+            raise WorkloadError("type fractions must be >= 0")
         if mix > 1.0 + 1e-9:
-            raise ValueError(f"type fractions sum to {mix} > 1")
+            raise WorkloadError(f"type fractions sum to {mix} > 1")
         if self.min_iterations < 1 or self.max_iterations < self.min_iterations:
-            raise ValueError("need 1 <= min_iterations <= max_iterations")
+            raise WorkloadError("need 1 <= min_iterations <= max_iterations")
         if self.walltime_slack <= 0:
-            raise ValueError("walltime_slack must be > 0")
+            raise WorkloadError("walltime_slack must be > 0")
         if not 0.0 <= self.ondemand_fraction <= 1.0:
-            raise ValueError("ondemand_fraction must be within [0, 1]")
+            raise WorkloadError("ondemand_fraction must be within [0, 1]")
         if self.checkpoint_bytes < 0:
-            raise ValueError("checkpoint_bytes must be >= 0")
+            raise WorkloadError("checkpoint_bytes must be >= 0")
         if self.mean_runtime <= 0:
-            raise ValueError("mean_runtime must be > 0")
+            raise WorkloadError("mean_runtime must be > 0")
         if self.runtime_sigma < 0:
-            raise ValueError("runtime_sigma must be >= 0")
+            raise WorkloadError("runtime_sigma must be >= 0")
         if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
+            raise WorkloadError("num_users must be >= 1")
+
+
+#: Rows of a scenario's ``workload.generate`` block: a ``seed`` of its own, then
+#: every :class:`WorkloadSpec` field under its default; ``>= 0`` unless named
+#: here.  Rules across fields are :meth:`WorkloadSpec.validate`'s.
+_AT_LEAST = {
+    "num_jobs": COUNT,
+    "min_request": GE1,
+    "max_request": GE1,
+    "mean_runtime": GT0,
+    "min_iterations": GE1,
+    "max_iterations": GE1,
+    "walltime_slack": GT0,
+    "node_flops": GT0,
+    "shrink_factor": GE1,
+    "grow_factor": GE1,
+    "num_users": GE1,
+    "serial_fraction": FRACTION,
+    "malleable_fraction": FRACTION,
+    "moldable_fraction": FRACTION,
+    "evolving_fraction": FRACTION,
+    "ondemand_fraction": FRACTION,
+}
+_GENERATE = (
+    ("seed", INTEGER, None, GE0),
+    *(
+        (f.name, INTEGER if f.type == "int" else NUMBER, f.default, _AT_LEAST.get(f.name, GE0))
+        for f in fields(WorkloadSpec)
+    ),
+)
 
 
 def generate_workload(

@@ -22,91 +22,86 @@ Format::
         }
       ]
     }
+
+A workload file may instead hold one ``{"swf": {...}}`` trace-conversion
+block.  Every field's kind, default and bound is tabled in ``docs/API.md``
+("Input formats").
 """
 
 from __future__ import annotations
 
-import json
 from math import inf
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
+from repro._input import ANY, CHOICE, GE0, GE1, GT0, INTEGER, LIST, NUMBER, OBJECT, REQUIRED, TEXT
+from repro._input import InputError, read, read_json
 from repro.application import ApplicationError, ApplicationModel, application_from_dict
 from repro.job import Job, JobClass, JobError, JobType
 
 
-class WorkloadError(Exception):
+class WorkloadError(InputError):
     """Raised for invalid workload descriptions."""
 
 
+_WORKLOAD = (
+    ("jobs", LIST, None, None),
+    ("applications", OBJECT, None, None),
+    ("swf", OBJECT, None, None),
+)
+#: Default of ``id``: the job's position in the list, counted from 1.
+_POSITION: Any = object()
+_JOB = (
+    ("id", INTEGER, _POSITION, None),
+    ("application", ANY, REQUIRED, None),
+    ("type", CHOICE, JobType.RIGID, {member.value: member for member in JobType}),
+    ("class", CHOICE, JobClass.BATCH, {member.value: member for member in JobClass}),
+    ("submit_time", NUMBER, 0.0, GE0),
+    ("num_nodes", INTEGER, 1, GE1),
+    ("min_nodes", INTEGER, None, GE1),
+    ("max_nodes", INTEGER, None, GE1),
+    ("walltime", NUMBER, inf, GT0),
+    ("arguments", OBJECT, None, None),
+    ("name", TEXT, None, None),
+    ("user", TEXT, None, None),
+    ("priority", INTEGER, 0, None),
+    ("checkpoint_bytes", NUMBER, None, GT0),
+)
+
+
 def _job_from_dict(
-    spec: Dict[str, Any],
+    spec: Any,
     index: int,
     applications: Dict[str, ApplicationModel],
 ) -> Job:
-    if not isinstance(spec, dict):
-        raise WorkloadError(f"Job {index}: spec must be an object")
-    context = f"job {spec.get('id', index)}"
-
-    raw_type = spec.get("type", "rigid")
-    try:
-        job_type = JobType(raw_type)
-    except ValueError:
-        raise WorkloadError(
-            f"{context}: unknown type {raw_type!r}; "
-            f"expected one of {[t.value for t in JobType]}"
-        ) from None
-
-    app_spec = spec.get("application")
-    if app_spec is None:
-        raise WorkloadError(f"{context}: missing 'application'")
-    if isinstance(app_spec, str):
-        if app_spec not in applications:
+    path = f"jobs[{index}]"
+    values = read(spec, _JOB, path, WorkloadError)
+    jid, application = values.pop("id"), values.pop("application")
+    if isinstance(application, str):
+        if application not in applications:
             raise WorkloadError(
-                f"{context}: unknown application {app_spec!r}; "
-                f"defined: {sorted(applications)}"
+                f"{path}.application must name one of the workload's "
+                f"applications {sorted(applications)}, got {application!r}"
             )
-        application = applications[app_spec]
-    else:
+        application = applications[application]
+    elif isinstance(application, dict):
         try:
-            application = application_from_dict(app_spec)
+            application = application_from_dict(application)
         except ApplicationError as exc:
-            raise WorkloadError(f"{context}: bad inline application: {exc}") from exc
-
-    raw_class = spec.get("class", "batch")
-    try:
-        job_class = JobClass(raw_class)
-    except ValueError:
+            raise WorkloadError(f"{path}.application.{exc}") from None
+    else:
         raise WorkloadError(
-            f"{context}: unknown class {raw_class!r}; "
-            f"expected one of {[c.value for c in JobClass]}"
-        ) from None
-
-    kwargs: Dict[str, Any] = dict(
-        job_type=job_type,
-        submit_time=float(spec.get("submit_time", 0.0)),
-        num_nodes=int(spec.get("num_nodes", 1)),
-        walltime=float(spec.get("walltime", inf)),
-        arguments=spec.get("arguments"),
-        name=spec.get("name"),
-        user=spec.get("user"),
-        priority=int(spec.get("priority", 0)),
-        job_class=job_class,
-    )
-    if spec.get("checkpoint_bytes") is not None:
-        kwargs["checkpoint_bytes"] = float(spec["checkpoint_bytes"])
-    if "min_nodes" in spec:
-        kwargs["min_nodes"] = int(spec["min_nodes"])
-    if "max_nodes" in spec:
-        kwargs["max_nodes"] = int(spec["max_nodes"])
-
-    jid = spec.get("id", index + 1)
-    if not isinstance(jid, int):
-        raise WorkloadError(f"{context}: 'id' must be an integer")
+            f"{path}.application must be an application's name or an object, "
+            f"got {application!r:.60}"
+        )
+    if values["arguments"]:  # expression variables: every one a number
+        rows = tuple((name, NUMBER, REQUIRED, None) for name in values["arguments"])
+        read(values["arguments"], rows, f"{path}.arguments", WorkloadError)
+    values["job_type"], values["job_class"] = values.pop("type"), values.pop("class")
     try:
-        return Job(jid, application, **kwargs)
+        return Job(index + 1 if jid is _POSITION else jid, application, **values)
     except JobError as exc:
-        raise WorkloadError(f"{context}: {exc}") from exc
+        raise WorkloadError(f"{path}: {exc}") from None
 
 
 def workload_from_dict(
@@ -121,50 +116,40 @@ def workload_from_dict(
     relative trace path — :func:`load_workload` passes the workload
     file's own directory.
     """
-    if not isinstance(spec, dict):
-        raise WorkloadError(f"Workload spec must be an object, got {type(spec).__name__}")
-
-    if "swf" in spec:
+    top = read(spec, _WORKLOAD, "", WorkloadError)
+    if top["swf"] is not None:
         from repro.workload.malleable_mix import jobs_from_swf_block
         from repro.workload.swf import SwfError
 
-        extra = sorted(set(spec) - {"swf"})
-        if extra:
-            raise WorkloadError(
-                f"workload: 'swf' block cannot be combined with {extra}"
-            )
+        if top["jobs"] is not None or top["applications"] is not None:
+            raise WorkloadError("swf cannot be combined with jobs or applications")
         try:
             return jobs_from_swf_block(
-                dict(spec["swf"]), base=None if base is None else Path(base)
+                top["swf"], base=None if base is None else Path(base)
             )
         except SwfError as exc:
-            raise WorkloadError(f"workload: {exc}") from exc
+            raise WorkloadError(str(exc)) from None
 
+    named = top["applications"] or {}
+    read(named, tuple((name, OBJECT, REQUIRED, None) for name in named),
+         "applications", WorkloadError)
     applications: Dict[str, ApplicationModel] = {}
-    for name, app_spec in (spec.get("applications") or {}).items():
+    for name, app_spec in named.items():
         try:
             applications[name] = application_from_dict(app_spec)
         except ApplicationError as exc:
-            raise WorkloadError(f"application {name!r}: {exc}") from exc
+            raise WorkloadError(f"applications.{name}.{exc}") from None
 
-    jobs_spec = spec.get("jobs")
-    if not isinstance(jobs_spec, list) or not jobs_spec:
-        raise WorkloadError("workload: 'jobs' must be a non-empty list")
-    jobs = [_job_from_dict(j, i, applications) for i, j in enumerate(jobs_spec)]
+    if top["jobs"] is None:
+        raise WorkloadError("jobs is required")
+    jobs = [_job_from_dict(j, i, applications) for i, j in enumerate(top["jobs"])]
 
     jids = [job.jid for job in jobs]
     if len(set(jids)) != len(jids):
-        raise WorkloadError("workload: duplicate job ids")
+        raise WorkloadError("jobs: duplicate job ids")
     return jobs
 
 
 def load_workload(path: Union[str, Path]) -> List[Job]:
     """Load a workload from a JSON file."""
-    path = Path(path)
-    try:
-        spec = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise WorkloadError(f"Workload file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise WorkloadError(f"Invalid JSON in {path}: {exc}") from exc
-    return workload_from_dict(spec, base=path.parent)
+    return workload_from_dict(read_json(path, WorkloadError), base=Path(path).parent)

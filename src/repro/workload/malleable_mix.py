@@ -22,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Union
 
+from repro._input import ANY, COUNT, FLAG, GE0, GE1, GT0, INTEGER, LIST, NUMBER, REQUIRED, TEXT
+from repro._input import read
 from repro.job import Job, JobType
 from repro.workload.apportion import largest_remainder
 from repro.workload.generator import iterative_application
@@ -57,10 +59,10 @@ class TypeMix:
 
     def __post_init__(self) -> None:
         shares = (self.rigid, self.moldable, self.malleable)
-        if min(shares) < 0:
+        if not min(shares) >= 0:  # "not >=": NaN is no share either
             raise SwfError(f"type mix shares must be >= 0: {shares}")
         total = sum(shares)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise SwfError(f"type mix must sum to 1, got {total!r}: {shares}")
 
     @classmethod
@@ -68,18 +70,15 @@ class TypeMix:
         """Coerce a mix given as TypeMix, ``"r,mo,ma"`` string, or 3-sequence."""
         if isinstance(value, cls):
             return value
-        if isinstance(value, str):
-            parts = [p.strip() for p in value.split(",")]
-        else:
-            parts = list(value)
-        if len(parts) != 3:
-            raise SwfError(
-                f"type mix needs exactly rigid,moldable,malleable shares: {value!r}"
-            )
         try:
+            parts = value.split(",") if isinstance(value, str) else list(value)
             shares = [float(p) for p in parts]
         except (TypeError, ValueError):
             raise SwfError(f"non-numeric type mix: {value!r}") from None
+        if len(shares) != 3:
+            raise SwfError(
+                f"type mix needs exactly rigid,moldable,malleable shares: {value!r}"
+            )
         total = sum(shares)
         if total > 1.0 + 1e-9:  # percent vector, e.g. 100,0,0 or 40,30,30
             shares = [s / 100.0 for s in shares]
@@ -218,23 +217,33 @@ def convert_trace(
     return jobs
 
 
-#: Keys a campaign ``workload: {"swf": {...}}`` block may carry.
-_SWF_BLOCK_KEYS = frozenset(
-    {
-        "file",
-        "sha256",
-        "type_mix",
-        "node_flops",
-        "parallel_fractions",
-        "procs_per_node",
-        "max_nodes",
-        "iterations",
-        "walltime_slack",
-        "normalize_submit",
-        "max_jobs",
-        "seed",
-    }
+_SWF_BLOCK = (
+    ("file", TEXT, REQUIRED, 1),
+    ("type_mix", ANY, REQUIRED, None),  # "r,mo,ma", or a list of three shares
+    ("node_flops", NUMBER, REQUIRED, GT0),
+    ("sha256", TEXT, None, None),
+    ("parallel_fractions", LIST, DEFAULT_PARALLEL_FRACTIONS, (NUMBER, (0, False, 1))),
+    ("procs_per_node", INTEGER, 1, GE1),
+    ("max_nodes", INTEGER, None, GE1),
+    ("iterations", INTEGER, 10, COUNT),
+    ("walltime_slack", NUMBER, DEFAULT_WALLTIME_SLACK, GT0),
+    ("normalize_submit", FLAG, True, None),
+    ("max_jobs", INTEGER, None, GE1),
+    ("seed", INTEGER, None, GE0),
 )
+
+
+def _read_swf_block(block: Any) -> Dict[str, Any]:
+    """The checked values of an ``swf`` block; messages start with ``swf``."""
+    values = read(block, _SWF_BLOCK, "swf", SwfError)
+    if not isinstance(values["type_mix"], str):
+        read({"type_mix": values["type_mix"]},
+             (("type_mix", LIST, REQUIRED, (NUMBER, GE0)),), "swf", SwfError)
+    try:
+        TypeMix.parse(values["type_mix"])
+    except SwfError as exc:
+        raise SwfError(f"swf.type_mix: {exc}") from None
+    return values
 
 
 def jobs_from_swf_block(
@@ -251,55 +260,35 @@ def jobs_from_swf_block(
     arguments.  A ``sha256`` pin (normally injected by campaign loading)
     is verified against the file's actual content, so a cache keyed on
     the pinned spec can never be answered by a run over a different
-    trace.
+    trace.  Every message starts with ``swf``, the key the block sits
+    under.
     """
-    unknown = set(block) - _SWF_BLOCK_KEYS
-    if unknown:
-        raise SwfError(f"unknown swf workload keys: {sorted(unknown)}")
-    try:
-        ref = block["file"]
-        mix = block["type_mix"]
-        node_flops = float(block["node_flops"])
-    except KeyError as exc:
-        raise SwfError(f"swf workload block needs {exc.args[0]!r}") from None
-
-    path = Path(ref)
+    values = _read_swf_block(block)
+    path = Path(values.pop("file"))
     if base is not None and not path.is_absolute():
         path = base / path
     try:
         payload = path.read_bytes()
     except OSError as exc:
-        raise SwfError(f"cannot read SWF trace {path}: {exc}") from None
-    pinned = block.get("sha256")
+        raise SwfError(f"swf.file: cannot read SWF trace {path} ({exc.strerror or exc})") from None
+    pinned = values.pop("sha256")
     if pinned is not None:
         import hashlib  # first use: `import repro` stays without it
 
         actual = hashlib.sha256(payload).hexdigest()
         if actual != pinned:
             raise SwfError(
-                f"SWF trace {path} content hash {actual[:12]}… does not match "
-                f"the pinned {str(pinned)[:12]}… — the file changed since the "
+                f"swf.file: SWF trace {path} content hash {actual[:12]}… does not "
+                f"match the pinned {pinned[:12]}… — the file changed since the "
                 "campaign was loaded"
             )
-
-    records = parse_swf(payload.decode("utf-8", errors="replace"))
-    max_nodes = block.get("max_nodes")
-    max_jobs = block.get("max_jobs")
-    return convert_trace(
-        records,
-        mix,
-        node_flops=node_flops,
-        seed=int(block.get("seed", seed)),
-        procs_per_node=int(block.get("procs_per_node", 1)),
-        max_nodes=None if max_nodes is None else int(max_nodes),
-        parallel_fractions=tuple(
-            block.get("parallel_fractions", DEFAULT_PARALLEL_FRACTIONS)
-        ),
-        iterations=int(block.get("iterations", 10)),
-        walltime_slack=float(block.get("walltime_slack", DEFAULT_WALLTIME_SLACK)),
-        normalize_submit=bool(block.get("normalize_submit", True)),
-        max_jobs=None if max_jobs is None else int(max_jobs),
-    )
+    if values["seed"] is None:
+        values["seed"] = seed
+    try:
+        records = parse_swf(payload.decode("utf-8", errors="replace"))
+        return convert_trace(records, values.pop("type_mix"), **values)
+    except SwfError as exc:
+        raise SwfError(f"swf.file: {path}: {exc}") from None
 
 
 __all__ = [

@@ -30,11 +30,12 @@ from math import inf
 from pathlib import Path
 from typing import List, Optional, Union
 
+from repro._input import InputError
 from repro.application import ApplicationModel, CpuTask, Phase
 from repro.job import Job, JobType
 
 
-class SwfError(Exception):
+class SwfError(InputError):
     """Raised for malformed SWF input."""
 
 
@@ -97,11 +98,9 @@ def parse_swf(source: Union[str, Path]) -> List[SwfRecord]:
     if is_path:
         path = Path(source)
         try:
-            text = path.read_text()
-        except FileNotFoundError:
-            raise SwfError(f"SWF file not found: {path}") from None
+            text = path.read_text(errors="replace")
         except OSError as exc:
-            raise SwfError(f"Cannot read SWF file {path}: {exc}") from exc
+            raise SwfError(f"{path}: cannot read SWF file ({exc.strerror or exc})") from None
     else:
         text = source
 
@@ -128,6 +127,13 @@ def parse_swf(source: Union[str, Path]) -> List[SwfRecord]:
                     status=int(fields[10]),
                 )
             )
+            rec = records[-1]
+            if not (
+                -inf < rec.submit_time < inf
+                and -inf < rec.run_time < inf
+                and -inf < rec.requested_time < inf
+            ):
+                raise ValueError("a time that is not finite")
         except ValueError as exc:
             raise SwfError(f"line {lineno}: {exc}") from exc
     return records

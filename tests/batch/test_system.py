@@ -3,7 +3,7 @@
 import pytest
 
 from repro.batch import BatchError, Simulation
-from repro.job import JobState
+from repro.job import JobError, JobState
 from repro.scheduler import SchedulerError
 
 from tests.batch.conftest import make_job
@@ -87,7 +87,7 @@ class TestValidationErrors:
             Simulation(platform, [make_job(1), make_job(1)], algorithm="fcfs")
 
     def test_oversized_job_rejected_at_setup(self, platform):
-        with pytest.raises(BatchError, match="at least"):
+        with pytest.raises(JobError, match="at least"):
             Simulation(platform, [make_job(1, num_nodes=16)], algorithm="fcfs")
 
     def test_unknown_algorithm_name(self, platform):

@@ -204,7 +204,7 @@ class TestEngine:
         # Every mode is: the block itself is an unknown key.
         with pytest.raises(TypeError):
             make_scenario(engine={"array_engine": False})
-        with pytest.raises(CampaignError, match=r"unknown campaign keys: \['engine'\]"):
+        with pytest.raises(CampaignError, match=r"^unknown key\(s\) \['engine'\]"):
             expand_campaign(
                 {"platform": PLATFORM, "workload": WORKLOAD, "engine": {"compiled": False}}
             )

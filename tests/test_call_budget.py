@@ -23,6 +23,13 @@ reading and writing a 20 GB/s file system from a 128-node star under the
 system's component — admitted, solved, integrated and removed one by one —
 it cost 28.3 calls per event; with each read or write one row of that
 component it costs 20.1 (budget: that plus a fifth), and no row dissolves.
+
+The last gate is on parsing, not running: ``workload_from_dict`` over the
+benchmark's quick ``rigid_sched`` workload (60 inline jobs) made 6 491
+calls when every field was read by a bare ``float(spec.get(...))``; read
+through the input tables — type, finiteness, range, unknown keys — it
+makes 5 661.  The budget is the unchecked figure plus a quarter: a reader
+that went back to one call per field would be over it.
 """
 
 from repro import Simulation
@@ -32,6 +39,7 @@ from benchmarks.common import evaluation_workload, profiled_calls, reference_pla
 BUDGET = 9.9
 RING_BUDGET = 23.4
 IO_BUDGET = 24.2
+PARSE_BUDGET = 6491 * 1.25
 
 
 def _simulation():
@@ -123,3 +131,14 @@ def test_contended_io_run_stays_within_its_call_budget():
     stats = sim.monitor.solver
     assert stats.scalar_solves > 100 and stats.max_solve_scope > 64
     assert stats.cohorts_admitted > 500 and stats.cohorts_dissolved == 0
+
+
+def test_parsing_an_inline_workload_stays_within_its_call_budget():
+    import benchmarks.e2e.gen as gen
+    from repro.workload import workload_from_dict
+
+    inline = gen.rigid_sched(3, quick=True)["workload"]["inline"]
+    workload_from_dict(inline)  # warm the expression intern cache, as a second scenario finds it
+    calls = profiled_calls(lambda: workload_from_dict(inline))
+    assert len(inline["jobs"]) == 60
+    assert calls <= PARSE_BUDGET, f"{calls} calls to parse 60 jobs"

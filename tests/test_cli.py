@@ -261,10 +261,11 @@ class TestRun:
         assert code == 0
         assert trace.exists()
 
-    def test_run_stalled_workload_is_runtime_error(
+    def test_run_oversized_job_is_input_error(
         self, platform_file, tmp_path, capsys
     ):
-        # A job wanting more nodes than the platform has is a BatchError.
+        # A job wanting more nodes than the platform has: the two files
+        # do not fit each other, which is the files' mistake (a JobError).
         wl = tmp_path / "big.json"
         wl.write_text(
             json.dumps(
@@ -284,9 +285,9 @@ class TestRun:
             )
         )
         code = main(["run", "--platform", str(platform_file), "--workload", str(wl)])
-        assert code == EXIT_RUNTIME
+        assert code == EXIT_INPUT
         err = capsys.readouterr().err
-        assert "error:" in err
+        assert err.startswith("error: job1 needs at least 1024 nodes")
         assert "Traceback" not in err
 
 
@@ -510,7 +511,61 @@ class TestCampaign:
         old.write_text(json.dumps({**CAMPAIGN, "engine": {"array_engine": False}}))
         code = main(["campaign", "run", "--spec", str(old)])
         assert code == EXIT_INPUT
-        assert capsys.readouterr().err == "error: unknown campaign keys: ['engine']\n"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {old}: unknown key(s) ['engine']; the keys are [")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "sim, names",
+        [
+            ({"failures": 5}, "sim.failures must be an object"),
+            ({"failures": {"mtbf": "x"}}, "sim.failures.mtbf must be a finite number > 0"),
+            ({"invocation_interval": "abc"}, "sim.invocation_interval must be a finite number > 0"),
+            ({"max_requeues": "x"}, "sim.max_requeues must be an integer >= 0"),
+        ],
+    )
+    def test_a_bad_campaign_is_refused_before_it_runs_not_reported_per_scenario(
+        self, tmp_path, capsys, monkeypatch, sim, names
+    ):
+        # These used to expand, dispatch, and come back as one `failed`
+        # record per scenario (exit 5) — max_requeues: "x" even as exit 0.
+        import repro.campaign as campaign
+
+        def never(*args, **kwargs):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr(campaign, "run_scenario", never)
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({**CAMPAIGN, "sim": sim}))
+        code = main(["campaign", "run", "--spec", str(spec), "--output-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith(f"error: {spec}: scenario fcfs/seed=0: {names}")
+        assert captured.err.count("\n") == 1 and not (tmp_path / "o").exists()
+
+    def test_a_campaign_checks_each_distinct_fragment_once_not_each_scenario(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.batch.system as system
+        import repro.campaign as campaign
+
+        calls = {part: 0 for part in system._PART_READERS}
+        for part, check in list(system._PART_READERS.items()):
+
+            def counted(fragment, part=part, check=check):
+                calls[part] += 1
+                return check(fragment)
+
+            monkeypatch.setitem(system._PART_READERS, part, counted)
+        spec = tmp_path / "grid.json"
+        spec.write_text(
+            json.dumps({**CAMPAIGN, "seeds": [0, 1, 2], "grid": {"x": [1, 2]},
+                        "sim": {"max_requeues": "x + 1"}})
+        )  # fmt: skip
+        scenarios = campaign.load_campaign(spec)
+        assert len(scenarios) == 12
+        # One platform, one workload (the seed is not part of it), one sim per x.
+        assert calls == {"platform": 1, "workload": 1, "sim": 2}
 
     @pytest.mark.parametrize(
         "fault", ["output-dir-occupied", "fingerprints-parent-occupied", "output-dir-locked"]
@@ -939,7 +994,7 @@ class TestTraceCommands:
     def test_check_missing_trace_is_input_error(self, tmp_path, capsys):
         code = main(["trace", "check", str(tmp_path / "ghost.jsonl")])
         assert code == EXIT_INPUT
-        assert "not found" in capsys.readouterr().err
+        assert "ghost.jsonl: cannot read the file" in capsys.readouterr().err
 
     def test_run_with_trace_and_invariants(
         self, platform_file, workload_file, tmp_path, capsys

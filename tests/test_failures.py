@@ -135,9 +135,9 @@ class TestFailureInjection:
         ]
 
     def test_out_of_range_failure_rejected(self, platform):
-        from repro.batch import BatchError
+        from repro.failures import FailureError
 
-        with pytest.raises(BatchError, match="targets node"):
+        with pytest.raises(FailureError, match="targets node"):
             Simulation(
                 platform,
                 [make_job(1)],

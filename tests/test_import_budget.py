@@ -13,7 +13,10 @@ engine option, ``reference``, on a constructor chain — no process-global
 switch, no environment variable (counts and names only, read off the
 source tree and the signatures) — and what keeps the campaign loop one
 synchronous loop: no ``asyncio`` anywhere in the package, an executor of
-two methods and a name, a runner with the parameters it had.
+two methods and a name, a runner with the parameters it had — and what
+keeps input checking one dialect: one module that reads files and fields,
+one exception base, no hand-rolled helper or stray ``JSONDecodeError``
+handler growing back beside it.
 """
 
 import ast
@@ -37,6 +40,9 @@ HEAVY = (
 
 #: ``import repro.cli`` loaded 675 modules before the diet and 159 after.
 MODULE_BUDGET = 250
+#: What ``import repro`` and then ``import repro.cli`` load, to the module:
+#: ``repro._input`` came in as ``repro.des.resources`` went out.
+BARE_MODULES = {"import repro": 152, "import repro.cli": 155}
 
 
 def _fresh(code: str, *args: str, cwd=None) -> dict:
@@ -100,6 +106,8 @@ def test_bare_import_stays_inside_the_budget(statement):
     report = _fresh(f"{statement}; code = 0; " + _REPORT)
     assert report["loaded"] == []
     assert report["count"] <= MODULE_BUDGET
+    if sys.version_info[:2] == (3, 11):  # the stdlib's own modules differ by version
+        assert report["count"] <= BARE_MODULES.get(statement, MODULE_BUDGET)
 
 
 @pytest.mark.parametrize("statement", ["import repro.cli", "import repro.replay"])
@@ -362,3 +370,83 @@ def test_every_subcommand_still_resolves_its_lazy_imports(command, tmp_path):
         cwd=tmp_path,
     )
     assert report["exit"] == 0
+
+
+# -- one input dialect ----------------------------------------------------------
+
+
+def test_the_input_module_imports_json_and_nothing_of_the_package():
+    tree = ast.parse((SRC / "repro" / "_input.py").read_text())
+    imported = {
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported <= {"__future__", "typing", "json", "math"}, imported
+
+
+def test_no_hand_rolled_field_helper_and_no_stray_json_error_handler():
+    handlers = []
+    for name, tree in _source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in ("_require", "_positive_number", "_distribution"), name
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "JSONDecodeError" in ast.unparse(node.type):
+                    handlers.append(name)
+    # The one file reader, and the line readers that skip or report a bad line.
+    assert sorted(handlers) == [
+        "_input.py",
+        "campaign/aggregate.py",  # iter_jsonl_records: a torn last line is skipped
+        "campaign/cache.py",  # a corrupt entry is a miss
+        "campaign/queue.py",  # a file mid-write reads as absent
+        "tracing/tracer.py",  # read_jsonl names the line
+    ]
+
+
+def test_cli_main_sorts_exceptions_by_five_arms_and_none_is_value_error():
+    tree = ast.parse((SRC / "repro" / "cli.py").read_text())
+    main = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "main")
+    (attempt,) = [node for node in main.body if isinstance(node, ast.Try)]
+    caught = [ast.unparse(handler.type) for handler in attempt.handlers]
+    assert caught == [
+        "(InputError, OSError, UnicodeDecodeError)",  # 3
+        "SchedulerError",  # 4
+        "BatchError",  # 5
+        "Exception",  # InvariantViolation: 1; anything else: 70
+    ]
+    imports = [n for n in ast.walk(attempt) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert [ast.unparse(node) for node in imports] == [
+        "from repro.tracing import InvariantViolation"
+    ]
+
+
+def test_every_error_a_loader_raises_is_an_input_error():
+    import importlib
+
+    from repro import InputError
+
+    loaders = [
+        "platform/loader.py", "workload/loader.py", "workload/malleable_mix.py", "workload/swf.py",
+        "workload/generator.py", "application/loader.py", "campaign/spec.py", "campaign/compare.py",
+        "tracing/tracer.py", "replay/snapshot.py", "failures/model.py", "_input.py",
+    ]  # fmt: skip
+    raised = set()
+    for name, tree in _source_trees():
+        if name in loaders:
+            module = importlib.import_module("repro." + name[:-3].replace("/", "."))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                    called = ast.unparse(node.exc.func)
+                    if called.endswith("Error") and hasattr(module, called):
+                        raised.add(getattr(module, called))
+    assert len(raised) >= 9
+    assert [cls for cls in raised if not issubclass(cls, InputError)] == []
+    # And the classes the command line files under "input" by name, wherever raised.
+    import repro.engine
+    import repro.expressions
+    import repro.job
+
+    for cls in (repro.job.JobError, repro.expressions.ExpressionError, repro.engine.EngineError):
+        assert issubclass(cls, InputError)

@@ -4,7 +4,12 @@ import pytest
 
 from repro.application import CommTask, CpuTask, PfsReadTask, PfsWriteTask
 from repro.job import JobType
-from repro.workload import WorkloadSpec, generate_workload, iterative_application
+from repro.workload import (
+    WorkloadError,
+    WorkloadSpec,
+    generate_workload,
+    iterative_application,
+)
 
 
 class TestIterativeApplication:
@@ -141,9 +146,9 @@ class TestGenerateWorkload:
     def test_class_spec_validation(self):
         import pytest
 
-        with pytest.raises(ValueError, match="ondemand_fraction"):
+        with pytest.raises(WorkloadError, match="ondemand_fraction"):
             WorkloadSpec(num_jobs=5, ondemand_fraction=1.5).validate()
-        with pytest.raises(ValueError, match="checkpoint_bytes"):
+        with pytest.raises(WorkloadError, match="checkpoint_bytes"):
             WorkloadSpec(num_jobs=5, checkpoint_bytes=-1.0).validate()
 
     def test_type_counts_never_oversubscribe(self):
@@ -196,13 +201,13 @@ class TestGenerateWorkload:
             assert job.walltime == pytest.approx(5.0 * max(est, 1.0))
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             generate_workload(WorkloadSpec(num_jobs=0))
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             generate_workload(WorkloadSpec(malleable_fraction=0.8, moldable_fraction=0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             generate_workload(WorkloadSpec(min_request=8, max_request=4))
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             generate_workload(WorkloadSpec(walltime_slack=0))
 
     def test_zero_interarrival_means_batch_arrival(self):
