@@ -3,7 +3,7 @@
 Runs :func:`repro.profiling.profile_run` on the E5 reference scenario and
 writes ``PROFILE_hotpaths.json`` next to ``BENCH_E5.json`` (see
 ``common.bench_results_dir``), so every benchmark run records *where* the
-wall-clock time went — solver, scheduler, expressions, kernel — not just
+wall-clock time went — solver, scheduler, kernel — not just
 how much there was.  CI's profile-smoke job runs this on a small scenario
 and archives the JSON.
 

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.application.tasks import ApplicationError, EvolvingRequest, ExprLike, Task
-from repro.expressions import ExpressionError, compiled_expression
+from repro.application.tasks import (
+    ApplicationError,
+    EvolvingRequest,
+    ExprLike,
+    Task,
+    evaluate,
+    magnitude,
+)
 
 
 class Phase:
@@ -45,10 +51,7 @@ class Phase:
             if not isinstance(task, Task):
                 raise ApplicationError(f"Phase {name!r}: {task!r} is not a Task")
         self.tasks = list(tasks)
-        try:
-            self.iterations = compiled_expression(iterations)
-        except ExpressionError as exc:
-            raise ApplicationError(f"Phase {name!r}: bad iterations: {exc}") from exc
+        self.iterations = magnitude(iterations, f"phase {name!r} iterations")
         self.scheduling_point = scheduling_point
         self.parallel = parallel
         self.name = name or "phase"
@@ -60,13 +63,7 @@ class Phase:
 
     def num_iterations(self, variables: Mapping[str, float]) -> int:
         """Evaluate the iteration count for the current job context."""
-        try:
-            value = self.iterations.evaluate(variables)
-        except ExpressionError as exc:
-            raise ApplicationError(
-                f"Phase {self.name!r}: evaluating iterations failed: {exc}"
-            ) from exc
-        count = int(round(float(value)))
+        count = int(round(evaluate(self.iterations, variables, f"phase {self.name!r} iterations")))
         if count < 1:
             raise ApplicationError(
                 f"Phase {self.name!r}: iterations must be >= 1, got {count}"
@@ -105,27 +102,14 @@ class ApplicationModel:
             if not isinstance(phase, Phase):
                 raise ApplicationError(f"Application {name!r}: {phase!r} is not a Phase")
         self.phases = list(phases)
-        try:
-            self.data_per_node = compiled_expression(data_per_node)
-        except ExpressionError as exc:
-            raise ApplicationError(
-                f"Application {name!r}: bad data_per_node: {exc}"
-            ) from exc
+        self.data_per_node = magnitude(data_per_node, f"application {name!r} data_per_node")
         self.name = name
 
     def redistribution_bytes_per_node(self, variables: Mapping[str, float]) -> float:
         """Bytes/node to move when reconfiguring under ``variables``."""
-        try:
-            value = float(self.data_per_node.evaluate(variables))
-        except ExpressionError as exc:
-            raise ApplicationError(
-                f"Application {self.name!r}: evaluating data_per_node failed: {exc}"
-            ) from exc
-        if value < 0:
-            raise ApplicationError(
-                f"Application {self.name!r}: data_per_node is negative ({value})"
-            )
-        return value
+        return evaluate(
+            self.data_per_node, variables, f"application {self.name!r} data_per_node"
+        )
 
     def __repr__(self) -> str:
         return f"<ApplicationModel {self.name!r} phases={len(self.phases)}>"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
+from math import inf
 from typing import Mapping, Optional, Union
 
 from repro._input import InputError
@@ -13,6 +14,36 @@ ExprLike = Union[str, int, float, Expression]
 
 class ApplicationError(InputError):
     """Raised for invalid application models."""
+
+
+def magnitude(value: ExprLike, what: str) -> Expression:
+    """``value`` as the expression every magnitude is held as.
+
+    One interpreter evaluates it, behind a wrapper that folds a literal-only
+    expression to a constant and memoizes any other by the values of its
+    free variables (:mod:`repro.expressions.compiler`).
+    """
+    try:
+        return compiled_expression(value)
+    except ExpressionError as exc:
+        raise ApplicationError(f"Invalid expression for {what}: {exc}") from exc
+
+
+def evaluate(expr: Expression, variables: Mapping[str, float], what: str) -> float:
+    """``expr`` under ``variables``: a float in ``0 <= value < inf``.
+
+    The one place a magnitude is evaluated and bounded; ``what`` names it in
+    the :class:`ApplicationError` raised when it does not evaluate, or
+    evaluates to a negative, infinite or NaN amount.
+    """
+    try:
+        value = float(expr.evaluate(variables))
+    except ExpressionError as exc:
+        raise ApplicationError(f"Evaluating {what} failed: {exc}") from exc
+    if not 0 <= value < inf:
+        kind = "negative" if value < 0 else "non-finite"
+        raise ApplicationError(f"{what} evaluated to {kind} value {value}")
+    return value
 
 
 class Distribution(Enum):
@@ -61,26 +92,6 @@ class Task:
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 
-    @staticmethod
-    def _compile(value: ExprLike, what: str) -> Expression:
-        # Magnitudes go through the compiled pipeline: constant folding for
-        # literal-only expressions, a compiled function otherwise, plus a
-        # binding-keyed memo — semantics identical to the interpreted AST.
-        try:
-            return compiled_expression(value)
-        except ExpressionError as exc:
-            raise ApplicationError(f"Invalid expression for {what}: {exc}") from exc
-
-    @staticmethod
-    def _eval_nonnegative(expr: Expression, variables: Mapping[str, float], what: str) -> float:
-        try:
-            value = float(expr.evaluate(variables))
-        except ExpressionError as exc:
-            raise ApplicationError(f"Evaluating {what} failed: {exc}") from exc
-        if value < 0:
-            raise ApplicationError(f"{what} evaluated to negative value {value}")
-        return value
-
 
 class CpuTask(Task):
     """A computation of ``flops`` distributed over the allocation.
@@ -103,20 +114,16 @@ class CpuTask(Task):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name)
-        self.flops = self._compile(flops, f"{self.kind}.flops")
+        self.flops = magnitude(flops, f"{self.kind}.flops")
         self.distribution = distribution
-        self.serial_fraction = self._compile(
-            serial_fraction, f"{self.kind}.serial_fraction"
-        )
+        self.serial_fraction = magnitude(serial_fraction, f"{self.kind}.serial_fraction")
 
     def flops_per_node(self, variables: Mapping[str, float], num_nodes: int) -> float:
         """Work each node performs for this task instance (Amdahl-scaled)."""
-        total = self._eval_nonnegative(self.flops, variables, f"{self.name}.flops")
+        total = evaluate(self.flops, variables, f"{self.name}.flops")
         if self.distribution is not Distribution.EVEN:
             return total
-        serial = self._eval_nonnegative(
-            self.serial_fraction, variables, f"{self.name}.serial_fraction"
-        )
+        serial = evaluate(self.serial_fraction, variables, f"{self.name}.serial_fraction")
         if serial > 1:
             raise ApplicationError(
                 f"{self.name}: serial_fraction must be <= 1, got {serial}"
@@ -142,12 +149,12 @@ class GpuTask(Task):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name)
-        self.flops = self._compile(flops, f"{self.kind}.flops")
+        self.flops = magnitude(flops, f"{self.kind}.flops")
         self.distribution = distribution
 
     def flops_per_node(self, variables: Mapping[str, float], num_nodes: int) -> float:
         """GPU work each node performs for this task instance."""
-        total = self._eval_nonnegative(self.flops, variables, f"{self.name}.flops")
+        total = evaluate(self.flops, variables, f"{self.name}.flops")
         if self.distribution is Distribution.EVEN:
             return total / num_nodes
         return total
@@ -166,12 +173,12 @@ class CommTask(Task):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name)
-        self.nbytes = self._compile(nbytes, f"{self.kind}.bytes")
+        self.nbytes = magnitude(nbytes, f"{self.kind}.bytes")
         self.pattern = pattern
 
     def message_size(self, variables: Mapping[str, float]) -> float:
         """Per-message bytes for this task instance."""
-        return self._eval_nonnegative(self.nbytes, variables, f"{self.name}.bytes")
+        return evaluate(self.nbytes, variables, f"{self.name}.bytes")
 
     def flows(self, num_nodes: int) -> list[tuple[int, int]]:
         """Ordered (src_rank, dst_rank) pairs the pattern generates.
@@ -209,11 +216,11 @@ class _IoTask(Task):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name)
-        self.nbytes = self._compile(nbytes, f"{self.kind}.bytes")
+        self.nbytes = magnitude(nbytes, f"{self.kind}.bytes")
         self.distribution = distribution
 
     def bytes_per_node(self, variables: Mapping[str, float], num_nodes: int) -> float:
-        total = self._eval_nonnegative(self.nbytes, variables, f"{self.name}.bytes")
+        total = evaluate(self.nbytes, variables, f"{self.name}.bytes")
         if self.distribution is Distribution.EVEN:
             return total / num_nodes
         return total
@@ -265,10 +272,10 @@ class DelayTask(Task):
 
     def __init__(self, seconds: ExprLike, *, name: Optional[str] = None) -> None:
         super().__init__(name)
-        self.seconds = self._compile(seconds, f"{self.kind}.seconds")
+        self.seconds = magnitude(seconds, f"{self.kind}.seconds")
 
     def duration(self, variables: Mapping[str, float]) -> float:
-        return self._eval_nonnegative(self.seconds, variables, f"{self.name}.seconds")
+        return evaluate(self.seconds, variables, f"{self.name}.seconds")
 
 
 class EvolvingRequest(Task):
@@ -291,11 +298,11 @@ class EvolvingRequest(Task):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name)
-        self.num_nodes = self._compile(num_nodes, f"{self.kind}.num_nodes")
+        self.num_nodes = magnitude(num_nodes, f"{self.kind}.num_nodes")
         self.blocking = blocking
 
     def desired_nodes(self, variables: Mapping[str, float]) -> int:
-        value = self._eval_nonnegative(self.num_nodes, variables, f"{self.name}.num_nodes")
+        value = evaluate(self.num_nodes, variables, f"{self.name}.num_nodes")
         desired = int(round(value))
         if desired < 1:
             raise ApplicationError(

@@ -245,6 +245,43 @@ class Environment:
 
     # -- running -----------------------------------------------------------
 
+    def _arm_stop(self, until: Union[None, float, Event]) -> Optional[Event]:
+        """The event whose processing ends a run ``until``; ``None`` for none.
+
+        An event that was already processed comes back as it is
+        (``callbacks is None``): there is nothing to run.
+        """
+        if until is None:
+            return None
+        if isinstance(until, Event):
+            stop = until
+            if stop.callbacks is None:
+                return stop
+        else:
+            at = float(until)
+            if at < self._now:
+                raise ValueError(
+                    f"until ({at}) must not be earlier than now ({self._now})"
+                )
+            stop = Event(self)
+            stop._ok = True
+            stop._value = None
+            # URGENT so that the stop fires before user events at `at`.
+            self.schedule(stop, priority=URGENT, delay=at - self._now)
+        stop.callbacks.append(self._stop_callback)
+        return stop
+
+    @staticmethod
+    def _run_ended(end: Exception, until: Union[None, float, Event]) -> Any:
+        """What a run returns once ``end`` broke its loop."""
+        if isinstance(end, StopSimulation):
+            return end.value
+        if isinstance(until, Event) and until.callbacks is not None:
+            raise SimulationError(
+                f"No scheduled events left but until={until!r} was not triggered"
+            ) from None
+        return None
+
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run until the queue empties, a time is reached, or an event fires.
 
@@ -255,25 +292,9 @@ class Environment:
             reaches it (the clock is advanced to exactly ``until``).  An
             :class:`Event` — run until it is processed and return its value.
         """
-        stop: Optional[Event] = None
-        if until is not None:
-            if isinstance(until, Event):
-                stop = until
-                if stop.callbacks is None:  # already processed
-                    return stop._value
-                stop.callbacks.append(self._stop_callback)
-            else:
-                at = float(until)
-                if at < self._now:
-                    raise ValueError(
-                        f"until ({at}) must not be earlier than now ({self._now})"
-                    )
-                stop = Event(self)
-                stop._ok = True
-                stop._value = None
-                # URGENT so that the stop fires before user events at `at`.
-                self.schedule(stop, priority=URGENT, delay=at - self._now)
-                stop.callbacks.append(self._stop_callback)
+        stop = self._arm_stop(until)
+        if stop is not None and stop.callbacks is None:  # already processed
+            return stop._value
 
         # Inlined main loop — identical semantics to step() in a loop, with
         # the per-event overhead shaved: pre-bound heappop/queue/pool
@@ -305,15 +326,8 @@ class Environment:
                     raise event._value
                 if type(event) is PooledEvent and len(pool) < 128:
                     pool.append(event)
-        except StopSimulation as stop_exc:
-            return stop_exc.value
-        except EmptySchedule:
-            if stop is not None and stop.callbacks is not None:
-                if isinstance(until, Event):
-                    raise SimulationError(
-                        f"No scheduled events left but until={until!r} was not triggered"
-                    ) from None
-            return None
+        except (StopSimulation, EmptySchedule) as end:
+            return self._run_ended(end, until)
 
     def run_hooked(
         self,
@@ -335,24 +349,9 @@ class Environment:
         Kept as a separate copy of the :meth:`run` hot loop so the
         default path pays nothing for the feature.
         """
-        stop: Optional[Event] = None
-        if until is not None:
-            if isinstance(until, Event):
-                stop = until
-                if stop.callbacks is None:  # already processed
-                    return stop._value
-                stop.callbacks.append(self._stop_callback)
-            else:
-                at = float(until)
-                if at < self._now:
-                    raise ValueError(
-                        f"until ({at}) must not be earlier than now ({self._now})"
-                    )
-                stop = Event(self)
-                stop._ok = True
-                stop._value = None
-                self.schedule(stop, priority=URGENT, delay=at - self._now)
-                stop.callbacks.append(self._stop_callback)
+        stop = self._arm_stop(until)
+        if stop is not None and stop.callbacks is None:  # already processed
+            return stop._value
 
         queue = self._queue
         pop = heappop
@@ -381,15 +380,8 @@ class Environment:
                 if next_target is not None and self.processed_events >= next_target:
                     if not queue or queue[0][0] > now:
                         next_target = hook()
-        except StopSimulation as stop_exc:
-            return stop_exc.value
-        except EmptySchedule:
-            if stop is not None and stop.callbacks is not None:
-                if isinstance(until, Event):
-                    raise SimulationError(
-                        f"No scheduled events left but until={until!r} was not triggered"
-                    ) from None
-            return None
+        except (StopSimulation, EmptySchedule) as end:
+            return self._run_ended(end, until)
 
     # -- snapshot/restore ---------------------------------------------------
 

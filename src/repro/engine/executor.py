@@ -6,6 +6,7 @@ from typing import Any, Collection, Dict, Generator, List, Optional, Protocol, S
 
 from repro._input import InputError
 from repro.application import (
+    ApplicationError,
     BbReadTask,
     BbWriteTask,
     CommTask,
@@ -186,35 +187,40 @@ class JobExecutor:
         """
         job = self.job
         phases = job.application.phases
-        for p_idx in range(start_phase, len(phases)):
-            phase = phases[p_idx]
-            self._phase_idx = p_idx
-            if p_idx == start_phase and start_total is not None:
-                iterations = start_total
-            else:
-                iterations = phase.num_iterations(job.expression_variables())
-            self._iterations_total = iterations
-            first_iter = start_iter if p_idx == start_phase else 0
-            for iteration in range(first_iter, iterations):
-                self._iteration = iteration
-                point = (
-                    resume_point
-                    if p_idx == start_phase and iteration == start_iter
-                    else None
-                )
-                if point == "post-scheduling-point":
-                    continue
-                if point == "mid-iteration":
-                    for t_idx in range(task_start, len(phase.tasks)):
-                        self._task_idx = t_idx
-                        yield from self._run_task(phase.tasks[t_idx], iteration)
-                elif point != "post-iteration":
-                    yield from self._run_iteration(phase, iteration)
-                if phase.scheduling_point:
-                    # Scheduling points are the checkpoint locations:
-                    # record progress for checkpoint/restart requeues.
-                    job.checkpoint_marker = (p_idx, iteration + 1, iterations)
-                    yield from self._scheduling_point()
+        try:
+            for p_idx in range(start_phase, len(phases)):
+                phase = phases[p_idx]
+                self._phase_idx = p_idx
+                if p_idx == start_phase and start_total is not None:
+                    iterations = start_total
+                else:
+                    iterations = phase.num_iterations(job.expression_variables())
+                self._iterations_total = iterations
+                first_iter = start_iter if p_idx == start_phase else 0
+                for iteration in range(first_iter, iterations):
+                    self._iteration = iteration
+                    point = (
+                        resume_point
+                        if p_idx == start_phase and iteration == start_iter
+                        else None
+                    )
+                    if point == "post-scheduling-point":
+                        continue
+                    if point == "mid-iteration":
+                        for t_idx in range(task_start, len(phase.tasks)):
+                            self._task_idx = t_idx
+                            yield from self._run_task(phase.tasks[t_idx], iteration)
+                    elif point != "post-iteration":
+                        yield from self._run_iteration(phase, iteration)
+                    if phase.scheduling_point:
+                        # Scheduling points are the checkpoint locations:
+                        # record progress for checkpoint/restart requeues.
+                        job.checkpoint_marker = (p_idx, iteration + 1, iterations)
+                        yield from self._scheduling_point()
+        except ApplicationError as exc:
+            # A magnitude that does not evaluate under this allocation, or
+            # not to an amount: say whose it is.
+            raise ApplicationError(f"Job {job.name}, phase {phase.name!r}: {exc}") from None
 
     # -- phases and tasks -------------------------------------------------------
 

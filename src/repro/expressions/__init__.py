@@ -10,12 +10,14 @@ provides a small, safe (no ``eval``) expression language:
 * functions: ``min max ceil floor round abs sqrt log log2 exp pow``
 * comparison and ternary-style helpers: ``if(cond, a, b)``, ``< <= > >= == !=``
 
-Expressions compile once (at model load) into an AST evaluated per task
+Expressions parse once (at model load) into an AST evaluated per task
 instantiation with the variable bindings of the moment (``num_nodes``,
-user-provided job arguments, phase iteration counters).  The hot path goes
-one step further: :func:`compiled_expression` lowers the AST into a plain
-Python function with constant folding and a binding-keyed memo (see
-:mod:`repro.expressions.compiler`), bit-identical to the interpreter.
+user-provided job arguments, phase iteration counters) by one tree-walking
+interpreter, ``Expression.evaluate``.  The hot path wraps the AST:
+:func:`compiled_expression` folds a literal-only expression to a constant,
+memoizes any other by the values of its free variables and interns equal
+sources (see :mod:`repro.expressions.compiler`) — the same evaluator, called
+less often.
 """
 
 from repro.expressions.ast import (

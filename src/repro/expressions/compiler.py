@@ -1,47 +1,32 @@
-"""Compilation of expression ASTs into plain Python functions.
+"""The evaluation wrapper: fold, memo and intern over the one interpreter.
 
-The tree-walking interpreter in :mod:`repro.expressions.ast` is the
-semantic reference, but it pays a Python-level dispatch per AST node per
-evaluation — and the engine evaluates the same task magnitudes once per
-phase iteration.  This module removes both costs:
+Every expression is evaluated by the tree-walking interpreter in
+:mod:`repro.expressions.ast`.  The engine evaluates the same task
+magnitudes once per phase iteration, so :class:`CompiledExpression` puts
+three caches in front of it:
 
-* :class:`CompiledExpression` wraps a parsed AST in a ``compile()``-built
-  Python function (one code object per expression, built once at load
-  time) that reproduces the interpreter's results *and* its
-  ``ExpressionError`` messages exactly — division/modulo by zero, unknown
-  variables, non-finite ``pow`` — by routing every operator and function
-  application through the same callables the interpreter uses.
 * Literal-only expressions are constant-folded at construction, so a
   ``"1e12"`` flops magnitude costs an attribute read per evaluation.
-* Each compiled expression memoizes results keyed by the values of its
-  *free variables only* (binding-keyed memo).  An expression that does not
-  mention ``iteration`` hits the memo even though the executor passes a
-  fresh ``iteration`` binding every loop.  Errors are never cached: the
+* Each wrapper memoizes results keyed by the values of its *free variables
+  only* (binding-keyed memo).  An expression that does not mention
+  ``iteration`` hits the memo even though the executor passes a fresh
+  ``iteration`` binding every loop.  Errors are never cached: the
   unknown-variable message embeds the full binding set, which may differ
   between calls that share a key.
+* :func:`compiled_expression` interns by source string, so equal sources
+  across tasks and jobs share one wrapper and one memo.
 
-Determinism: a compiled function executes the same float operations in the
-same order as the interpreter, so results are bit-identical — asserted by
-the property tests in ``tests/expressions/test_compiler.py``, which hold
-every compiled function to the interpreter on random ASTs and bindings.
+A memo miss is one ``ast.evaluate`` call — a Python-level dispatch per AST
+node — so the wrapper is transparent by construction: same value, type,
+error class and message as the bare AST, which
+``tests/expressions/test_compiler.py`` asserts on random ASTs and bindings.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping, Optional, Union
 
-from repro.expressions.ast import (
-    _BINARY_OPS,
-    _FUNCTIONS,
-    BinaryOp,
-    Call,
-    Expression,
-    ExpressionError,
-    Number,
-    Numeric,
-    UnaryOp,
-    Variable,
-)
+from repro.expressions.ast import Expression, ExpressionError, Numeric
 from repro.expressions.parser import compile_expression
 
 __all__ = [
@@ -53,14 +38,14 @@ __all__ = [
 
 
 class ExpressionStats:
-    """Engine-level counters for the compiled-expression pipeline.
+    """Engine-level counters for the expression wrapper.
 
     A single module-level instance (:data:`STATS`) accumulates across every
     expression in the process; ``Simulation.run`` snapshots it before and
-    after a run and attaches the delta to the monitor (these counters differ
-    between the compiled and interpreted modes, so they deliberately stay
-    out of ``Monitor.run_record()`` to keep campaign fingerprints
-    mode-independent).
+    after a run and attaches the delta to the monitor (how often a source
+    is compiled depends on what the intern cache already holds, so the
+    counters stay out of ``Monitor.run_record()`` and campaign
+    fingerprints).
     """
 
     __slots__ = ("compiles", "evaluations", "memo_hits", "constant_hits")
@@ -119,87 +104,6 @@ class ExpressionStats:
 STATS = ExpressionStats()
 
 
-def _bin_apply(fn, op, left, right):
-    """Apply a binary operator with the interpreter's overflow wrapping."""
-    try:
-        return fn(left, right)
-    except OverflowError as exc:
-        raise ExpressionError(
-            f"Overflow evaluating {left!r} {op} {right!r}"
-        ) from exc
-
-
-def _call_apply(fn, name, *values):
-    """Apply a built-in function with the interpreter's error wrapping."""
-    try:
-        return fn(*values)
-    except (ValueError, OverflowError) as exc:
-        raise ExpressionError(f"{name}({list(values)}) failed: {exc}") from exc
-
-
-def _unknown_var(name, variables):
-    """Build the interpreter's exact unknown-variable error."""
-    return ExpressionError(
-        f"Unknown variable {name!r}; available: {sorted(variables)}"
-    )
-
-
-def _codegen(ast: Expression) -> Callable[[Mapping[str, Numeric]], Numeric]:
-    """Translate an AST into one Python function via ``compile()``.
-
-    Every operator/function application routes through the same callables
-    the interpreter dispatches to (via closure constants), so results and
-    error messages are bit-identical.  Only ``_v[name]`` lookups can raise
-    ``KeyError``, which the wrapper converts into the interpreter's
-    unknown-variable ``ExpressionError``.
-    """
-    ns: dict = {
-        "_bin": _bin_apply,
-        "_call": _call_apply,
-        "_unk": _unknown_var,
-        # Generated code needs nothing from builtins except the KeyError
-        # type in its except clause.
-        "__builtins__": {"KeyError": KeyError},
-    }
-
-    def emit(node: Expression) -> str:
-        if isinstance(node, CompiledExpression):
-            node = node.ast
-        if isinstance(node, Number):
-            name = f"_k{len(ns)}"
-            ns[name] = node.value
-            return name
-        if isinstance(node, Variable):
-            return f"_v[{node.name!r}]"
-        if isinstance(node, UnaryOp):
-            inner = emit(node.operand)
-            return f"(-{inner})" if node.op == "-" else f"({inner})"
-        if isinstance(node, BinaryOp):
-            name = f"_k{len(ns)}"
-            ns[name] = _BINARY_OPS[node.op]
-            left = emit(node.left)
-            right = emit(node.right)
-            return f"_bin({name}, {node.op!r}, {left}, {right})"
-        if isinstance(node, Call):
-            name = f"_k{len(ns)}"
-            ns[name] = _FUNCTIONS[node.name][0]
-            args = ", ".join(emit(arg) for arg in node.args)
-            return f"_call({name}, {node.name!r}, {args})"
-        raise ExpressionError(f"Cannot compile expression node {node!r}")
-
-    body = emit(ast)
-    source = (
-        "def _expr(_v):\n"
-        "    try:\n"
-        f"        return {body}\n"
-        "    except KeyError as _key:\n"
-        "        raise _unk(_key.args[0], _v) from None\n"
-    )
-    code = compile(source, "<expression-compiler>", "exec")
-    exec(code, ns)
-    return ns["_expr"]
-
-
 _MISSING = object()
 
 #: Per-expression memo size cap; bindings beyond it evaluate uncached.
@@ -207,12 +111,11 @@ _MEMO_CAP = 4096
 
 
 class CompiledExpression(Expression):
-    """An ``Expression`` backed by a compiled function with a result memo.
+    """An ``Expression`` that folds a constant AST and memoizes any other.
 
     Subclasses :class:`Expression`, so it is a drop-in anywhere the parsed
     AST flows today (``isinstance`` checks, ``variables()``, ``__call__``).
-    The original AST stays on ``.ast`` for serialization and for the
-    interpreted reference path.
+    The AST it evaluates through stays on ``.ast`` (serialization reads it).
     """
 
     __slots__ = ("ast", "names", "_fn", "_memo", "_const_value", "_const_error")
@@ -226,6 +129,7 @@ class CompiledExpression(Expression):
         self._memo: dict = {}
         self._const_value: Optional[Numeric] = None
         self._const_error: Optional[ExpressionError] = None
+        #: What a memo miss calls; ``None`` marks a folded constant.
         self._fn: Optional[Callable[[Mapping[str, Numeric]], Numeric]] = None
         STATS.compiles += 1
         if not self.names:
@@ -237,12 +141,7 @@ class CompiledExpression(Expression):
             except ExpressionError as exc:
                 self._const_error = exc
             return
-        try:
-            self._fn = _codegen(ast)
-        except (ExpressionError, RecursionError, SyntaxError, MemoryError):
-            # Exotic/oversized ASTs fall back to the interpreter; the memo
-            # still applies on top.
-            self._fn = ast.evaluate
+        self._fn = ast.evaluate
 
     def evaluate(self, variables: Mapping[str, Numeric]) -> Numeric:
         stats = STATS
@@ -278,7 +177,7 @@ class CompiledExpression(Expression):
 
 
 #: Source-string intern cache: identical sources across tasks/jobs share one
-#: compiled function *and* one memo, multiplying hit rates across a workload.
+#: wrapper *and* one memo, multiplying hit rates across a workload.
 _SOURCE_CACHE: dict[str, CompiledExpression] = {}
 _SOURCE_CACHE_CAP = 4096
 
@@ -286,12 +185,11 @@ ExprLike = Union[str, int, float, Expression]
 
 
 def compiled_expression(value: ExprLike) -> CompiledExpression:
-    """Parse-and-compile ``value`` (str, number, or parsed Expression).
+    """Parse ``value`` (str, number, or parsed Expression) and wrap it.
 
-    The compiled counterpart of :func:`repro.expressions.compile_expression`;
+    The wrapping counterpart of :func:`repro.expressions.compile_expression`;
     accepts the same inputs and raises the same parse errors.  String
-    sources are interned so equal sources share a compiled function and
-    memo.
+    sources are interned so equal sources share a wrapper and its memo.
     """
     if isinstance(value, CompiledExpression):
         return value

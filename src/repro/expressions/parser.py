@@ -64,12 +64,22 @@ _BINDING_POWER = {
 _RIGHT_ASSOC = {"^"}
 _UNARY_POWER = 25  # binds tighter than * but looser than ^
 
+#: Tallest tree the parser builds, root to leaf (``1+1+…`` grows one level per
+#: term).  Brackets, signs and calls may open inside one another twice as
+#: deep, because the serializer brackets every operator it writes.  The
+#: parser spends three Python frames per opening, and ``evaluate()`` /
+#: ``variables()`` / the serializer at most two per level, so everything the
+#: parser accepts stays well inside the interpreter's own recursion limit.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, source: str) -> None:
         self.source = source
         self.tokens = list(tokenize(source))
         self.index = 0
+        self.open = 0  # parse_expression calls in progress
+        self.height = 0  # of the tree parse_expression returned last
 
     @property
     def current(self) -> Token:
@@ -98,7 +108,11 @@ class _Parser:
         return expr
 
     def parse_expression(self, min_power: int) -> Expression:
+        self.open += 1
+        if self.open > 2 * MAX_DEPTH:
+            raise self.too_deep()
         left = self.parse_prefix()
+        height = self.height
         while True:
             token = self.current
             if token.kind != "OP" or token.text not in _BINDING_POWER:
@@ -109,11 +123,23 @@ class _Parser:
             self.advance()
             next_min = power if token.text in _RIGHT_ASSOC else power + 1
             right = self.parse_expression(next_min)
+            height = max(height, self.height) + 1
             left = BinaryOp(token.text, left, right)
+        if height > MAX_DEPTH:
+            raise self.too_deep()
+        self.open -= 1
+        self.height = height
         return left
+
+    def too_deep(self) -> ExpressionError:
+        return ExpressionError(
+            f"Expression is more than {MAX_DEPTH} levels deep: "
+            f"{self.source[:40]!r}..."
+        )
 
     def parse_prefix(self) -> Expression:
         token = self.advance()
+        self.height = 1
         if token.kind == "NUMBER":
             text = token.text
             if any(c in text for c in ".eE"):
@@ -124,6 +150,7 @@ class _Parser:
                 self.advance()
                 args = self.parse_arguments()
                 self.expect("RPAREN")
+                self.height += 1
                 return Call(token.text, args)
             return Variable(token.text)
         if token.kind == "LPAREN":
@@ -132,6 +159,7 @@ class _Parser:
             return expr
         if token.kind == "OP" and token.text in ("-", "+"):
             operand = self.parse_expression(_UNARY_POWER)
+            self.height += 1
             return UnaryOp(token.text, operand)
         raise ExpressionError(
             f"Unexpected token {token.text!r} at position {token.position} "
@@ -142,9 +170,12 @@ class _Parser:
         if self.current.kind == "RPAREN":
             return []
         args = [self.parse_expression(0)]
+        height = self.height
         while self.current.kind == "COMMA":
             self.advance()
             args.append(self.parse_expression(0))
+            height = max(height, self.height)
+        self.height = height
         return args
 
 

@@ -103,11 +103,11 @@ class Monitor:
         self._finalized_at: Optional[float] = None
         #: Fair-share solver counters, attached at the end of a run.
         self.solver: Optional[SolverStats] = None
-        #: Compiled-expression engine counters for this run (an
+        #: Expression-wrapper counters for this run (an
         #: :class:`~repro.expressions.ExpressionStats` delta), attached at
         #: the end of a run.  Deliberately *not* part of ``run_record()``:
-        #: the counts differ between the compiled and interpreted modes,
-        #: and campaign fingerprints must be mode-independent.
+        #: the counts depend on what the process-wide intern cache already
+        #: holds, and campaign fingerprints must not.
         self.expressions: Optional[Any] = None
         #: Energy meter, attached by :meth:`attach_power` when the
         #: platform declares per-node draw; None keeps every energy field
@@ -207,7 +207,7 @@ class Monitor:
         self.solver = SolverStats.from_model(model)
 
     def attach_expression_stats(self, stats: Any) -> None:
-        """Attach this run's compiled-expression counters.
+        """Attach this run's expression-wrapper counters.
 
         ``stats`` is the per-run delta of the process-wide
         :data:`repro.expressions.STATS` (evaluations, memo/constant hits),

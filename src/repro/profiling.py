@@ -10,11 +10,9 @@ time into the engine's hot sections:
 ``scheduler``
     Time inside the scheduling algorithm's ``schedule()`` (wrapped per
     instance for the duration of the run).
-``expressions``
-    Time inside ``CompiledExpression.evaluate`` (wrapped at class level
-    for the duration of the run).
 ``other``
-    Everything else — event kernel, activity bookkeeping, monitoring.
+    Everything else — event kernel, activity bookkeeping, expression
+    evaluation (under 1 % of a run; its counters are reported), monitoring.
 
 Alongside the section split it reports the engine's own perf counters
 (solver path counts, expression memo hit rate, processed events) and can
@@ -36,15 +34,15 @@ from typing import Any, Dict, List
 
 from repro.batch import Simulation
 from repro.expressions import STATS as _EXPR_STATS
-from repro.expressions import CompiledExpression
 from repro.platform import platform_from_dict
 from repro.workload import WorkloadSpec, generate_workload
 
 __all__ = ["profile_run", "format_profile_report", "peak_rss_mb", "PROFILE_SCHEMA"]
 
 #: Version tag stamped into every profile payload.  ``/2`` added the
-#: ``memory`` section (peak RSS, optional tracemalloc allocation stats).
-PROFILE_SCHEMA = "elastisim-profile/2"
+#: ``memory`` section (peak RSS, optional tracemalloc allocation stats);
+#: ``/3`` dropped ``sections.expressions_s``.
+PROFILE_SCHEMA = "elastisim-profile/3"
 
 
 def peak_rss_mb() -> float:
@@ -132,7 +130,7 @@ def profile_run(
     ``cprofile=True``) the ``top`` functions by internal time.
     """
     sim = _reference_simulation(num_jobs, num_nodes, algorithm, seed)
-    sections = {"scheduler": 0.0, "expressions": 0.0}
+    scheduler_s = 0.0
     perf_counter = time.perf_counter
 
     # Wrap the algorithm instance's schedule() — instance attribute, so
@@ -141,26 +139,14 @@ def profile_run(
     orig_schedule = algo.schedule
 
     def timed_schedule(*args: Any, **kwargs: Any) -> Any:
+        nonlocal scheduler_s
         t0 = perf_counter()
         try:
             return orig_schedule(*args, **kwargs)
         finally:
-            sections["scheduler"] += perf_counter() - t0
+            scheduler_s += perf_counter() - t0
 
     algo.schedule = timed_schedule  # type: ignore[method-assign]
-
-    # Wrap CompiledExpression.evaluate at class level for the run; nothing
-    # else evaluates expressions concurrently in a single-threaded sim.
-    orig_evaluate = CompiledExpression.evaluate
-
-    def timed_evaluate(self: CompiledExpression, variables: Any) -> Any:
-        t0 = perf_counter()
-        try:
-            return orig_evaluate(self, variables)
-        finally:
-            sections["expressions"] += perf_counter() - t0
-
-    CompiledExpression.evaluate = timed_evaluate  # type: ignore[method-assign]
 
     profiler = None
     if cprofile:
@@ -204,14 +190,11 @@ def profile_run(
     finally:
         if tm is not None:
             tm.stop()
-        CompiledExpression.evaluate = orig_evaluate  # type: ignore[method-assign]
         algo.schedule = orig_schedule  # type: ignore[method-assign]
 
     solver = monitor.solver
     solver_s = solver.solver_time if solver is not None else 0.0
-    other_s = max(
-        0.0, wall - solver_s - sections["scheduler"] - sections["expressions"]
-    )
+    other_s = max(0.0, wall - solver_s - scheduler_s)
     events = sim.env.processed_events
     payload: Dict[str, Any] = {
         "schema": PROFILE_SCHEMA,
@@ -226,8 +209,7 @@ def profile_run(
         "events_per_s": events / wall if wall > 0 else 0.0,
         "sections": {
             "solver_s": solver_s,
-            "scheduler_s": sections["scheduler"],
-            "expressions_s": sections["expressions"],
+            "scheduler_s": scheduler_s,
             "other_s": other_s,
         },
         "counters": {
@@ -280,7 +262,6 @@ def format_profile_report(payload: Dict[str, Any]) -> str:
     for key, label in (
         ("solver_s", "solver"),
         ("scheduler_s", "scheduler"),
-        ("expressions_s", "expressions"),
         ("other_s", "kernel/other"),
     ):
         value = sections[key]

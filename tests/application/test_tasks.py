@@ -4,6 +4,7 @@ import pytest
 
 from repro.application import (
     ApplicationError,
+    ApplicationModel,
     BbWriteTask,
     CommPattern,
     CommTask,
@@ -11,7 +12,9 @@ from repro.application import (
     DelayTask,
     Distribution,
     EvolvingRequest,
+    GpuTask,
     PfsWriteTask,
+    Phase,
 )
 
 
@@ -41,6 +44,58 @@ class TestCpuTask:
         task = CpuTask("nope * 2")
         with pytest.raises(ApplicationError, match="Evaluating"):
             task.flops_per_node({}, num_nodes=1)
+
+
+#: Every place a magnitude is evaluated, as a function of its source.
+_EVALUATIONS = {
+    "cpu.flops": lambda src: CpuTask(src).flops_per_node({}, 2),
+    "cpu.serial_fraction": lambda src: CpuTask(1, serial_fraction=src).flops_per_node({}, 2),
+    "gpu.flops": lambda src: GpuTask(src).flops_per_node({}, 2),
+    "comm.bytes": lambda src: CommTask(src).message_size({}),
+    "pfs_write.bytes": lambda src: PfsWriteTask(src).bytes_per_node({}, 2),
+    "delay.seconds": lambda src: DelayTask(src).duration({}),
+    "evolving_request.num_nodes": lambda src: EvolvingRequest(src).desired_nodes({}),
+    "phase 'p' iterations": lambda src: Phase(
+        [CpuTask(1)], iterations=src, name="p"
+    ).num_iterations({}),
+    "application 'a' data_per_node": lambda src: ApplicationModel(
+        [Phase([CpuTask(1)])], data_per_node=src, name="a"
+    ).redistribution_bytes_per_node({}),
+}
+
+
+class TestMagnitudesAreAmounts:
+    """Whatever is evaluated must come out in ``0 <= value < inf``."""
+
+    @pytest.mark.parametrize("what", sorted(_EVALUATIONS))
+    @pytest.mark.parametrize(
+        "source, shown",
+        [
+            ("1e400", "non-finite value inf"),
+            ("1e308 * 10", "non-finite value inf"),
+            ("1e400 - 1e400", "non-finite value nan"),
+            ("-1e400", "negative value -inf"),
+            ("0 - 3", "negative value -3.0"),
+        ],
+    )
+    def test_refused_naming_the_field(self, what, source, shown):
+        with pytest.raises(ApplicationError) as info:
+            _EVALUATIONS[what](source)
+        assert str(info.value) == f"{what} evaluated to {shown}"
+
+    @pytest.mark.parametrize("what", sorted(_EVALUATIONS))
+    def test_what_does_not_evaluate_names_the_field_too(self, what):
+        with pytest.raises(ApplicationError) as info:
+            _EVALUATIONS[what]("nope + 1")
+        assert str(info.value) == (
+            f"Evaluating {what} failed: Unknown variable 'nope'; available: []"
+        )
+
+    @pytest.mark.parametrize("what", sorted(_EVALUATIONS))
+    def test_what_does_not_parse_is_refused_at_build(self, what):
+        with pytest.raises(ApplicationError) as info:
+            _EVALUATIONS[what]("1 +")
+        assert str(info.value).startswith(f"Invalid expression for {what}: ")
 
 
 class TestCommTaskPatterns:

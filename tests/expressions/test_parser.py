@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.expressions import ExpressionError, compile_expression, parse
+from repro.application import expression_to_source
+from repro.expressions import ExpressionError, compile_expression, compiled_expression, parse
+from repro.expressions.parser import MAX_DEPTH
 
 
 def ev(source, **variables):
@@ -155,6 +157,40 @@ class TestErrors:
     def test_non_string_rejected_by_parse(self):
         with pytest.raises(ExpressionError):
             parse(None)  # type: ignore[arg-type]
+
+
+#: Each shape as a function of how many levels tall its tree is.
+_DEEP = {
+    "sum": lambda n: "+".join(["x"] * n),
+    "right-nested sum": lambda n: "x+(" * (n - 1) + "x" + ")" * (n - 1),
+    "power tower": lambda n: "^".join(["x"] * n),
+    "signs": lambda n: "-" * (n - 1) + "x",
+    "calls": lambda n: "abs(" * (n - 1) + "x" + ")" * (n - 1),
+    "two-argument calls": lambda n: "min(1," * (n - 1) + "x" + ")" * (n - 1),
+    # Brackets build no node; the serializer writes two per level.
+    "brackets": lambda n: "(" * (2 * n - 1) + "x" + ")" * (2 * n - 1),
+}
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("shape", sorted(_DEEP))
+    def test_everything_works_at_the_limit(self, shape):
+        expr = parse(_DEEP[shape](MAX_DEPTH))
+        assert expr.variables() == {"x"}
+        expr.evaluate({"x": 1})
+        compiled_expression(expr).evaluate({"x": 1})
+        source = expression_to_source(expr)
+        assert expression_to_source(parse(source)) == source  # still loads
+
+    @pytest.mark.parametrize("shape", sorted(_DEEP))
+    def test_one_past_the_limit_is_refused(self, shape):
+        with pytest.raises(ExpressionError, match=f"more than {MAX_DEPTH} levels deep"):
+            parse(_DEEP[shape](MAX_DEPTH + 1))
+
+    @pytest.mark.parametrize("shape", sorted(_DEEP))
+    def test_far_past_the_limit_is_refused_not_a_recursion_error(self, shape):
+        with pytest.raises(ExpressionError, match="levels deep: '.{40}'\\.\\.\\.$"):
+            parse(_DEEP[shape](5000))
 
 
 class TestCompileExpression:

@@ -311,8 +311,42 @@ class TestWorkloadMistakesFoundMidRun:
             ({"type": "cpu", "flops": "-1e12"}, "negative"),
             ({"type": "cpu", "flops": "nope * 2"}, "nope"),
             ({"type": "pfs_read", "bytes": 1e9}, "needs a PFS"),
+            # Not an amount: used to finish at once (inf) or exit 70 (NaN).
+            (
+                {"type": "cpu", "flops": "1e400"},
+                "Job job1, phase 'phase0': cpu.flops evaluated to non-finite value inf",
+            ),
+            ({"type": "cpu", "flops": "1e308*10"}, "cpu.flops evaluated to non-finite value inf"),
+            (
+                {"type": "cpu", "name": "solve", "flops": "1e400 - 1e400"},
+                "phase 'phase0': solve.flops evaluated to non-finite value nan",
+            ),
+            (
+                {"type": "evolving_request", "num_nodes": "1e400"},
+                "evolving_request.num_nodes evaluated to non-finite value inf",
+            ),
+            # Too deep for the parser: used to be RecursionError, exit 70.
+            (
+                {"type": "cpu", "flops": "+".join(["1"] * 5000)},
+                "phases[0].tasks[0]: Invalid expression for cpu.flops: "
+                "Expression is more than 100 levels deep",
+            ),
+            (
+                {"type": "comm", "bytes": "(" * 2000 + "1" + ")" * 2000},
+                "Invalid expression for comm.bytes: Expression is more than 100 levels deep",
+            ),
         ],
-        ids=["negative-flops", "unknown-variable", "no-pfs"],
+        ids=[
+            "negative-flops",
+            "unknown-variable",
+            "no-pfs",
+            "infinite-flops",
+            "overflowing-flops",
+            "nan-flops",
+            "infinite-request",
+            "5000-term-sum",
+            "2000-brackets",
+        ],
     )
     def test_exit_is_input_with_one_error_line(self, task, complaint, tmp_path, capsys):
         platform = {k: v for k, v in PLATFORM.items() if k != "pfs"}
@@ -1036,7 +1070,7 @@ class TestProfile:
         assert code == EXIT_OK
         assert "kernel/other" in capsys.readouterr().out
         payload = json.loads(out.read_text())
-        assert payload["schema"] == "elastisim-profile/2"
+        assert payload["schema"] == "elastisim-profile/3"
         sections = payload["sections"]
         total = sum(sections.values())
         # Sections partition the wall clock (other_s absorbs the remainder).

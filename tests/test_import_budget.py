@@ -16,7 +16,8 @@ synchronous loop: no ``asyncio`` anywhere in the package, an executor of
 two methods and a name, a runner with the parameters it had — and what
 keeps input checking one dialect: one module that reads files and fields,
 one exception base, no hand-rolled helper or stray ``JSONDecodeError``
-handler growing back beside it.
+handler growing back beside it — and what keeps expression evaluation one
+interpreter: no call to builtin ``exec`` / ``eval`` / ``compile``.
 """
 
 import ast
@@ -278,6 +279,20 @@ def test_no_coroutine_and_no_asyncio_import_in_the_package():
                 modules = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
                 if any(module.split(".")[0] == "asyncio" for module in modules):
                     found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_no_exec_eval_or_compile_call_in_the_package():
+    """Expressions run on the package's own interpreter: nothing under
+    ``src/repro`` hands a string to Python's (``re.compile`` is not it)."""
+    found = [
+        f"{name}:{node.lineno}: {ast.unparse(node)[:60]}"
+        for name, tree in _source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval", "compile")
+    ]
     assert found == []
 
 
